@@ -46,8 +46,6 @@ def emit_curve(a: float, n: int, grid: str = "refined") -> tuple[tuple[str, ...]
 
     Returns the column header and an (n, 11) array in strictly increasing x.
     """
-    if n < 2:
-        raise DomainError("curve needs n >= 2")
     x = GridSpec(1e-9, 1.0 - 1e-9, n, grid).points()
     fam_lo, fam_up = bound_arrays(a, x)
     astar_lo, astar_up = a_star_pair(x)
@@ -156,16 +154,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _axis_number(convert, token: str):
+    try:
+        return convert(token)
+    except ValueError:
+        raise DomainError(f"axis value {token!r} is not {'an integer' if convert is int else 'a number'}") from None
+
+
 def _parse_axis(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"axis range must be lo:hi:count, got {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = _axis_number(float, parts[0]), _axis_number(float, parts[1]), _axis_number(int, parts[2])
         if count < 1:
             raise DomainError("axis count must be >= 1")
         return [lo] if count == 1 else list(np.linspace(lo, hi, count))
-    return [float(tok) for tok in text.split(",") if tok != ""]
+    return [_axis_number(float, tok) for tok in text.split(",") if tok != ""]
 
 
 def _run(args, out) -> int:

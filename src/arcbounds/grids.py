@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["GridSpec", "DEFAULT_GRID", "SCAN_GRID"]
 
 _EDGE_WIDTH = 1e-3
@@ -31,11 +33,11 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
-            raise ValueError("grid requires lo < hi")
+            raise DomainError("grid requires lo < hi")
         if self.n < 2:
-            raise ValueError("grid requires n >= 2")
+            raise DomainError("grid requires n >= 2")
         if self.spacing not in ("uniform", "refined"):
-            raise ValueError("spacing must be 'uniform' or 'refined'")
+            raise DomainError("spacing must be 'uniform' or 'refined'")
 
     def points(self) -> np.ndarray:
         """Strictly increasing sample points, including both endpoints."""

@@ -68,22 +68,23 @@ class SharpBounds:
     upper_best: float
 
 
+def _lambda(arr: np.ndarray) -> np.ndarray:
+    # One square root of the quotient keeps relative accuracy at both ends.
+    return np.cos(np.arctan(np.sqrt((1.0 - arr) / (1.0 + arr))) / 3.0)
+
+
 def lambda_kernel(x):
     """cos(arctan(sqrt((1-x)/(1+x))) / 3); strictly increasing from
     cos(pi/12) to 1 on (0, 1).
-
-    The arctan argument is formed as a single square root of the quotient
-    so neither factor loses relative accuracy near the endpoints.
     """
     arr = _check_open_unit(x)
-    out = np.cos(np.arctan(np.sqrt((1.0 - arr) / (1.0 + arr))) / 3.0)
-    return _scalar_like(x, out)
+    return _scalar_like(x, _lambda(arr))
 
 
 def lambda_lower(x):
     """Lower bound 2*(4*lam**2 - 1)*sqrt(1-x) / ((2*sqrt(2)*lam + sqrt(1+x))*lam**2)."""
     arr = _check_open_unit(x)
-    lam = np.cos(np.arctan(np.sqrt((1.0 - arr) / (1.0 + arr))) / 3.0)
+    lam = _lambda(arr)
     lam2 = lam * lam
     out = 2.0 * (4.0 * lam2 - 1.0) * np.sqrt(1.0 - arr) / ((TWO_SQRT2 * lam + np.sqrt(1.0 + arr)) * lam2)
     return _scalar_like(x, out)
@@ -156,7 +157,7 @@ def lower_gain(a, x):
 def lower_gain_argmax(x):
     """Maximizer of the gain over a: 2*sqrt(2)*lambda_kernel(x), inside (1+sqrt(3), 2*sqrt(2))."""
     arr = _check_open_unit(x)
-    out = TWO_SQRT2 * np.cos(np.arctan(np.sqrt((1.0 - arr) / (1.0 + arr))) / 3.0)
+    out = TWO_SQRT2 * _lambda(arr)
     return _scalar_like(x, out)
 
 
@@ -168,7 +169,7 @@ def lower_gain_max(x):
     (4*lam**2 - 1)/(4*lam**2) at a = 2*sqrt(2)*lam.
     """
     arr = _check_open_unit(x)
-    lam = np.cos(np.arctan(np.sqrt((1.0 - arr) / (1.0 + arr))) / 3.0)
+    lam = _lambda(arr)
     lam2 = lam * lam
     out = (4.0 * lam2 - 1.0) / (4.0 * lam2 * (TWO_SQRT2 * lam + np.sqrt(1.0 + arr)))
     return _scalar_like(x, out)

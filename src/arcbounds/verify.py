@@ -35,13 +35,14 @@ from .analysis import (
     slope_threshold,
     threshold_gap,
 )
-from .errors import DomainError
+from .errors import RegimeError
 from .family import (
     A_STAR,
     PI,
     SQRT2,
     TWO_SQRT2,
     Regime,
+    _check_bound_parameter,
     arccos_stable,
     bound_arrays,
     bound_ratio,
@@ -186,8 +187,7 @@ def verify_bounds(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport
 
 def verify_floor(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
     """Check the floor-constant lower bound 8*(1 - 2/a**2) pointwise."""
-    if a <= -1.0:
-        raise DomainError("floor check requires a > -1")
+    _check_bound_parameter(a)
     x = grid.points()
     acx = arccos_stable(x)
     floor = 8.0 * (1.0 - 2.0 / (a * a)) * np.sqrt(1.0 - x) / (a + np.sqrt(1.0 + x))
@@ -244,8 +244,7 @@ def verify_limits_and_sharpness(
     interior-minimum regime the infimum is the located minimum value
     instead of an endpoint constant.
     """
-    if a <= -1.0:
-        raise DomainError("sharpness check requires a > -1")
+    _check_bound_parameter(a)
     eps = list(eps_list)
     if len(eps) < 2 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("eps_list must decrease toward 0")
@@ -293,23 +292,22 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     crossovers are located by bisection to 1e-10.
     """
     x = grid.points()
+    (a_star_lo, a_star_up), (carlson_lo, carlson_up) = a_star_pair(x), carlson_pair(x)
     lowers = {
-        "a-star": a_star_pair(x)[0],
-        "carlson": carlson_pair(x)[0],
+        "a-star": a_star_lo,
+        "carlson": carlson_lo,
         "one-plus-sqrt3": sqrt3_lower(x),
         "lambda": lambda_lower(x),
     }
     uppers = {
-        "a-star": a_star_pair(x)[1],
-        "carlson": carlson_pair(x)[1],
+        "a-star": a_star_up,
+        "carlson": carlson_up,
         "best": best_upper(x),
     }
     lower_names = list(lowers)
     upper_names = list(uppers)
-    lower_stack = np.vstack([lowers[k] for k in lower_names])
-    upper_stack = np.vstack([uppers[k] for k in upper_names])
-    argmax_idx = np.argmax(lower_stack, axis=0)
-    argmin_idx = np.argmin(upper_stack, axis=0)
+    argmax_idx = np.argmax(np.vstack([lowers[k] for k in lower_names]), axis=0)
+    argmin_idx = np.argmin(np.vstack([uppers[k] for k in upper_names]), axis=0)
     lower_counts = {name: int(np.count_nonzero(argmax_idx == i)) for i, name in enumerate(lower_names)}
     upper_counts = {name: int(np.count_nonzero(argmin_idx == i)) for i, name in enumerate(upper_names)}
 
@@ -605,6 +603,8 @@ class Claim:
     claim_id: str
     description: str
     runner: Callable[[GridSpec | None, float | None], list[VerificationReport]]
+    # The only regime a parameterized run may name; None accepts every a.
+    regime: Regime | None = None
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -612,10 +612,10 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("family-bracket", "two-sided family bound holds with the regime's constants", _claim_family_bracket),
     Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _claim_floor),
     Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _claim_endpoint_constants),
-    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _claim_regime_increasing),
-    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _claim_regime_decreasing),
-    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _claim_regime_interior),
-    Claim("minimum-floor", "interior minimum satisfies its floor and brute-force cross-check", _claim_minimum_floor),
+    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _claim_regime_increasing, Regime.INCREASING),
+    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _claim_regime_decreasing, Regime.DECREASING),
+    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _claim_regime_interior, Regime.INTERIOR_MINIMUM),
+    Claim("minimum-floor", "interior minimum satisfies its floor and brute-force cross-check", _claim_minimum_floor, Regime.INTERIOR_MINIMUM),
     Claim("aux-slope-limits", "derivative-apparatus limits and threshold shape", _claim_aux_slope_limits),
     Claim("aux-quadratic-roots", "slope-quadratic roots: limits, residuals, monotonicity", _claim_aux_roots),
     Claim("aux-sign-regimes", "one-signed ranges of the quadratic and the slope term", _claim_aux_sign_regimes),
@@ -641,7 +641,8 @@ def run_claims(
     """Run a subset of the registry (all claims when ids is None).
 
     ``grid`` overrides each claim's default grid; ``a`` narrows the
-    parameterized claims to a single shape parameter.
+    parameterized claims to a single shape parameter.  Raises RegimeError,
+    before any claim runs, if ``a`` lies outside a selected claim's regime.
     """
     if ids is None:
         selected = list(CLAIMS)
@@ -654,6 +655,9 @@ def run_claims(
             claim = _CLAIM_INDEX[key]
             if claim not in selected:
                 selected.append(claim)
+    for claim in selected:
+        if a is not None and claim.regime is not None and classify_regime(a) is not claim.regime:
+            raise RegimeError(f"claim {claim.claim_id!r} covers the {claim.regime.value} regime only; a={a:.17g} is {classify_regime(a).value}")
     reports: list[VerificationReport] = []
     for claim in selected:
         reports.extend(claim.runner(grid, a))

@@ -228,3 +228,31 @@ class TestPlumbing:
         assert code == 0
         assert "1.8138" in out
         assert "1.8137993642342" not in out
+
+
+BAD_INPUTS = [
+    (("verify", "--claims", "regime-decreasing", "--a", "2.5"), "'regime-decreasing' covers the Decreasing regime only; a=2.5 is Increasing"),
+    (("verify", "--claims", "regime-increasing", "--a", "4"), "'regime-increasing' covers the Increasing regime only; a=4 is Decreasing"),
+    (("verify", "--n", "1"), "n >= 2"),
+    (("bounds", "--a", "0", "--n", "1"), "n >= 2"),
+    (("bounds", "--a", "0", "--n", "1", "--full"), "n >= 2"),
+    (("compare", "--n", "1"), "n >= 2"),
+    (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "1", "--n", "1"), "n >= 2"),
+    (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "abc"), "'abc'"),
+    (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "0:1:2.5"), "'2.5'"),
+    (("eval", "--a", "inf", "--x", "0.5"), "shape parameter must be finite"),
+    (("eval", "--a", "nan", "--x", "0.5"), "shape parameter must be finite"),
+    (("verify", "--a", "nan"), "shape parameter must be finite"),
+    (("verify", "--claims", "family-bracket", "--a", "nan"), "shape parameter must be finite"),
+    (("verify", "--claims", "midregime-floor", "--a", "nan"), "shape parameter must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
+def test_bad_input_is_one_line_domain_error(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert fragment in err

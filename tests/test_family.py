@@ -48,6 +48,42 @@ class TestArccosStable:
             assert v == ab.arccos_stable(float(x))
 
 
+def _accuracy_sample() -> np.ndarray:
+    return np.concatenate(
+        [
+            np.linspace(-1.0, 1.0, 4001),
+            1.0 - np.geomspace(1e-15, 1e-2, 200),
+            -1.0 + np.geomspace(1e-15, 1e-2, 200),
+        ]
+    )
+
+
+def _exact_ratio(x):
+    return mp.sqrt(2) if x == 1 else mp.acos(x) / mp.sqrt(1 - x)
+
+
+@pytest.mark.parametrize(
+    "fn, exact_fn, max_ulp",
+    [(ab.arccos_stable, mp.acos, 1.0), (ab.arccos_ratio, _exact_ratio, 3.0)],
+    ids=["arccos_stable", "arccos_ratio"],
+)
+def test_ulp_error_against_mpmath(fn, exact_fn, max_ulp):
+    # |got - exact| / ulp(exact), all in mpmath: ulp(v) = 2**(e - 53) for
+    # v = m * 2**e with 1/2 <= |m| < 1.
+    xs = _accuracy_sample()
+    got = fn(xs)
+    worst = mp.mpf(0)
+    with mp.workdps(40):
+        for x, g in zip(xs, got):
+            exact = exact_fn(mp.mpf(float(x)))
+            if exact == 0:
+                assert g == 0.0
+                continue
+            ulp = mp.ldexp(1, mp.frexp(exact)[1] - 53)
+            worst = max(worst, abs(mp.mpf(float(g)) - exact) / ulp)
+    assert worst <= max_ulp, f"{fn.__name__}: {float(worst):.3f} ulp"
+
+
 class TestArccosRatio:
     def test_cancellation_guard(self):
         # arccos(1-z)/sqrt(z) = sqrt(2)*(1 + z/12 + ...); at z = 2**-50 the
