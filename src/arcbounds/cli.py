@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import astuple
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,13 +97,6 @@ def _emit_rows(header: Sequence[str], rows: Iterable[Sequence], fmt: str, out) -
         out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _report_rows(reports) -> list[tuple]:
-    return [(r.claim_id, r.passed, r.samples, r.worst_margin, r.worst_x, r.notes) for r in reports]
-
-
-REPORT_HEADER = ("claim_id", "passed", "samples", "worst_margin", "worst_x", "notes")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="arcbounds", description="Elementary arccos bounds: evaluation, verification, scanning.")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -169,8 +164,14 @@ def _parse_axis(text: str) -> list[float]:
         lo, hi, count = _axis_number(float, parts[0]), _axis_number(float, parts[1]), _axis_number(int, parts[2])
         if count < 1:
             raise DomainError("axis count must be >= 1")
-        return [lo] if count == 1 else list(np.linspace(lo, hi, count))
-    return [_axis_number(float, tok) for tok in text.split(",") if tok != ""]
+        values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
+    else:
+        values = [_axis_number(float, tok) for tok in text.split(",") if tok != ""]
+    if not values:
+        raise DomainError(f"axis {text!r} has no values")
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"axis {text!r} has a non-finite value")
+    return values
 
 
 def _run(args, out) -> int:
@@ -225,8 +226,10 @@ def _run(args, out) -> int:
             raise DomainError(str(exc)) from exc
         if fmt == "json":
             out.write(verify.reports_to_json(reports) + "\n")
+        elif fmt == "csv":
+            out.write(verify.reports_to_csv(reports))
         else:
-            _emit_rows(REPORT_HEADER, _report_rows(reports), fmt, out)
+            _emit_rows(verify.REPORT_HEADER, map(astuple, reports), fmt, out)
         return 0 if all(r.passed for r in reports) else 1
 
     if args.verb == "compare":
@@ -240,12 +243,13 @@ def _run(args, out) -> int:
                 "upper_argmin_counts": result.upper_argmin_counts,
             }
             out.write(json.dumps(payload, indent=2) + "\n")
+        elif fmt == "csv":
+            out.write(verify.reports_to_csv(result.reports))
         else:
-            _emit_rows(REPORT_HEADER, _report_rows(result.reports), fmt, out)
-            if fmt == "table":
-                out.write(f"crossovers: {', '.join(f'{c:.12g}' for c in result.crossovers)}\n")
-                out.write(f"lower argmax counts: {result.lower_argmax_counts}\n")
-                out.write(f"upper argmin counts: {result.upper_argmin_counts}\n")
+            _emit_rows(verify.REPORT_HEADER, map(astuple, result.reports), fmt, out)
+            out.write(f"crossovers: {', '.join(f'{c:.12g}' for c in result.crossovers)}\n")
+            out.write(f"lower argmax counts: {result.lower_argmax_counts}\n")
+            out.write(f"upper argmin counts: {result.upper_argmin_counts}\n")
         return 0 if all(r.passed for r in result.reports) else 1
 
     if args.verb == "scan":

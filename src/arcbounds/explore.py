@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,18 +78,7 @@ class ScanClassification:
     note: str = field(default=EVIDENCE_NOTE)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "verdict": self.verdict.value,
-            "evidence_x": self.evidence_x,
-            "margin": self.margin,
-            "witness_down": self.witness_down,
-            "witness_up": self.witness_up,
-            "error": self.error,
-            "note": self.note,
-        }
+        return {**asdict(self), "verdict": self.verdict.value}
 
 
 def _numerator(beta: float, gamma: float, x: np.ndarray) -> np.ndarray:

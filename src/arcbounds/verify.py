@@ -15,15 +15,18 @@ across runs.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import explore
 from .analysis import (
+    MinimumResult,
     bisect_sign_change,
     find_minimum,
     grid_argmin,
@@ -35,7 +38,7 @@ from .analysis import (
     slope_threshold,
     threshold_gap,
 )
-from .errors import RegimeError
+from .errors import DomainError, RegimeError
 from .family import (
     A_STAR,
     PI,
@@ -75,6 +78,7 @@ __all__ = [
     "compare_bounds",
     "run_claims",
     "claim_ids",
+    "REPORT_HEADER",
     "reports_to_json",
     "reports_to_csv",
 ]
@@ -106,14 +110,10 @@ class VerificationReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "passed": self.passed,
-            "samples": self.samples,
-            "worst_margin": self.worst_margin,
-            "worst_x": self.worst_x,
-            "notes": self.notes,
-        }
+        return asdict(self)
+
+
+REPORT_HEADER = tuple(f.name for f in fields(VerificationReport))
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,10 @@ class ComparisonResult:
     crossovers: tuple[float, ...]
     lower_argmax_counts: dict[str, int]
     upper_argmin_counts: dict[str, int]
+
+
+# A claim runner: (grid override, parameter override) -> reports.
+Runner = Callable[[GridSpec | None, float | None], list[VerificationReport]]
 
 
 def _pair_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,7 +145,8 @@ def _pointwise_report(claim_id: str, x: np.ndarray, margins: np.ndarray, tol: np
     tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), margins.shape)
     i = int(np.argmin(margins))
     worst = float(margins[i])
-    violations = int(np.count_nonzero(margins < -tol))
+    # written so that a NaN margin counts as a violation
+    violations = int(np.count_nonzero(~(margins >= -tol)))
     passed = violations == 0
     if violations:
         notes = (notes + "; " if notes else "") + f"{violations} samples beyond tolerance"
@@ -186,8 +191,10 @@ def verify_bounds(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport
 
 
 def verify_floor(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
-    """Check the floor-constant lower bound 8*(1 - 2/a**2) pointwise."""
+    """Check the floor-constant lower bound 8*(1 - 2/a**2) pointwise (a**2 > 0)."""
     _check_bound_parameter(a)
+    if a * a == 0.0:
+        raise DomainError(f"floor constant 8*(1-2/a^2) is undefined at a = 0 and where a^2 underflows (a={a:.17g})")
     x = grid.points()
     acx = arccos_stable(x)
     floor = 8.0 * (1.0 - 2.0 / (a * a)) * np.sqrt(1.0 - x) / (a + np.sqrt(1.0 + x))
@@ -282,6 +289,15 @@ def verify_limits_and_sharpness(
     )
 
 
+def _dominance_report(claim_id: str, x: np.ndarray, first: tuple, second: tuple, notes: str) -> VerificationReport:
+    """Report ``hi >= lo`` for two (hi, lo) pairs: the tighter margin decides, under its own tolerance."""
+    (hi1, lo1), (hi2, lo2) = first, second
+    m1, m2 = hi1 - lo1, hi2 - lo2
+    first_smaller = m1 <= m2
+    tol = np.where(first_smaller, _pair_tol(hi1, lo1), _pair_tol(hi2, lo2))
+    return _pointwise_report(claim_id, x, np.where(first_smaller, m1, m2), tol, notes=notes)
+
+
 def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     """Dominance table for the sharp bound candidates on one grid.
 
@@ -311,24 +327,14 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     lower_counts = {name: int(np.count_nonzero(argmax_idx == i)) for i, name in enumerate(lower_names)}
     upper_counts = {name: int(np.count_nonzero(argmin_idx == i)) for i, name in enumerate(upper_names)}
 
-    m1 = lowers["lambda"] - lowers["carlson"]
-    t1 = _pair_tol(lowers["lambda"], lowers["carlson"])
-    m2 = lowers["lambda"] - lowers["one-plus-sqrt3"]
-    t2 = _pair_tol(lowers["lambda"], lowers["one-plus-sqrt3"])
-    first_smaller = m1 <= m2
-    rep_lower = _pointwise_report(
+    rep_lower = _dominance_report(
         "sharp-lower-dominance", x,
-        np.where(first_smaller, m1, m2), np.where(first_smaller, t1, t2),
+        (lowers["lambda"], lowers["carlson"]), (lowers["lambda"], lowers["one-plus-sqrt3"]),
         notes="lambda bound >= classical and 1+sqrt(3) lower bounds",
     )
-    m1 = uppers["a-star"] - uppers["best"]
-    t1 = _pair_tol(uppers["a-star"], uppers["best"])
-    m2 = uppers["carlson"] - uppers["best"]
-    t2 = _pair_tol(uppers["carlson"], uppers["best"])
-    first_smaller = m1 <= m2
-    rep_upper = _pointwise_report(
+    rep_upper = _dominance_report(
         "sharp-upper-dominance", x,
-        np.where(first_smaller, m1, m2), np.where(first_smaller, t1, t2),
+        (uppers["a-star"], uppers["best"]), (uppers["carlson"], uppers["best"]),
         notes="doubly-sharp upper bound <= both instance upper bounds",
     )
 
@@ -374,16 +380,20 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
 # Claim registry
 
 
-def _scaled_grid(grid: GridSpec | None, n: int, spacing: str = "refined") -> GridSpec:
+def _scaled_grid(grid: GridSpec | None, n: int) -> GridSpec:
     if grid is not None:
         return grid
-    return GridSpec(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n, spacing)
+    return GridSpec(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n, "refined")
 
 
-def _filter(values: Sequence[float], a: float | None) -> tuple[float, ...]:
-    if a is None:
-        return tuple(values)
-    return (a,)
+def _sweep(check: Callable[..., VerificationReport], values: Sequence[float], n: int) -> Runner:
+    """Runner calling ``check(a, grid=g)`` for each of ``values``, or for ``a`` alone, on an n-point default grid."""
+
+    def runner(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
+        g = _scaled_grid(grid, n)
+        return [check(av, grid=g) for av in (values if a is None else (a,))]
+
+    return runner
 
 
 def _claim_classic(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
@@ -398,44 +408,34 @@ def _claim_classic(grid: GridSpec | None, a: float | None) -> list[VerificationR
     ]
 
 
-def _claim_family_bracket(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    g = _scaled_grid(grid, 1_000_000)
-    return [verify_bounds(av, g) for av in _filter(BRACKET_A_VALUES, a)]
+def _minimum_slacks(a: float) -> tuple[MinimumResult, float, tuple[float, ...]]:
+    """The interior minimum, the brute-force argmin and five slacks, each positive when its check holds.
 
-
-def _claim_floor(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    g = _scaled_grid(grid, 1_000_000)
-    return [verify_floor(av, g) for av in _filter(FLOOR_A_VALUES, a)]
-
-
-def _claim_endpoint_constants(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    g = _scaled_grid(grid, 200_000)
-    return [verify_limits_and_sharpness(av, grid=g) for av in _filter(BRACKET_A_VALUES, a)]
-
-
-def _claim_regime_increasing(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    g = _scaled_grid(grid, 100_000)
-    return [verify_monotonicity(av, g) for av in _filter(INCREASING_A_VALUES, a)]
-
-
-def _claim_regime_decreasing(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    g = _scaled_grid(grid, 100_000)
-    return [verify_monotonicity(av, g) for av in _filter(DECREASING_A_VALUES, a)]
-
-
-def _interior_report(a: float, grid: GridSpec) -> VerificationReport:
-    mono = verify_monotonicity(a, grid)
+    Slacks: residual, floor, below the endpoint limits, brute-force x0 and brute-force value.  The brute
+    force shares no code with the bisection in find_minimum, so it stays an independent cross-check.
+    """
     res = find_minimum(a)
     floor = 8.0 * (1.0 - 2.0 / (a * a))
     at0, at1 = endpoint_limits(a)
     bx, bval = grid_argmin(a, 1_000_001)
+    slacks = (
+        1e-12 - res.residual,
+        res.f_min - floor + 4.0 * float(np.spacing(floor)),
+        min(at0, at1) - res.f_min,
+        1e-6 - abs(bx - res.x0),
+        1e-10 - abs(bval - res.f_min),
+    )
+    return res, bx, slacks
+
+
+def _interior_report(a: float, grid: GridSpec) -> VerificationReport:
+    mono = verify_monotonicity(a, grid)
+    res, bx, slacks = _minimum_slacks(a)
+    labels = ("implicit-equation residual", "minimum above floor", "minimum below endpoint limits",
+              "argmin agrees with brute force", "minimum value agrees with brute force")
     checks = [
         (mono.worst_margin if mono.passed else -abs(mono.worst_margin), mono.worst_x, "one sign change"),
-        (1e-12 - res.residual, res.x0, "implicit-equation residual"),
-        (res.f_min - floor + 4.0 * float(np.spacing(floor)), res.x0, "minimum above floor"),
-        (min(at0, at1) - res.f_min, res.x0, "minimum below endpoint limits"),
-        (1e-6 - abs(bx - res.x0), bx, "argmin agrees with brute force"),
-        (1e-10 - abs(bval - res.f_min), bx, "minimum value agrees with brute force"),
+        *zip(slacks, (res.x0, res.x0, res.x0, bx, bx), labels),
     ]
     return _composite_report(
         f"regime-InteriorMinimum[a={a:.17g}]", checks, mono.samples + 1_000_001,
@@ -443,27 +443,13 @@ def _interior_report(a: float, grid: GridSpec) -> VerificationReport:
     )
 
 
-def _claim_regime_interior(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    g = _scaled_grid(grid, 100_000)
-    return [_interior_report(av, g) for av in _filter(INTERIOR_A_VALUES, a)]
-
-
 def _claim_minimum_floor(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    if a is not None:
-        values: Sequence[float] = (a,)
-    else:
-        values = np.linspace(A_STAR, TWO_SQRT2, 22)[1:-1]
+    values = (a,) if a is not None else np.linspace(A_STAR, TWO_SQRT2, 22)[1:-1]
+    labels = ("residual", "floor", "below endpoint limits", "brute-force x0", "brute-force value")
     checks: list[tuple[float, float, str]] = []
-    for av in values:
-        res = find_minimum(float(av))
-        floor = 8.0 * (1.0 - 2.0 / (av * av))
-        at0, at1 = endpoint_limits(float(av))
-        bx, bval = grid_argmin(float(av), 1_000_001)
-        checks.append((1e-12 - res.residual, float(av), f"residual at a={av:.6g}"))
-        checks.append((res.f_min - floor + 4.0 * float(np.spacing(floor)), float(av), f"floor at a={av:.6g}"))
-        checks.append((min(at0, at1) - res.f_min, float(av), f"below endpoint limits at a={av:.6g}"))
-        checks.append((1e-6 - abs(bx - res.x0), float(av), f"brute-force x0 at a={av:.6g}"))
-        checks.append((1e-10 - abs(bval - res.f_min), float(av), f"brute-force value at a={av:.6g}"))
+    for av in map(float, values):
+        _, _, slacks = _minimum_slacks(av)
+        checks.extend((slack, av, f"{label} at a={av:.6g}") for slack, label in zip(slacks, labels))
     return [
         _composite_report(
             "minimum-floor", checks, len(values) * 1_000_001,
@@ -510,7 +496,9 @@ def _claim_aux_roots(grid: GridSpec | None, a: float | None) -> list[Verificatio
     checks.append((1e-10 - float(res_hi[i]), float(xs[i]), "high root annihilates the quadratic"))
     j = int(np.argmax(res_lo))
     checks.append((1e-10 - float(res_lo[j]), float(xs[j]), "low root annihilates the quadratic"))
-    g = _scaled_grid(grid, 10_000, "uniform")
+    # Near the endpoints of a refined grid neighbouring roots differ by less
+    # than an ulp, so the claim keeps uniform spacing; an override sets n only.
+    g = GridSpec(DEFAULT_GRID.lo, DEFAULT_GRID.hi, 10_000 if grid is None else grid.n, "uniform")
     x = g.points()
     lo_g, hi_g = slope_quadratic_roots(x)
     checks.append((float(np.min(np.diff(lo_g))), float(x[0]), "low root strictly increasing"))
@@ -523,26 +511,19 @@ def _claim_aux_sign_regimes(grid: GridSpec | None, a: float | None) -> list[Veri
     x = g.points()
     s = np.sqrt(1.0 + x)
     checks: list[tuple[float, float, str]] = []
-    for av in (TWO_SQRT2, 3.0):
-        h = slope_quadratic(av, x)
-        i = int(np.argmin(h))
-        checks.append((float(h[i]) + 4.0 * float(np.spacing(av * av * SQRT2 + 4.0 * SQRT2)), float(x[i]), f"quadratic positive at a={av:.6g}"))
-    for av in (-SQRT2, 0.0, 1.0, 2.56):
-        h = slope_quadratic(av, x)
-        i = int(np.argmax(h))
-        checks.append((-float(h[i]) + 4.0 * float(np.spacing(av * av * SQRT2 + 4.0 * SQRT2)), float(x[i]), f"quadratic negative at a={av:.6g}"))
-    for av in (0.0, 2.0, 8.0 / PI):
-        q = slope_term(av, x)
-        scale = (abs(av) * s + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + s)
-        tol = 4.0 * np.spacing(scale)
-        i = int(np.argmin(q + tol))
-        checks.append((float(q[i] + tol[i]), float(x[i]), f"slope term positive at a={av:.6g}"))
-    for av in (TWO_SQRT2, 4.0):
-        q = slope_term(av, x)
-        scale = (abs(av) * s + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + s)
-        tol = 4.0 * np.spacing(scale)
-        i = int(np.argmin(-q + tol))
-        checks.append((float(-q[i] + tol[i]), float(x[i]), f"slope term negative at a={av:.6g}"))
+    # sign * value must stay above -tol; its argmin is the tightest sample
+    for sign, what, values in ((1.0, "positive", (TWO_SQRT2, 3.0)), (-1.0, "negative", (-SQRT2, 0.0, 1.0, 2.56))):
+        for av in values:
+            h = sign * slope_quadratic(av, x)
+            i = int(np.argmin(h))
+            checks.append((float(h[i]) + 4.0 * float(np.spacing(av * av * SQRT2 + 4.0 * SQRT2)), float(x[i]), f"quadratic {what} at a={av:.6g}"))
+    for sign, what, values in ((1.0, "positive", (0.0, 2.0, 8.0 / PI)), (-1.0, "negative", (TWO_SQRT2, 4.0))):
+        for av in values:
+            q = sign * slope_term(av, x)
+            scale = (abs(av) * s + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + s)
+            tol = 4.0 * np.spacing(scale)
+            i = int(np.argmin(q + tol))
+            checks.append((float(q[i] + tol[i]), float(x[i]), f"slope term {what} at a={av:.6g}"))
     return [_composite_report("aux-sign-regimes", checks, 11 * x.size, notes="one-signedness of the quadratic and the slope term")]
 
 
@@ -582,7 +563,9 @@ def _claim_scan_slice(grid: GridSpec | None, a: float | None) -> list[Verificati
         Regime.DECREASING: explore.Verdict.DECREASING,
         Regime.INTERIOR_MINIMUM: explore.Verdict.NON_MONOTONE,
     }
-    g = grid if grid is not None else SCAN_GRID
+    # The scanner needs a uniform grid (see classify_family); an override
+    # sets n only.
+    g = SCAN_GRID if grid is None else GridSpec(SCAN_GRID.lo, SCAN_GRID.hi, grid.n, "uniform")
     checks: list[tuple[float, float, str]] = []
     for gamma in gammas:
         expected = mapping[classify_regime(gamma)]
@@ -602,19 +585,19 @@ def _claim_scan_slice(grid: GridSpec | None, a: float | None) -> list[Verificati
 class Claim:
     claim_id: str
     description: str
-    runner: Callable[[GridSpec | None, float | None], list[VerificationReport]]
+    runner: Runner
     # The only regime a parameterized run may name; None accepts every a.
     regime: Regime | None = None
 
 
 CLAIMS: tuple[Claim, ...] = (
     Claim("classic-lower", "classical lower bound (constant 6) is strict on (0,1)", _claim_classic),
-    Claim("family-bracket", "two-sided family bound holds with the regime's constants", _claim_family_bracket),
-    Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _claim_floor),
-    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _claim_endpoint_constants),
-    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _claim_regime_increasing, Regime.INCREASING),
-    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _claim_regime_decreasing, Regime.DECREASING),
-    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _claim_regime_interior, Regime.INTERIOR_MINIMUM),
+    Claim("family-bracket", "two-sided family bound holds with the regime's constants", _sweep(verify_bounds, BRACKET_A_VALUES, 1_000_000)),
+    Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _sweep(verify_floor, FLOOR_A_VALUES, 1_000_000)),
+    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _sweep(verify_limits_and_sharpness, BRACKET_A_VALUES, 200_000)),
+    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _sweep(verify_monotonicity, INCREASING_A_VALUES, 100_000), Regime.INCREASING),
+    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _sweep(verify_monotonicity, DECREASING_A_VALUES, 100_000), Regime.DECREASING),
+    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _sweep(_interior_report, INTERIOR_A_VALUES, 100_000), Regime.INTERIOR_MINIMUM),
     Claim("minimum-floor", "interior minimum satisfies its floor and brute-force cross-check", _claim_minimum_floor, Regime.INTERIOR_MINIMUM),
     Claim("aux-slope-limits", "derivative-apparatus limits and threshold shape", _claim_aux_slope_limits),
     Claim("aux-quadratic-roots", "slope-quadratic roots: limits, residuals, monotonicity", _claim_aux_roots),
@@ -641,11 +624,16 @@ def run_claims(
     """Run a subset of the registry (all claims when ids is None).
 
     ``grid`` overrides each claim's default grid; ``a`` narrows the
-    parameterized claims to a single shape parameter.  Raises RegimeError,
-    before any claim runs, if ``a`` lies outside a selected claim's regime.
+    parameterized claims to a single shape parameter.  With ``a`` and no
+    ids, only the claims that admit ``a`` run: those without a regime and
+    those whose regime is the regime of ``a``.  Raises RegimeError, before
+    any claim runs, if ``a`` lies outside a named claim's regime.
     """
     if ids is None:
         selected = list(CLAIMS)
+        if a is not None:
+            _check_bound_parameter(a)
+            selected = [c for c in CLAIMS if c.regime in (None, classify_regime(a))]
     else:
         selected = []
         for cid in ids:
@@ -669,10 +657,11 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
 
 
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
-    lines = ["claim_id,passed,samples,worst_margin,worst_x,notes"]
-    for r in reports:
-        notes = r.notes.replace('"', '""')
-        lines.append(
-            f'{r.claim_id},{str(r.passed).lower()},{r.samples},{r.worst_margin:.17g},{r.worst_x:.17g},"{notes}"'
-        )
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REPORT_HEADER)
+    writer.writerows(
+        (r.claim_id, str(r.passed).lower(), r.samples, f"{r.worst_margin:.17g}", f"{r.worst_x:.17g}", r.notes)
+        for r in reports
+    )
+    return buf.getvalue()

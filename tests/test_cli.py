@@ -146,6 +146,20 @@ class TestVerify:
         json_rows = json.loads(out_json)
         assert [r["notes"] for r in csv_rows] == [r["notes"] for r in json_rows]
 
+    @pytest.mark.parametrize(
+        "a, present, absent",
+        [
+            ("1", {"regime-Increasing[a=1]"}, ("regime-Decreasing", "regime-InteriorMinimum", "minimum-floor")),
+            ("2.7", {"regime-InteriorMinimum[a=2.7000000000000002]", "minimum-floor"}, ("regime-Increasing", "regime-Decreasing")),
+        ],
+    )
+    def test_a_without_claims_runs_the_claims_that_admit_it(self, capsys, a, present, absent):
+        code, out, _ = run_cli(capsys, "verify", "--a", a, "--n", "2001", "--format", "csv")
+        assert code == 0
+        ids = {r["claim_id"] for r in csv.DictReader(io.StringIO(out))}
+        assert present <= ids
+        assert not [cid for cid in ids if cid.startswith(absent)]
+
 
 class TestCompare:
     def test_json_payload(self, capsys):
@@ -245,6 +259,11 @@ BAD_INPUTS = [
     (("verify", "--a", "nan"), "shape parameter must be finite"),
     (("verify", "--claims", "family-bracket", "--a", "nan"), "shape parameter must be finite"),
     (("verify", "--claims", "midregime-floor", "--a", "nan"), "shape parameter must be finite"),
+    (("verify", "--claims", "midregime-floor", "--a", "0"), "undefined at a = 0"),
+    (("verify", "--claims", "midregime-floor", "--a", "1e-300"), "a^2 underflows"),
+    (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "nan"), "non-finite"),
+    (("scan", "--alpha", "inf", "--beta", "0.5", "--gamma", "1"), "non-finite"),
+    (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", ","), "no values"),
 ]
 
 

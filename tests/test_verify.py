@@ -174,6 +174,12 @@ class TestRegistry:
         for cid in uniform:
             assert refined[cid] <= uniform[cid], cid
 
+    def test_override_grid_keeps_uniform_spacing_where_needed(self):
+        # scan-slice and aux-quadratic-roots resolve their checks only on
+        # uniform grids; a refined override must not make them fail
+        reports = run_claims(["scan-slice", "aux-quadratic-roots"], grid=GridSpec(1e-9, 1.0 - 1e-9, 100_000, "refined"))
+        assert [r.passed for r in reports] == [True, True]
+
     def test_descriptions_present(self):
         for claim in CLAIMS:
             assert claim.description
@@ -202,6 +208,16 @@ class TestSerialization:
             assert float(row["worst_x"]) == rep.worst_x
             assert row["passed"] == str(rep.passed).lower()
 
+    def test_csv_quotes_only_when_needed(self):
+        reports = [
+            ab.VerificationReport("plain", True, 2, 0.5, 0.25, "no comma"),
+            ab.VerificationReport("quoted", False, 2, -0.5, 0.75, 'a, "b"'),
+        ]
+        assert reports_to_csv(reports).splitlines()[1:] == [
+            "plain,true,2,0.5,0.25,no comma",
+            'quoted,false,2,-0.5,0.75,"a, ""b"""',
+        ]
+
     def test_csv_uses_lf_only(self):
         text = reports_to_csv(run_claims(["classic-lower"], grid=SMALL))
         assert "\r" not in text
@@ -227,3 +243,13 @@ def test_failing_claim_reports_reproducible_point():
     # single-point re-evaluation reproduces the reported margin
     xm = rep.worst_x
     assert ab.bound_arrays(0.0, xm)[1] - ab.arccos_stable(xm) - 0.2 == pytest.approx(rep.worst_margin, rel=1e-12)
+
+
+def test_nan_margin_fails_the_report():
+    x = np.linspace(0.1, 0.9, 5)
+    margins = np.array([1.0, 1.0, np.nan, 1.0, 1.0])
+    from arcbounds.verify import _pointwise_report
+
+    rep = _pointwise_report("synthetic-nan", x, margins, np.zeros_like(x))
+    assert not rep.passed
+    assert "1 samples beyond tolerance" in rep.notes
