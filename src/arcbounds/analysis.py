@@ -37,7 +37,9 @@ from .family import (
     PI,
     SQRT2,
     TWO_SQRT2,
+    _check_finite_parameter,
     _check_open_unit,
+    _floor,
     _scalar_like,
     arccos_ratio,
     arccos_stable,
@@ -65,8 +67,8 @@ __all__ = [
 class MinimumResult:
     """Located interior minimum of the family ratio for one parameter.
 
-    ``residual`` is the defect of the implicit first-order condition
-    |arccos(x0) - 2*sqrt(1-x0)*(a+u)/(a*u+2)| with u = sqrt(1+x0).
+    ``residual`` is |slope_factor(a, x0)|, the defect of the implicit
+    first-order condition arccos(x0) = 2*sqrt(1-x0)*(a+u)/(a*u+2), u = sqrt(1+x0).
     """
 
     a: float
@@ -77,8 +79,7 @@ class MinimumResult:
 
 
 def _check_slope_parameter(a: float) -> None:
-    if not math.isfinite(a):
-        raise DomainError("shape parameter must be finite")
+    _check_finite_parameter(a)
     if -2.0 < a < -SQRT2:
         raise DomainError("a in (-2, -sqrt(2)) makes the slope-factor denominator vanish on (0, 1)")
 
@@ -104,8 +105,7 @@ def slope_factor_limit0(a: float) -> float:
 
 def slope_quadratic(a: float, x):
     """Quadratic in a controlling the slope factor's monotonicity."""
-    if not math.isfinite(a):
-        raise DomainError("shape parameter must be finite")
+    _check_finite_parameter(a)
     arr = _check_open_unit(x)
     s = np.sqrt(1.0 + arr)
     out = a * a * s - a * (1.0 + arr) - 4.0 * s
@@ -207,16 +207,13 @@ def find_minimum(a: float) -> MinimumResult:
             raise ConvergenceError(f"slope factor shows no sign change on (0, 1) for a = {a!r}")
         lo, hi = widen, 1.0 - widen
     x0, iterations = bisect_sign_change(fn, lo, hi, xtol=1e-13)
-    u = math.sqrt(1.0 + x0)
-    implicit_rhs = 2.0 * math.sqrt(1.0 - x0) * (a + u) / (a * u + 2.0)
-    residual = abs(arccos_stable(x0) - implicit_rhs)
-    return MinimumResult(a=float(a), x0=x0, f_min=float(bound_ratio(a, x0)), residual=residual, iterations=iterations)
+    return MinimumResult(a=float(a), x0=x0, f_min=float(bound_ratio(a, x0)), residual=abs(fn(x0)), iterations=iterations)
 
 
 def min_floor_gap(a: float, u):
     """2*(a+u)**2/(a*u+2) - 8*(1 - 2/a**2); nonnegative whenever a*u + 2 > 0."""
     u_arr = np.asarray(u, dtype=np.float64)
-    out = 2.0 * (a + u_arr) ** 2 / (a * u_arr + 2.0) - 8.0 * (1.0 - 2.0 / (a * a))
+    out = 2.0 * (a + u_arr) ** 2 / (a * u_arr + 2.0) - _floor(a)
     return _scalar_like(u, out)
 
 
@@ -234,7 +231,7 @@ def min_value_lower(a: float) -> float:
     gaps = min_floor_gap(a, u)
     if np.min(gaps) < -64.0 * np.spacing(8.0):
         raise AssertionError("floor identity violated; implementation fault")
-    return 8.0 * (1.0 - 2.0 / (a * a))
+    return _floor(a)
 
 
 def grid_argmin(a: float, n: int, lo: float = 1e-9, hi: float = 1.0 - 1e-9, chunk: int = 2_000_000) -> tuple[float, float]:

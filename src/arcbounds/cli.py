@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import astuple
 from typing import Iterable, Sequence
@@ -102,6 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_common(p):
+        # argparse takes "-..." as a value only if it looks like -1 or -1.5; no option starts
+        # with a digit, "." or inf/nan, so -2.5e-1, -inf and axes such as -0.9:4:3 are values too.
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
         p.add_argument("--format", choices=("table", "csv", "json"), default=None, help="output format (default: table on a terminal, csv when piped)")
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 

@@ -81,17 +81,21 @@ class ScanClassification:
         return {**asdict(self), "verdict": self.verdict.value}
 
 
-def _numerator(beta: float, gamma: float, x: np.ndarray) -> np.ndarray:
-    return gamma + np.exp(beta * np.log1p(x))
-
-
-def _check_not_singular(beta: float, gamma: float, x: np.ndarray) -> np.ndarray:
-    num = _numerator(beta, gamma, x)
+def _checked_numerator(alpha: float, beta: float, gamma: float, x: np.ndarray) -> np.ndarray:
+    """gamma + (1+x)**beta, for a finite triple whose numerator does not vanish on x."""
+    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite")
+    num = gamma + np.exp(beta * np.log1p(x))
     if np.any(num == 0.0) or (np.min(num) < 0.0 < np.max(num)):
         raise SingularFamilyError(
             f"family numerator gamma + (1+x)^beta vanishes on the sampled interval for beta={beta!r}, gamma={gamma!r}"
         )
     return num
+
+
+def _family_value(alpha: float, num: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return num * arccos_ratio(x) * (1.0 - x) ** (0.5 - alpha)
 
 
 def generalized_ratio(alpha: float, beta: float, gamma: float, x):
@@ -101,24 +105,19 @@ def generalized_ratio(alpha: float, beta: float, gamma: float, x):
     point.  May overflow to inf for large alpha near x = 1; the classifier
     switches to log space there instead.
     """
-    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite")
     arr = _check_open_unit(x)
-    num = _check_not_singular(beta, gamma, np.atleast_1d(arr))
-    num = num.reshape(np.shape(arr)) if np.ndim(arr) else num[0]
-    out = num * arccos_ratio(arr) * (1.0 - arr) ** (0.5 - alpha)
-    return _scalar_like(x, out)
+    num = _checked_numerator(alpha, beta, gamma, np.atleast_1d(arr)).reshape(np.shape(arr))
+    return _scalar_like(x, _family_value(alpha, num, arr))
 
 
 def _relative_diffs(alpha: float, beta: float, gamma: float, x: np.ndarray) -> np.ndarray:
-    num = _check_not_singular(beta, gamma, x)
+    num = _checked_numerator(alpha, beta, gamma, x)
     if alpha > LOG_SPACE_ALPHA:
         # differences of log|F|; when F < 0 its monotonicity is reversed
         logv = np.log(np.abs(num)) + np.log(arccos_stable(x)) - alpha * np.log1p(-x)
         rel = np.diff(logv)
         return -rel if num[0] < 0.0 else rel
-    v = num * arccos_ratio(x) * (1.0 - x) ** (0.5 - alpha)
+    v = _family_value(alpha, num, x)
     return np.diff(v) / np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
 
 
@@ -131,9 +130,6 @@ def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SC
     makes near-endpoint differences legitimately sub-threshold, which
     degrades monotone verdicts to Undetermined.
     """
-    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite")
     x = grid.points()
     rel = _relative_diffs(alpha, beta, gamma, x)
     pos = rel > SIGN_THRESHOLD

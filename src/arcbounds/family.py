@@ -127,13 +127,27 @@ def arccos_ratio(x):
     return _scalar_like(x, out)
 
 
+def _check_finite_parameter(a: float) -> None:
+    if not math.isfinite(a):
+        raise DomainError("shape parameter must be finite")
+
+
+def _shape(a: float, arr: np.ndarray) -> np.ndarray:
+    return np.sqrt(1.0 - arr) / (a + np.sqrt(1.0 + arr))
+
+
+def _floor(a: float) -> float:
+    if a * a == 0.0:
+        raise DomainError(f"floor constant 8*(1-2/a^2) is undefined at a = 0 and where a^2 underflows (a={a:.17g})")
+    return 8.0 * (1.0 - 2.0 / (a * a))
+
+
 def bound_ratio(a: float, x):
     """Evaluate the family ratio (a + sqrt(1+x)) * arccos(x) / sqrt(1-x).
 
     Finite for every finite a; x must lie in (0, 1).
     """
-    if not math.isfinite(a):
-        raise DomainError("shape parameter must be finite")
+    _check_finite_parameter(a)
     arr = _check_open_unit(x)
     out = (a + np.sqrt(1.0 + arr)) * arccos_ratio(arr)
     return _scalar_like(x, out)
@@ -150,8 +164,7 @@ def classify_regime(a: float) -> Regime:
     Boundary values belong to the monotone regimes: a = A_STAR is
     increasing and a = 2*sqrt(2) is decreasing.
     """
-    if not math.isfinite(a):
-        raise DomainError("shape parameter must be finite")
+    _check_finite_parameter(a)
     if a <= A_STAR:
         return Regime.INCREASING
     if a >= TWO_SQRT2:
@@ -160,8 +173,7 @@ def classify_regime(a: float) -> Regime:
 
 
 def _check_bound_parameter(a: float) -> None:
-    if not math.isfinite(a):
-        raise DomainError("shape parameter must be finite")
+    _check_finite_parameter(a)
     if a <= -1.0:
         raise DomainError("bound evaluation requires a > -1 so the denominator stays positive")
 
@@ -179,7 +191,7 @@ def lower_constant(a: float) -> float:
         return endpoint_limits(a)[0]
     if regime is Regime.DECREASING:
         return endpoint_limits(a)[1]
-    return 8.0 * (1.0 - 2.0 / (a * a))
+    return _floor(a)
 
 
 def upper_constant(a: float) -> float:
@@ -196,8 +208,7 @@ def upper_constant(a: float) -> float:
 
 def bound_arrays(a: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (lower, upper) bound values at the points ``x``."""
-    arr = _check_open_unit(x)
-    template = np.sqrt(1.0 - arr) / (a + np.sqrt(1.0 + arr))
+    template = _shape(a, _check_open_unit(x))
     return lower_constant(a) * template, upper_constant(a) * template
 
 

@@ -1,7 +1,8 @@
 """Sharpened arccos bounds extracted from the family's optimal instances.
 
-Each named bound is an instance of the family at a distinguished shape
-parameter:
+Each named bound is the family shape c*sqrt(1-x)/(a + sqrt(1+x)) at a
+distinguished shape parameter, evaluated through ``family.bound_arrays``
+(``carlson_pair`` keeps its literal constants); the paper's closed forms:
 
 * ``a_star_pair``   -- the increasing/minimum threshold a = A_STAR; its
   lower constant clears to pi**2 / (2*[2*(pi-2) + (4-pi)*sqrt(1+x)]).
@@ -15,7 +16,8 @@ parameter:
 * ``lambda_lower``  -- the pointwise-optimized middle-regime lower bound.
   For fixed x the gain (1 - 2/a**2)/(a + sqrt(1+x)) is maximized over a at
   a = 2*sqrt(2)*lambda(x) with lambda(x) = cos(arctan(sqrt((1-x)/(1+x)))/3),
-  giving 2*(4*lambda**2 - 1)*sqrt(1-x) / ((2*sqrt(2)*lambda + sqrt(1+x)) * lambda**2).
+  giving 2*(4*lambda**2 - 1)*sqrt(1-x) / ((2*sqrt(2)*lambda + sqrt(1+x)) * lambda**2),
+  which is 8*sqrt(1-x) times the attained gain ``lower_gain_max``.
 
 ``best_lower`` takes the pointwise max of the lambda bound and the A_STAR
 lower bound; the two cross once inside (0, 1), so neither dominates.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeError
-from .family import A_STAR, PI, SQRT2, TWO_SQRT2, _check_open_unit, _scalar_like
+from .family import A_STAR, PI, TWO_SQRT2, _check_open_unit, _scalar_like, _shape, bound_arrays
 
 __all__ = [
     "ONE_PLUS_SQRT3",
@@ -83,11 +85,8 @@ def lambda_kernel(x):
 
 def lambda_lower(x):
     """Lower bound 2*(4*lam**2 - 1)*sqrt(1-x) / ((2*sqrt(2)*lam + sqrt(1+x))*lam**2)."""
-    arr = _check_open_unit(x)
-    lam = _lambda(arr)
-    lam2 = lam * lam
-    out = 2.0 * (4.0 * lam2 - 1.0) * np.sqrt(1.0 - arr) / ((TWO_SQRT2 * lam + np.sqrt(1.0 + arr)) * lam2)
-    return _scalar_like(x, out)
+    # lower_gain_max validates x before the square root sees it
+    return _scalar_like(x, lower_gain_max(x) * 8.0 * np.sqrt(1.0 - np.asarray(x, dtype=np.float64)))
 
 
 def best_upper(x):
@@ -96,9 +95,7 @@ def best_upper(x):
     Collapses to pi/2 at x -> 0+ and has ratio -> 1 against arccos at
     x -> 1-, so it is asymptotically sharp at both endpoints.
     """
-    arr = _check_open_unit(x)
-    out = PI * (2.0 - SQRT2) * np.sqrt(1.0 - arr) / ((4.0 - PI) + (PI - TWO_SQRT2) * np.sqrt(1.0 + arr))
-    return _scalar_like(x, out)
+    return _scalar_like(x, bound_arrays(A_CROSS, x)[1])
 
 
 def a_star_pair(x):
@@ -107,30 +104,20 @@ def a_star_pair(x):
     lower = pi**2*sqrt(1-x) / (2*[2*(pi-2) + (4-pi)*sqrt(1+x)])
     upper = 2*[2*(2-sqrt(2)) + (sqrt(2)-1)*pi]*sqrt(1-x) / (2*(pi-2) + (4-pi)*sqrt(1+x))
     """
-    arr = _check_open_unit(x)
-    den = 2.0 * (PI - 2.0) + (4.0 - PI) * np.sqrt(1.0 + arr)
-    root = np.sqrt(1.0 - arr)
-    lower = PI * PI * root / (2.0 * den)
-    upper = 2.0 * (2.0 * (2.0 - SQRT2) + (SQRT2 - 1.0) * PI) * root / den
+    lower, upper = bound_arrays(A_STAR, x)
     return _scalar_like(x, lower), _scalar_like(x, upper)
 
 
 def carlson_pair(x):
     """(lower, upper) at a = 2*sqrt(2): constants 6 and pi*(1 + 2*sqrt(2))/2."""
-    arr = _check_open_unit(x)
-    den = TWO_SQRT2 + np.sqrt(1.0 + arr)
-    root = np.sqrt(1.0 - arr)
-    lower = 6.0 * root / den
-    upper = PI * (1.0 + TWO_SQRT2) * root / (2.0 * den)
-    return _scalar_like(x, lower), _scalar_like(x, upper)
+    # not bound_arrays: lower_constant(2*sqrt(2)) rounds to 6.000000000000001
+    template = _shape(TWO_SQRT2, _check_open_unit(x))
+    return _scalar_like(x, 6.0 * template), _scalar_like(x, PI * (1.0 + TWO_SQRT2) / 2.0 * template)
 
 
 def sqrt3_lower(x):
     """Lower bound 8*[1 - 2/(1+sqrt(3))**2]*sqrt(1-x) / (1 + sqrt(3) + sqrt(1+x))."""
-    arr = _check_open_unit(x)
-    c = 8.0 * (1.0 - 2.0 / (ONE_PLUS_SQRT3 * ONE_PLUS_SQRT3))
-    out = c * np.sqrt(1.0 - arr) / (ONE_PLUS_SQRT3 + np.sqrt(1.0 + arr))
-    return _scalar_like(x, out)
+    return _scalar_like(x, bound_arrays(ONE_PLUS_SQRT3, x)[0])
 
 
 def _check_gain_parameter(a) -> np.ndarray:

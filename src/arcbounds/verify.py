@@ -38,7 +38,7 @@ from .analysis import (
     slope_threshold,
     threshold_gap,
 )
-from .errors import DomainError, RegimeError
+from .errors import RegimeError
 from .family import (
     A_STAR,
     PI,
@@ -46,6 +46,8 @@ from .family import (
     TWO_SQRT2,
     Regime,
     _check_bound_parameter,
+    _floor,
+    _shape,
     arccos_stable,
     bound_arrays,
     bound_ratio,
@@ -193,12 +195,9 @@ def verify_bounds(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport
 def verify_floor(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
     """Check the floor-constant lower bound 8*(1 - 2/a**2) pointwise (a**2 > 0)."""
     _check_bound_parameter(a)
-    if a * a == 0.0:
-        raise DomainError(f"floor constant 8*(1-2/a^2) is undefined at a = 0 and where a^2 underflows (a={a:.17g})")
     x = grid.points()
     acx = arccos_stable(x)
-    floor = 8.0 * (1.0 - 2.0 / (a * a)) * np.sqrt(1.0 - x) / (a + np.sqrt(1.0 + x))
-    margins = acx - floor
+    margins = acx - _floor(a) * _shape(a, x)
     tol = 4.0 * np.spacing(acx)
     return _pointwise_report(f"midregime-floor[a={a:.17g}]", x, margins, tol)
 
@@ -246,10 +245,10 @@ def verify_limits_and_sharpness(
 
     The ratio must approach pi*(1+a)/2 at x -> 0+ and 2 + sqrt(2)*a at
     x -> 1-, with residuals shrinking through ``eps_list`` (monotone up to
-    float noise) and below 1e-6 at the smallest eps.  Grid extrema must
-    land within 1e-4 of the constants the regime says are attained; in the
-    interior-minimum regime the infimum is the located minimum value
-    instead of an endpoint constant.
+    float noise) and below 1e-7*scale at the smallest eps, where scale =
+    max(1, |limits|).  Grid extrema must land within 1e-5*scale of the
+    constants the regime says are attained; in the interior-minimum regime
+    the infimum is the located minimum value instead of an endpoint constant.
     """
     _check_bound_parameter(a)
     eps = list(eps_list)
@@ -259,11 +258,13 @@ def verify_limits_and_sharpness(
     r0 = [abs(bound_ratio(a, e) - at0) for e in eps]
     r1 = [abs(bound_ratio(a, 1.0 - e) - at1) for e in eps]
     noise = 16.0 * np.spacing(abs(at0) + abs(at1) + 1.0)
+    scale = max(1.0, abs(at0), abs(at1))
+    final_tol, attained_tol = 1e-7 * scale, 1e-5 * scale
     checks: list[tuple[float, float, str]] = []
     for label, res, probes in (("left-limit", r0, eps), ("right-limit", r1, [1.0 - e for e in eps])):
         for k in range(1, len(res)):
             checks.append((res[k - 1] - res[k] + noise, probes[k], f"{label} residual monotone at eps={eps[k]:g}"))
-        checks.append((1e-6 - res[-1], probes[-1], f"{label} final residual"))
+        checks.append((final_tol - res[-1], probes[-1], f"{label} final residual"))
 
     x = grid.points()
     v = bound_ratio(a, x)
@@ -272,15 +273,15 @@ def verify_limits_and_sharpness(
     vmin, vmax = float(v[vmin_i]), float(v[vmax_i])
     regime = classify_regime(a)
     if regime is Regime.INCREASING:
-        checks.append((1e-4 - abs(vmin - at0), float(x[vmin_i]), "infimum attains left constant"))
-        checks.append((1e-4 - abs(vmax - at1), float(x[vmax_i]), "supremum attains right constant"))
+        checks.append((attained_tol - abs(vmin - at0), float(x[vmin_i]), "infimum attains left constant"))
+        checks.append((attained_tol - abs(vmax - at1), float(x[vmax_i]), "supremum attains right constant"))
     elif regime is Regime.DECREASING:
-        checks.append((1e-4 - abs(vmin - at1), float(x[vmin_i]), "infimum attains right constant"))
-        checks.append((1e-4 - abs(vmax - at0), float(x[vmax_i]), "supremum attains left constant"))
+        checks.append((attained_tol - abs(vmin - at1), float(x[vmin_i]), "infimum attains right constant"))
+        checks.append((attained_tol - abs(vmax - at0), float(x[vmax_i]), "supremum attains left constant"))
     else:
         f_min = find_minimum(a).f_min
-        checks.append((1e-4 - abs(vmax - max(at0, at1)), float(x[vmax_i]), "supremum attains larger endpoint constant"))
-        checks.append((1e-4 - abs(vmin - f_min), float(x[vmin_i]), "infimum attains interior minimum"))
+        checks.append((attained_tol - abs(vmax - max(at0, at1)), float(x[vmax_i]), "supremum attains larger endpoint constant"))
+        checks.append((attained_tol - abs(vmin - f_min), float(x[vmin_i]), "infimum attains interior minimum"))
         checks.append((vmin - f_min + 4.0 * float(np.spacing(abs(f_min))), float(x[vmin_i]), "grid infimum above true minimum"))
     samples = len(eps) * 2 + x.size
     return _composite_report(
@@ -415,7 +416,7 @@ def _minimum_slacks(a: float) -> tuple[MinimumResult, float, tuple[float, ...]]:
     force shares no code with the bisection in find_minimum, so it stays an independent cross-check.
     """
     res = find_minimum(a)
-    floor = 8.0 * (1.0 - 2.0 / (a * a))
+    floor = _floor(a)
     at0, at1 = endpoint_limits(a)
     bx, bval = grid_argmin(a, 1_000_001)
     slacks = (

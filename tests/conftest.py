@@ -59,3 +59,32 @@ def ratio_slope_mp(a: float, x: float, dps: int = 30):
         r = mp.sqrt(1 - xm)
         c = mp.acos(xm)
         return c / (2 * s * r) + (mp.mpf(a) + s) * (c / (2 * r**3) - 1 / (s * r**2))
+
+
+def accuracy_sample() -> np.ndarray:
+    """A uniform grid on [-1, 1] plus points spaced geometrically toward both ends (4401 points)."""
+    return np.concatenate(
+        [
+            np.linspace(-1.0, 1.0, 4001),
+            1.0 - np.geomspace(1e-15, 1e-2, 200),
+            -1.0 + np.geomspace(1e-15, 1e-2, 200),
+        ]
+    )
+
+
+def worst_ulp(got, exact_fn, xs, dps: int = 40):
+    """Largest |got - exact| / ulp(exact) over the points xs, all in mpmath.
+
+    ulp(v) = 2**(e - 53) for v = m * 2**e with 1/2 <= |m| < 1.  Where the
+    exact value is 0 the computed one must be 0 as well.
+    """
+    worst = mp.mpf(0)
+    with mp.workdps(dps):
+        for x, g in zip(xs, got):
+            exact = exact_fn(mp.mpf(float(x)))
+            if exact == 0:
+                assert g == 0.0
+                continue
+            ulp = mp.ldexp(1, mp.frexp(exact)[1] - 53)
+            worst = max(worst, abs(mp.mpf(float(g)) - exact) / ulp)
+    return worst

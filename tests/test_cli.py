@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arcbounds as ab
 from arcbounds.cli import emit_curve, main
@@ -27,6 +30,12 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--a", "0", "--x", "1.5")
         assert code == 3
         assert "error:" in err
+
+    def test_negative_exponent_form_value(self, capsys):
+        code, spaced, _ = run_cli(capsys, "eval", "--a", "-2.5e-1", "--x", "0.5", "--format", "csv")
+        assert code == 0
+        _, joined, _ = run_cli(capsys, "eval", "--a=-2.5e-1", "--x", "0.5", "--format", "csv")
+        assert spaced == joined
 
     def test_default_format_when_piped_is_csv(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--a", "0", "--x", "0.5")
@@ -160,6 +169,12 @@ class TestVerify:
         assert present <= ids
         assert not [cid for cid in ids if cid.startswith(absent)]
 
+    @pytest.mark.parametrize("a", ["1e6", "1e300"])
+    def test_endpoint_constants_scale_with_a(self, capsys, a):
+        # the limits hold for every a; the thresholds grow with the constants
+        code, out, _ = run_cli(capsys, "verify", "--claims", "endpoint-constants", "--a", a, "--format", "csv")
+        assert code == 0, out
+
 
 class TestCompare:
     def test_json_payload(self, capsys):
@@ -193,8 +208,17 @@ class TestScan:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [float(r["gamma"]) for r in rows] == [0.0, 0.5, 1.0]
 
+    def test_negative_range_axis_without_equals(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "-0.9:4:3",
+            "--n", "2001", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [float(r["gamma"]) for r in rows] == pytest.approx([-0.9, 1.55, 4.0])
+
     def test_singular_triple_recorded(self, capsys):
-        # values starting with a dash need the = form, as usual with argparse
+        # the = form also takes a value that starts with a dash
         code, out, _ = run_cli(
             capsys, "scan", "--alpha", "0.5", "--beta", "0.5", "--gamma=-1.2,1.0",
             "--n", "2001", "--format", "json",
@@ -256,6 +280,7 @@ BAD_INPUTS = [
     (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "0:1:2.5"), "'2.5'"),
     (("eval", "--a", "inf", "--x", "0.5"), "shape parameter must be finite"),
     (("eval", "--a", "nan", "--x", "0.5"), "shape parameter must be finite"),
+    (("eval", "--a", "-inf", "--x", "0.5"), "shape parameter must be finite"),
     (("verify", "--a", "nan"), "shape parameter must be finite"),
     (("verify", "--claims", "family-bracket", "--a", "nan"), "shape parameter must be finite"),
     (("verify", "--claims", "midregime-floor", "--a", "nan"), "shape parameter must be finite"),
@@ -275,3 +300,45 @@ def test_bad_input_is_one_line_domain_error(capsys, argv, fragment):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert fragment in err
+
+
+FUZZ_A = ("nan", "inf", "-inf", "-1", "-1e300", "0", repr(ab.A_STAR), repr(ab.TWO_SQRT2), "1e300")
+CHEAP_CLAIMS = ("family-bracket", "endpoint-constants", "regime-increasing", "regime-decreasing")
+
+
+@st.composite
+def fuzz_argv(draw):
+    def option(name, value):
+        return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+
+    a = draw(st.sampled_from(FUZZ_A))
+    n = option("n", str(draw(st.sampled_from((0, 1, 2, 3)))))
+    verb = draw(st.sampled_from(("eval", "classify", "minimize", "bounds", "compare", "scan", "verify")))
+    if verb == "eval":
+        return ["eval", *option("a", a), "--x", "0.5"]
+    if verb in ("classify", "minimize"):
+        return [verb, *option("a", a)]
+    if verb == "bounds":
+        return ["bounds", *option("a", a), *n, *(["--full"] if draw(st.booleans()) else [])]
+    if verb == "compare":
+        return ["compare", *n]
+    if verb == "scan":
+        return ["scan", "--alpha", "0.5", "--beta", "0.5", *option("gamma", a), *n]
+    claims = draw(st.lists(st.sampled_from(CHEAP_CLAIMS), min_size=1, max_size=2, unique=True))
+    return ["verify", "--claims", ",".join(claims), *n, *(option("a", a) if draw(st.booleans()) else [])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argv())
+def test_fuzz_exit_codes(argv):
+    # every value here parses as a float, so none is a usage error (exit 2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 3), err
+    assert "Traceback" not in err
+    if code == 3:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if code == 1:
+        assert argv[0] in ("verify", "compare")

@@ -6,7 +6,7 @@ from mpmath import mp
 
 import arcbounds as ab
 from arcbounds.errors import DomainError
-from conftest import brute_force_extrema
+from conftest import accuracy_sample, brute_force_extrema, worst_ulp
 
 mp.dps = 30
 
@@ -48,16 +48,6 @@ class TestArccosStable:
             assert v == ab.arccos_stable(float(x))
 
 
-def _accuracy_sample() -> np.ndarray:
-    return np.concatenate(
-        [
-            np.linspace(-1.0, 1.0, 4001),
-            1.0 - np.geomspace(1e-15, 1e-2, 200),
-            -1.0 + np.geomspace(1e-15, 1e-2, 200),
-        ]
-    )
-
-
 def _exact_ratio(x):
     return mp.sqrt(2) if x == 1 else mp.acos(x) / mp.sqrt(1 - x)
 
@@ -68,19 +58,8 @@ def _exact_ratio(x):
     ids=["arccos_stable", "arccos_ratio"],
 )
 def test_ulp_error_against_mpmath(fn, exact_fn, max_ulp):
-    # |got - exact| / ulp(exact), all in mpmath: ulp(v) = 2**(e - 53) for
-    # v = m * 2**e with 1/2 <= |m| < 1.
-    xs = _accuracy_sample()
-    got = fn(xs)
-    worst = mp.mpf(0)
-    with mp.workdps(40):
-        for x, g in zip(xs, got):
-            exact = exact_fn(mp.mpf(float(x)))
-            if exact == 0:
-                assert g == 0.0
-                continue
-            ulp = mp.ldexp(1, mp.frexp(exact)[1] - 53)
-            worst = max(worst, abs(mp.mpf(float(g)) - exact) / ulp)
+    xs = accuracy_sample()
+    worst = worst_ulp(fn(xs), exact_fn, xs)
     assert worst <= max_ulp, f"{fn.__name__}: {float(worst):.3f} ulp"
 
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import arcbounds as ab
 from arcbounds.analysis import bisect_sign_change
 from arcbounds.errors import DomainError, RegimeError
+from conftest import accuracy_sample, worst_ulp
 
 PI = math.pi
 PI_THIRD = 1.0471975511965979
@@ -189,3 +191,76 @@ class TestBestPair:
         acx = ab.arccos_stable(x)
         assert np.all(ab.best_lower(x) < acx)
         assert np.all(ab.best_upper(x) > acx)
+
+
+# The paper's closed forms, with the exact A*, A_CROSS, 2*sqrt(2) and 1+sqrt(3).
+def _mp_a_star(side):
+    def exact(x):
+        den = 2 * (mp.pi - 2) + (4 - mp.pi) * mp.sqrt(1 + x)
+        if side == 0:
+            return mp.pi**2 * mp.sqrt(1 - x) / (2 * den)
+        r2 = mp.sqrt(2)
+        return 2 * (2 * (2 - r2) + (r2 - 1) * mp.pi) * mp.sqrt(1 - x) / den
+
+    return exact
+
+
+def _mp_carlson(side):
+    def exact(x):
+        c = 6 if side == 0 else mp.pi * (1 + 2 * mp.sqrt(2)) / 2
+        return c * mp.sqrt(1 - x) / (2 * mp.sqrt(2) + mp.sqrt(1 + x))
+
+    return exact
+
+
+def _mp_sqrt3_lower(x):
+    a = 1 + mp.sqrt(3)
+    return 8 * (1 - 2 / a**2) * mp.sqrt(1 - x) / (a + mp.sqrt(1 + x))
+
+
+def _mp_best_upper(x):
+    return mp.pi * (2 - mp.sqrt(2)) * mp.sqrt(1 - x) / ((4 - mp.pi) + (mp.pi - 2 * mp.sqrt(2)) * mp.sqrt(1 + x))
+
+
+def _mp_lambda_lower(x):
+    lam = mp.cos(mp.atan(mp.sqrt((1 - x) / (1 + x))) / 3)
+    return 2 * (4 * lam**2 - 1) * mp.sqrt(1 - x) / ((2 * mp.sqrt(2) * lam + mp.sqrt(1 + x)) * lam**2)
+
+
+def _mp_family(a, constants):
+    # constants(a, left, right) picks (lower, upper) from the endpoint limits and the floor
+    def pair(x):
+        am = mp.mpf(a)
+        consts = constants(am, mp.pi * (1 + am) / 2, 2 + mp.sqrt(2) * am)
+        return [c * mp.sqrt(1 - x) / (am + mp.sqrt(1 + x)) for c in consts]
+
+    return pair
+
+
+_FAMILY_CASES = [
+    (0.5, lambda a, left, right: (left, right)),
+    (2.7, lambda a, left, right: (8 * (1 - 2 / a**2), max(left, right))),
+    (4.0, lambda a, left, right: (right, left)),
+]
+NAMED_BOUNDS = [
+    ("a_star_pair-lower", lambda x: ab.a_star_pair(x)[0], _mp_a_star(0)),
+    ("a_star_pair-upper", lambda x: ab.a_star_pair(x)[1], _mp_a_star(1)),
+    ("carlson_pair-lower", lambda x: ab.carlson_pair(x)[0], _mp_carlson(0)),
+    ("carlson_pair-upper", lambda x: ab.carlson_pair(x)[1], _mp_carlson(1)),
+    ("sqrt3_lower", ab.sqrt3_lower, _mp_sqrt3_lower),
+    ("best_upper", ab.best_upper, _mp_best_upper),
+    ("lambda_lower", ab.lambda_lower, _mp_lambda_lower),
+    *(
+        (f"bound_arrays-{side}[a={a:g}]", lambda x, a=a, k=k: ab.bound_arrays(a, x)[k], lambda x, p=_mp_family(a, c), k=k: p(x)[k])
+        for a, c in _FAMILY_CASES
+        for k, side in enumerate(("lower", "upper"))
+    ),
+]
+
+
+@pytest.mark.parametrize("fn, exact_fn", [case[1:] for case in NAMED_BOUNDS], ids=[case[0] for case in NAMED_BOUNDS])
+def test_named_bound_ulp_error_against_mpmath(fn, exact_fn):
+    xs = accuracy_sample()
+    xs = xs[(xs > 0.0) & (xs < 1.0)]
+    worst = worst_ulp(fn(xs), exact_fn, xs)
+    assert worst <= 4.0, f"{float(worst):.3f} ulp"
