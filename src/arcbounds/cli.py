@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from dataclasses import astuple
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -160,7 +160,8 @@ def _axis_number(convert, token: str):
         raise DomainError(f"axis value {token!r} is not {'an integer' if convert is int else 'a number'}") from None
 
 
-def _parse_axis(text: str) -> list[float]:
+def _parse_axis(text: str) -> tuple[int, Callable[[], list[float]]]:
+    """Count and values of one scan axis; a lo:hi:count range is expanded only on call."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -168,13 +169,21 @@ def _parse_axis(text: str) -> list[float]:
         lo, hi, count = _axis_number(float, parts[0]), _axis_number(float, parts[1]), _axis_number(int, parts[2])
         if count < 1:
             raise DomainError("axis count must be >= 1")
-        values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
-    else:
-        values = [_axis_number(float, tok) for tok in text.split(",") if tok != ""]
+        return count, lambda: [lo] if count == 1 else list(np.linspace(lo, hi, count))
+    values = [_axis_number(float, tok) for tok in text.split(",") if tok != ""]
     if not values:
         raise DomainError(f"axis {text!r} has no values")
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"axis {text!r} has a non-finite value")
+    return len(values), lambda: values
+
+
+def _scan_axes(*texts: str) -> list[list[float]]:
+    """The alpha, beta and gamma axes, with the box size checked before any range is expanded."""
+    axes = [_parse_axis(text) for text in texts]
+    explore._check_box(*(count for count, _ in axes))
+    values = [expand() for _, expand in axes]
+    for text, axis in zip(texts, values):
+        if not all(map(math.isfinite, axis)):
+            raise DomainError(f"axis {text!r} has a non-finite value")
     return values
 
 
@@ -258,7 +267,7 @@ def _run(args, out) -> int:
 
     if args.verb == "scan":
         grid = GridSpec(1e-6, 1.0 - 1e-6, args.n, args.grid)
-        results = explore.scan_grid(_parse_axis(args.alpha), _parse_axis(args.beta), _parse_axis(args.gamma), grid)
+        results = explore.scan_grid(*_scan_axes(args.alpha, args.beta, args.gamma), grid)
         if fmt == "json":
             out.write(json.dumps([r.to_dict() for r in results], indent=2) + "\n")
         else:

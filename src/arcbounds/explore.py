@@ -12,14 +12,22 @@ indistinguishable from zero, with Undetermined as the honest fallback.
 
 The (alpha, beta, gamma) = (1/2, 1/2, a) slice reproduces the bound
 family, so scanner verdicts there must agree with the regime map.
+
+Cost model.  A scan evaluates its transcendentals once per grid (the
+points, arccos(x)/sqrt(1-x) or log arccos(x), and log1p(x)),
+once per alpha ((1-x)**(0.5-alpha), or alpha*log1p(-x) in log space) and
+once per (alpha, beta) pair ((1+x)**beta).  Each gamma then costs only
+arithmetic on those arrays, plus one log in log space, so only one array
+per factor is alive whatever the box shape.  classify_family runs the
+same per-gamma code on the terms of its single triple.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .grids import SCAN_GRID, GridSpec
 __all__ = [
     "SIGN_THRESHOLD",
     "LOG_SPACE_ALPHA",
+    "MAX_SCAN_TRIPLES",
     "Verdict",
     "ScanClassification",
     "generalized_ratio",
@@ -43,6 +52,8 @@ SIGN_THRESHOLD = 1e-12
 # x = 1; classification then uses differences of log F, which preserves
 # monotonicity because F is one-signed on a non-singular family.
 LOG_SPACE_ALPHA = 10.0
+# Largest (alpha, beta, gamma) box a scan accepts: a 100 x 100 x 100 box.
+MAX_SCAN_TRIPLES = 1_000_000
 
 EVIDENCE_NOTE = "numerical evidence only, not a proof"
 
@@ -81,21 +92,20 @@ class ScanClassification:
         return {**asdict(self), "verdict": self.verdict.value}
 
 
-def _checked_numerator(alpha: float, beta: float, gamma: float, x: np.ndarray) -> np.ndarray:
-    """gamma + (1+x)**beta, for a finite triple whose numerator does not vanish on x."""
+def _check_finite(alpha: float, beta: float, gamma: float) -> None:
     for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite")
-    num = gamma + np.exp(beta * np.log1p(x))
+
+
+def _checked_numerator(beta: float, gamma: float, power: np.ndarray) -> np.ndarray:
+    """gamma + (1+x)**beta from power = (1+x)**beta; raises where it vanishes on x."""
+    num = gamma + power
     if np.any(num == 0.0) or (np.min(num) < 0.0 < np.max(num)):
         raise SingularFamilyError(
             f"family numerator gamma + (1+x)^beta vanishes on the sampled interval for beta={beta!r}, gamma={gamma!r}"
         )
     return num
-
-
-def _family_value(alpha: float, num: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return num * arccos_ratio(x) * (1.0 - x) ** (0.5 - alpha)
 
 
 def generalized_ratio(alpha: float, beta: float, gamma: float, x):
@@ -106,32 +116,66 @@ def generalized_ratio(alpha: float, beta: float, gamma: float, x):
     switches to log space there instead.
     """
     arr = _check_open_unit(x)
-    num = _checked_numerator(alpha, beta, gamma, np.atleast_1d(arr)).reshape(np.shape(arr))
-    return _scalar_like(x, _family_value(alpha, num, arr))
+    _check_finite(alpha, beta, gamma)
+    flat = np.atleast_1d(arr)
+    num = _checked_numerator(beta, gamma, np.exp(beta * np.log1p(flat))).reshape(np.shape(arr))
+    return _scalar_like(x, num * arccos_ratio(arr) * (1.0 - arr) ** (0.5 - alpha))
 
 
-def _relative_diffs(alpha: float, beta: float, gamma: float, x: np.ndarray) -> np.ndarray:
-    num = _checked_numerator(alpha, beta, gamma, x)
+class _GridTerms:
+    """The factors of the family that depend on x alone, on one grid.
+
+    Each is evaluated on first use and then shared by every triple.  A
+    factor whose evaluation raises (a grid outside [-1, 1]) is not stored,
+    so every triple that needs it raises the same DomainError.
+    """
+
+    def __init__(self, grid: GridSpec) -> None:
+        self.x = grid.points()
+
+    @cached_property
+    def log1p_x(self) -> np.ndarray:
+        return np.log1p(self.x)
+
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        return arccos_ratio(self.x)
+
+    @cached_property
+    def log_arccos(self) -> np.ndarray:
+        return np.log(arccos_stable(self.x))
+
+    def alpha_factor(self, alpha: float) -> np.ndarray | None:
+        """(1-x)**(0.5-alpha), or alpha*log1p(-x) in log space; None if alpha is not finite."""
+        if not math.isfinite(alpha):
+            return None
+        if alpha > LOG_SPACE_ALPHA:
+            return alpha * np.log1p(-self.x)
+        return (1.0 - self.x) ** (0.5 - alpha)
+
+    def power(self, beta: float) -> np.ndarray | None:
+        """(1+x)**beta; None if beta is not finite."""
+        return np.exp(beta * self.log1p_x) if math.isfinite(beta) else None
+
+
+def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, factor, power) -> ScanClassification:
+    """Classify one triple from its grid's terms, alpha's factor and beta's power.
+
+    Only arithmetic runs here; the expressions keep the order of a direct
+    evaluation, (num * ratio) * factor and (log|num| + log arccos) - factor.
+    """
+    _check_finite(alpha, beta, gamma)
+    num = _checked_numerator(beta, gamma, power)
+    x = terms.x
     if alpha > LOG_SPACE_ALPHA:
         # differences of log|F|; when F < 0 its monotonicity is reversed
-        logv = np.log(np.abs(num)) + np.log(arccos_stable(x)) - alpha * np.log1p(-x)
-        rel = np.diff(logv)
-        return -rel if num[0] < 0.0 else rel
-    v = _family_value(alpha, num, x)
-    return np.diff(v) / np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
-
-
-def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SCAN_GRID) -> ScanClassification:
-    """Classify monotonicity of one triple from grid forward differences.
-
-    Increasing/Decreasing require every difference beyond the sign
-    threshold with one sign; NonMonotone requires witnesses of both signs;
-    everything else is Undetermined.  Prefer uniform grids: a refined grid
-    makes near-endpoint differences legitimately sub-threshold, which
-    degrades monotone verdicts to Undetermined.
-    """
-    x = grid.points()
-    rel = _relative_diffs(alpha, beta, gamma, x)
+        rel = np.diff(np.log(np.abs(num)) + terms.log_arccos - factor)
+        if num[0] < 0.0:
+            rel = -rel
+    else:
+        v = num * terms.ratio * factor
+        size = np.abs(v)
+        rel = np.diff(v) / np.maximum(size[:-1], size[1:])
     pos = rel > SIGN_THRESHOLD
     neg = rel < -SIGN_THRESHOLD
     common = dict(alpha=float(alpha), beta=float(beta), gamma=float(gamma))
@@ -164,6 +208,25 @@ def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SC
     )
 
 
+def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SCAN_GRID) -> ScanClassification:
+    """Classify monotonicity of one triple from grid forward differences.
+
+    Increasing/Decreasing require every difference beyond the sign
+    threshold with one sign; NonMonotone requires witnesses of both signs;
+    everything else is Undetermined.  Prefer uniform grids: a refined grid
+    makes near-endpoint differences legitimately sub-threshold, which
+    degrades monotone verdicts to Undetermined.
+    """
+    terms = _GridTerms(grid)
+    return _classify(alpha, beta, gamma, terms, terms.alpha_factor(alpha), terms.power(beta))
+
+
+def _check_box(*counts: int) -> None:
+    if math.prod(counts) > MAX_SCAN_TRIPLES:
+        box = " x ".join(map(str, counts))
+        raise DomainError(f"scan box {box} holds more than MAX_SCAN_TRIPLES = {MAX_SCAN_TRIPLES} triples")
+
+
 def scan_grid(
     alphas,
     betas,
@@ -173,22 +236,30 @@ def scan_grid(
     """Cartesian-product scan, row-major over (alpha, beta, gamma).
 
     Per-triple domain and singularity errors are recorded in that triple's
-    entry (verdict Error) and never abort the scan.
+    entry (verdict Error) and never abort the scan.  A box of more than
+    MAX_SCAN_TRIPLES triples raises DomainError before the grid is sampled.
     """
+    alphas, betas, gammas = ([float(v) for v in axis] for axis in (alphas, betas, gammas))
+    _check_box(len(alphas), len(betas), len(gammas))
+    terms = _GridTerms(grid)
     results: list[ScanClassification] = []
-    for alpha, beta, gamma in itertools.product(alphas, betas, gammas):
-        try:
-            results.append(classify_family(float(alpha), float(beta), float(gamma), grid))
-        except DomainError as exc:
-            results.append(
-                ScanClassification(
-                    alpha=float(alpha),
-                    beta=float(beta),
-                    gamma=float(gamma),
-                    verdict=Verdict.ERROR,
-                    evidence_x=math.nan,
-                    margin=math.nan,
-                    error=str(exc),
-                )
-            )
+    for alpha in alphas:
+        factor = terms.alpha_factor(alpha)
+        for beta in betas:
+            power = terms.power(beta)
+            for gamma in gammas:
+                try:
+                    results.append(_classify(alpha, beta, gamma, terms, factor, power))
+                except DomainError as exc:
+                    results.append(
+                        ScanClassification(
+                            alpha=alpha,
+                            beta=beta,
+                            gamma=gamma,
+                            verdict=Verdict.ERROR,
+                            evidence_x=math.nan,
+                            margin=math.nan,
+                            error=str(exc),
+                        )
+                    )
     return results

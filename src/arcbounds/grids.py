@@ -8,9 +8,12 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["GridSpec", "DEFAULT_GRID", "SCAN_GRID"]
+__all__ = ["GridSpec", "DEFAULT_GRID", "SCAN_GRID", "MAX_GRID_POINTS"]
 
 _EDGE_WIDTH = 1e-3
+# Largest grid a GridSpec accepts: ten times DEFAULT_GRID.  At 8 bytes a
+# sample, one array of it is 80 MB, and a verification holds several.
+MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,8 @@ class GridSpec:
             raise DomainError("grid requires lo < hi")
         if self.n < 2:
             raise DomainError("grid requires n >= 2")
+        if self.n > MAX_GRID_POINTS:
+            raise DomainError(f"grid requires n <= MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         if self.spacing not in ("uniform", "refined"):
             raise DomainError("spacing must be 'uniform' or 'refined'")
 

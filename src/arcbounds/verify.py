@@ -147,8 +147,8 @@ def _pointwise_report(claim_id: str, x: np.ndarray, margins: np.ndarray, tol: np
     tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), margins.shape)
     i = int(np.argmin(margins))
     worst = float(margins[i])
-    # written so that a NaN margin counts as a violation
-    violations = int(np.count_nonzero(~(margins >= -tol)))
+    # a NaN or infinite margin is a violation: it says nothing about the bound
+    violations = int(np.count_nonzero(~(np.isfinite(margins) & (margins >= -tol))))
     passed = violations == 0
     if violations:
         notes = (notes + "; " if notes else "") + f"{violations} samples beyond tolerance"

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import arcbounds as ab
 from arcbounds.cli import emit_curve, main
+from arcbounds.explore import MAX_SCAN_TRIPLES
+from arcbounds.grids import MAX_GRID_POINTS, GridSpec
 
 
 def run_cli(capsys, *argv):
@@ -289,7 +291,18 @@ BAD_INPUTS = [
     (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "nan"), "non-finite"),
     (("scan", "--alpha", "inf", "--beta", "0.5", "--gamma", "1"), "non-finite"),
     (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", ","), "no values"),
+    (("verify", "--claims", "midregime-floor", "--a", "1e-154", "--n", "2001"), "overflows"),
 ]
+# One past each size cap; test_size_caps_reject_before_allocating checks that
+# nothing is sampled or expanded first.
+OVERSIZE = [
+    (("verify", "--n", str(MAX_GRID_POINTS + 1)), "MAX_GRID_POINTS"),
+    (("compare", "--n", str(MAX_GRID_POINTS + 1)), "MAX_GRID_POINTS"),
+    (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "1", "--n", str(MAX_GRID_POINTS + 1)), "MAX_GRID_POINTS"),
+    (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", f"0:1:{MAX_SCAN_TRIPLES + 1}"), "MAX_SCAN_TRIPLES"),
+    (("scan", "--alpha", "0:1:101", "--beta", "0:1:9901", "--gamma", "1"), "MAX_SCAN_TRIPLES"),
+]
+BAD_INPUTS += OVERSIZE
 
 
 @pytest.mark.parametrize("argv, fragment", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
@@ -300,6 +313,19 @@ def test_bad_input_is_one_line_domain_error(capsys, argv, fragment):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert fragment in err
+
+
+def test_size_caps_reject_before_allocating(capsys, monkeypatch):
+    assert 101 * 9901 == MAX_SCAN_TRIPLES + 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversize input reached an allocation")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(GridSpec, "points", refuse)
+    for argv, fragment in OVERSIZE:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "") and fragment in err, argv
 
 
 FUZZ_A = ("nan", "inf", "-inf", "-1", "-1e300", "0", repr(ab.A_STAR), repr(ab.TWO_SQRT2), "1e300")

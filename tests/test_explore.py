@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -5,7 +7,15 @@ import pytest
 
 import arcbounds as ab
 from arcbounds.errors import DomainError, SingularFamilyError
-from arcbounds.explore import LOG_SPACE_ALPHA, Verdict, classify_family, generalized_ratio, scan_grid
+from arcbounds.explore import (
+    LOG_SPACE_ALPHA,
+    MAX_SCAN_TRIPLES,
+    ScanClassification,
+    Verdict,
+    classify_family,
+    generalized_ratio,
+    scan_grid,
+)
 from arcbounds.grids import SCAN_GRID, GridSpec
 
 
@@ -124,6 +134,42 @@ class TestScanGrid:
         first = [r.to_dict() for r in scan_grid([0.5], [0.5], [0.0, 2.7], g)]
         second = [r.to_dict() for r in scan_grid([0.5], [0.5], [0.0, 2.7], g)]
         assert first == second
+
+
+def _per_triple_scan(alphas, betas, gammas, grid):
+    rows = []
+    for alpha, beta, gamma in itertools.product(alphas, betas, gammas):
+        try:
+            rows.append(classify_family(alpha, beta, gamma, grid))
+        except DomainError as exc:
+            rows.append(ScanClassification(alpha, beta, gamma, Verdict.ERROR, math.nan, math.nan, error=str(exc)))
+    return rows
+
+
+def test_scan_equals_per_triple_classification():
+    # every branch: direct and log space (alpha > 10), beta = 0, singular gammas
+    # (-1.2 for beta = 1/2, -1 for beta = 0), non-finite parameters, NonMonotone
+    # at (1/2, 1/2, 2.7), and Undetermined on a two-point grid
+    alphas = [0.5, LOG_SPACE_ALPHA + 2.0, math.nan, math.inf]
+    betas = [0.0, 0.5, -math.inf]
+    gammas = [-3.0, -1.2, -1.0, 0.0, 2.7, math.nan]
+    grids = [GridSpec(1e-4, 1.0 - 1e-4, 501, "uniform"), GridSpec(0.5 - 1e-14, 0.5 + 1e-14, 2, "uniform")]
+    seen = set()
+    for grid in grids:
+        scanned = scan_grid(alphas, betas, gammas, grid)
+        reference = _per_triple_scan(alphas, betas, gammas, grid)
+        # JSON text compares NaN fields as equal and every float bit for bit
+        assert json.dumps([r.to_dict() for r in scanned]) == json.dumps([r.to_dict() for r in reference])
+        seen |= {r.verdict for r in scanned}
+        seen |= {r.error.split(" ")[0] for r in scanned if r.error}
+    assert seen >= set(Verdict) | {"alpha", "beta", "gamma", "family"}
+
+
+def test_scan_box_cap():
+    # one past the cap, as 101 x 9901 x 1; rejected before the grid is sampled
+    with pytest.raises(DomainError, match="MAX_SCAN_TRIPLES"):
+        scan_grid([0.5] * 101, [0.5] * 9901, [1.0], GridSpec(0.1, 0.9, 2))
+    assert 101 * 9901 == MAX_SCAN_TRIPLES + 1
 
 
 def test_verdict_stability_under_density_doubling():

@@ -33,6 +33,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 10, "log")
 
+    def test_size_cap(self):
+        from arcbounds.grids import MAX_GRID_POINTS
+
+        assert MAX_GRID_POINTS >= 10 * ab.DEFAULT_GRID.n
+        GridSpec(0.0, 1.0, MAX_GRID_POINTS)  # constructing allocates no points
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            GridSpec(0.0, 1.0, MAX_GRID_POINTS + 1)
+
     def test_uniform_points(self):
         pts = GridSpec(0.1, 0.9, 5, "uniform").points()
         assert np.allclose(pts, np.linspace(0.1, 0.9, 5))
@@ -251,5 +259,15 @@ def test_nan_margin_fails_the_report():
     from arcbounds.verify import _pointwise_report
 
     rep = _pointwise_report("synthetic-nan", x, margins, np.zeros_like(x))
+    assert not rep.passed
+    assert "1 samples beyond tolerance" in rep.notes
+
+
+def test_infinite_margin_fails_the_report():
+    x = np.linspace(0.1, 0.9, 5)
+    margins = np.array([1.0, 1.0, np.inf, 1.0, 1.0])
+    from arcbounds.verify import _pointwise_report
+
+    rep = _pointwise_report("synthetic-inf", x, margins, np.zeros_like(x))
     assert not rep.passed
     assert "1 samples beyond tolerance" in rep.notes
