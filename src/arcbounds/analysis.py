@@ -8,11 +8,16 @@ a <= -2, negative) prefactor times ``slope_factor``:
 with s = sqrt(1+x).  Because a*s + x + 1 = s*(a + s), the second term
 collapses to -2*sqrt(1-x)*(a+s)/(a*s + 2), which is how it is evaluated;
 the sqrt(1-x**2) form loses half the digits near x = 1.  The derivative
-of slope_factor is in turn driven by a quadratic in a,
+of slope_factor is in turn driven by a quadratic in a.  One factor,
+q(a, s) = a**2 - a*s - 4, carries it, its roots and the minimum's floor:
 
-    slope_quadratic(a, x) = a**2 * s - a*(1+x) - 4*s,
+    slope_quadratic(a, x) = a**2*s - a*(1+x) - 4*s = s*q(a, s)
+    roots in a: (s + sqrt(s**2 + 16))/2 and -8/(s + sqrt(s**2 + 16))
+    2*(a+s)**2/(a*s+2) - 8*(1 - 2/a**2) = 2*q(a, s)**2/(a**2*(a*s+2))
 
-whose two roots in a are strictly increasing functions of x.  A second
+Both roots increase strictly in x; the low one is written without
+cancellation.  The floor gap is a perfect square, so 8*(1 - 2/a**2) is a
+floor wherever a*s + 2 > 0; a test proves the identities exactly.  A second
 rearrangement gives ``slope_term`` (the cleared-denominator variant) and
 the threshold function ``slope_threshold`` = 4*sqrt(1-x)/arccos(x), which
 increases from 8/pi to 2*sqrt(2) and separates the parameter ranges where
@@ -103,13 +108,17 @@ def slope_factor_limit0(a: float) -> float:
     return ((PI - 4.0) * a + 2.0 * (PI - 2.0)) / (2.0 * (a + 2.0))
 
 
+def _q(a, s):
+    """a**2 - a*s - 4; integer constants keep it exact on fractions.Fraction arguments."""
+    return a * a - a * s - 4
+
+
 def slope_quadratic(a: float, x):
-    """Quadratic in a controlling the slope factor's monotonicity."""
+    """Quadratic in a controlling the slope factor's monotonicity: s*q(a, s), s = sqrt(1+x)."""
     _check_finite_parameter(a)
     arr = _check_open_unit(x)
     s = np.sqrt(1.0 + arr)
-    out = a * a * s - a * (1.0 + arr) - 4.0 * s
-    return _scalar_like(x, out)
+    return _scalar_like(x, s * _q(a, s))
 
 
 def slope_quadratic_roots(x):
@@ -119,11 +128,9 @@ def slope_quadratic_roots(x):
     ((1+sqrt(17))/2, 2*sqrt(2)) as x runs over (0, 1).
     """
     arr = _check_open_unit(x)
-    disc = np.sqrt(arr * arr + 18.0 * arr + 17.0)
-    den = 2.0 * np.sqrt(1.0 + arr)
-    lo = (arr + 1.0 - disc) / den
-    hi = (arr + 1.0 + disc) / den
-    return _scalar_like(x, lo), _scalar_like(x, hi)
+    s = np.sqrt(1.0 + arr)
+    t = s + np.sqrt(s * s + 16.0)
+    return _scalar_like(x, -8.0 / t), _scalar_like(x, 0.5 * t)
 
 
 def slope_term(a: float, x):
@@ -156,17 +163,14 @@ def threshold_gap(x):
 def bisect_sign_change(fn: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-13, max_iter: int = 200) -> tuple[float, int]:
     """Bisect fn on [lo, hi] down to an interval of width xtol.
 
-    fn(lo) and fn(hi) must have opposite signs.  Returns the midpoint of
-    the final interval and the iteration count.
+    fn(lo) and fn(hi) must be nonzero and of opposite signs: an end where fn
+    rounds to 0 is no evidence of a root there.  Returns the midpoint of the
+    final interval and the iteration count.
     """
     flo = fn(lo)
     fhi = fn(hi)
-    if flo == 0.0:
-        return lo, 0
-    if fhi == 0.0:
-        return hi, 0
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ConvergenceError("no sign change on the supplied interval")
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        raise ConvergenceError("no strict sign change on the supplied interval")
     negative_left = flo < 0.0
     iterations = 0
     while hi - lo > xtol and iterations < max_iter:
@@ -192,45 +196,46 @@ def _check_interior_regime(a: float) -> None:
 def find_minimum(a: float) -> MinimumResult:
     """Locate the unique interior minimum of the ratio for A_STAR < a < 2*sqrt(2).
 
-    Brackets the sign change of slope_factor starting from
-    (1e-9, 1 - 1e-9), widening toward the endpoints in powers of 10 if
-    needed (the minimum migrates to an endpoint as a approaches a regime
-    boundary), then bisects to an interval below 1e-13.
+    slope_factor is negative left of the minimum and positive right of it.
+    Each bracket end is the first point at a distance in ``offsets`` from its
+    endpoint where that sign is strict: first toward the endpoint, where the
+    minimum migrates near a regime boundary, then away from it, because near
+    2*sqrt(2) the slope factor is rounding noise within ~1e-8 of x = 1.  The
+    bracket is bisected to below 1e-13.  Raises RegimeError, naming the
+    nearby boundary, if binary64 resolves no strict sign at one end.
     """
     _check_interior_regime(a)
     fn = lambda x: slope_factor(a, x)
-    lo, hi = 1e-9, 1.0 - 1e-9
-    widen = 1e-9
-    while (fn(lo) > 0.0) == (fn(hi) > 0.0):
-        widen *= 0.1
-        if widen < 1e-14:
-            raise ConvergenceError(f"slope factor shows no sign change on (0, 1) for a = {a!r}")
-        lo, hi = widen, 1.0 - widen
+    offsets = (1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+    lo = next((t for t in offsets if fn(t) < 0.0), None)
+    hi = next((1.0 - t for t in offsets if fn(1.0 - t) > 0.0), None)
+    if lo is None or hi is None:
+        boundary = "A_STAR" if lo is None else "2*sqrt(2)"
+        raise RegimeError(f"a = {a!r} is too close to {boundary} for binary64 to bracket the interior minimum")
     x0, iterations = bisect_sign_change(fn, lo, hi, xtol=1e-13)
     return MinimumResult(a=float(a), x0=x0, f_min=float(bound_ratio(a, x0)), residual=abs(fn(x0)), iterations=iterations)
 
 
 def min_floor_gap(a: float, u):
-    """2*(a+u)**2/(a*u+2) - 8*(1 - 2/a**2); nonnegative whenever a*u + 2 > 0."""
+    """2*(a+u)**2/(a*u+2) - 8*(1 - 2/a**2) as the square 2*(q(a, u)/a)**2/(a*u+2).
+
+    Nonnegative where a*u + 2 > 0; q/a stays finite for large a.  Raises
+    DomainError where the floor does.
+    """
+    _floor(a)
     u_arr = np.asarray(u, dtype=np.float64)
-    out = 2.0 * (a + u_arr) ** 2 / (a * u_arr + 2.0) - _floor(a)
-    return _scalar_like(u, out)
+    return _scalar_like(u, 2.0 * (_q(a, u_arr) / a) ** 2 / (a * u_arr + 2.0))
 
 
 def min_value_lower(a: float) -> float:
     """Floor 8*(1 - 2/a**2) for the interior minimum value.
 
     Accepts the closed right endpoint a = 2*sqrt(2), where the floor
-    equals the classical constant 6.  The algebraic step behind the floor,
-    2*(a+u)**2/(a*u+2) >= 8*(1 - 2/a**2) for u in (1, sqrt(2)), is
-    re-checked on a coarse u-grid at every call.
+    equals the classical constant 6.  It is a floor because the gap above
+    it, ``min_floor_gap``, is a perfect square.
     """
     if not math.isfinite(a) or a <= A_STAR or a > TWO_SQRT2:
         raise RegimeError(f"a = {a!r} is outside (A_STAR, 2*sqrt(2)]")
-    u = np.linspace(1.0, SQRT2, 4097)
-    gaps = min_floor_gap(a, u)
-    if np.min(gaps) < -64.0 * np.spacing(8.0):
-        raise AssertionError("floor identity violated; implementation fault")
     return _floor(a)
 
 

@@ -15,17 +15,17 @@ import json
 import math
 import re
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import explore, verify
-from .analysis import find_minimum
+from .analysis import MinimumResult, find_minimum
 from .errors import DomainError
 from .family import arccos_stable, bound_arrays, bound_ratio, classify_regime
 from .grids import SCAN_GRID, GridSpec
-from .sharp import a_star_pair, best_lower, best_upper, carlson_pair, lambda_lower
+from .sharp import a_star_pair, best_upper, carlson_pair, lambda_lower
 
 __all__ = ["main", "emit_curve"]
 
@@ -53,14 +53,15 @@ def emit_curve(a: float, n: int, grid: str = "refined") -> tuple[tuple[str, ...]
     fam_lo, fam_up = bound_arrays(a, x)
     astar_lo, astar_up = a_star_pair(x)
     carl_lo, carl_up = carlson_pair(x)
+    lam_lo = lambda_lower(x)
     cols = np.column_stack(
         [
             x,
             fam_lo,
-            best_lower(x),
+            np.maximum(lam_lo, astar_lo),  # best_lower without evaluating both bounds again
             astar_lo,
             carl_lo,
-            lambda_lower(x),
+            lam_lo,
             arccos_stable(x),
             astar_up,
             carl_up,
@@ -215,13 +216,7 @@ def _run(args, out) -> int:
         return 0
 
     if args.verb == "minimize":
-        res = find_minimum(args.a)
-        _emit_rows(
-            ("a", "x0", "f_min", "residual", "iterations"),
-            [(res.a, res.x0, res.f_min, res.residual, res.iterations)],
-            fmt,
-            out,
-        )
+        _emit_rows(tuple(f.name for f in fields(MinimumResult)), [astuple(find_minimum(args.a))], fmt, out)
         return 0
 
     if args.verb == "verify":
@@ -248,14 +243,7 @@ def _run(args, out) -> int:
     if args.verb == "compare":
         result = verify.compare_bounds(GridSpec(1e-9, 1.0 - 1e-9, args.n, args.grid))
         if fmt == "json":
-            payload = {
-                "samples": result.samples,
-                "reports": [r.to_dict() for r in result.reports],
-                "crossovers": list(result.crossovers),
-                "lower_argmax_counts": result.lower_argmax_counts,
-                "upper_argmin_counts": result.upper_argmin_counts,
-            }
-            out.write(json.dumps(payload, indent=2) + "\n")
+            out.write(json.dumps(asdict(result), indent=2) + "\n")
         elif fmt == "csv":
             out.write(verify.reports_to_csv(result.reports))
         else:
@@ -286,10 +274,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                return _run(args, fh)
-        return _run(args, sys.stdout)
+        if args.out is None:
+            return _run(args, sys.stdout)
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+        with fh:
+            return _run(args, fh)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -139,7 +139,7 @@ def _shape(a: float, arr: np.ndarray) -> np.ndarray:
 def _floor(a: float) -> float:
     if a * a == 0.0:
         raise DomainError(f"floor constant 8*(1-2/a^2) is undefined at a = 0 and where a^2 underflows (a={a:.17g})")
-    floor = 8.0 * (1.0 - 2.0 / (a * a))
+    floor = 8 * (1 - 2 / (a * a))  # integer constants: exact on fractions.Fraction arguments
     if not math.isfinite(floor):
         raise DomainError(f"floor constant 8*(1-2/a^2) overflows for a this close to 0 (a={a:.17g})")
     return floor

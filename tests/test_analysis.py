@@ -1,12 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import arcbounds as ab
-from arcbounds.analysis import bisect_sign_change
+from arcbounds.analysis import _q, bisect_sign_change
 from arcbounds.errors import ConvergenceError, DomainError, RegimeError
-from conftest import brute_force_argmin, count_significant_sign_changes
+from arcbounds.family import _floor
+from conftest import accuracy_sample, brute_force_argmin, count_significant_sign_changes, worst_ulp
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -77,6 +80,14 @@ class TestSlopeQuadratic:
         assert np.all(np.diff(lo) > 0.0)
         assert np.all(np.diff(hi) > 0.0)
 
+    def test_roots_ulp_error_against_mpmath(self):
+        x = accuracy_sample()
+        x = x[(x > 0.0) & (x < 1.0)]
+        lo, hi = ab.slope_quadratic_roots(x)
+        root = lambda sign: lambda t: (mp.sqrt(1 + t) + sign * mp.sqrt(t + 17)) / 2
+        assert worst_ulp(lo, root(-1), x) <= 2.0
+        assert worst_ulp(hi, root(1), x) <= 2.0
+
     def test_sign_regimes(self):
         x = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
         for a in (ab.TWO_SQRT2, 3.0):
@@ -121,6 +132,11 @@ class TestBisection:
     def test_rejects_one_signed_interval(self):
         with pytest.raises(ConvergenceError):
             bisect_sign_change(lambda t: t * t + 1.0, -1.0, 1.0)
+
+    def test_rejects_zero_endpoint(self):
+        # a value that rounds to 0 at an end is no evidence of a root there
+        with pytest.raises(ConvergenceError):
+            bisect_sign_change(lambda t: t, 0.0, 1.0)
 
 
 class TestFindMinimum:
@@ -174,6 +190,25 @@ class TestFindMinimum:
             with pytest.raises(RegimeError):
                 ab.find_minimum(a)
 
+    def test_resolves_minimum_next_to_the_decreasing_boundary(self):
+        # 1e-6 below 2*sqrt(2) the slope factor is rounding noise within about
+        # 1e-8 of x = 1, while its sign change lies at 1 - 7.07e-6 (40-digit root)
+        res = ab.find_minimum(2.82842612474619)
+        assert res.x0 == pytest.approx(0.99999292893915280, abs=1e-8)
+        assert res.f_min == pytest.approx(5.9999985857860210, rel=1e-14)
+
+    def test_one_ulp_above_a_star(self):
+        # the true minimum lies near x = 2e-15, where binary64 cannot resolve
+        # the sign of the slope factor
+        a = math.nextafter(ab.A_STAR, 3.0)
+        try:
+            res = ab.find_minimum(a)
+        except RegimeError as exc:
+            assert "too close to A_STAR" in str(exc)
+        else:
+            assert res.x0 < 1e-8
+            assert res.f_min <= ab.endpoint_limits(a)[0]
+
 
 class TestMinValueLower:
     def test_values(self):
@@ -198,6 +233,36 @@ class TestMinValueLower:
         vals = 2.0 * (a + u) ** 2 / (a * u + 2.0)
         assert float(np.min(vals)) == pytest.approx(5.444444444444445, rel=1e-12)
         assert float(np.min(vals)) >= 8.0 * (1.0 - 2.0 / (a * a))
+
+
+def test_factor_identities_hold_exactly():
+    """The identities behind q(a, s) = a**2 - a*s - 4, in exact rational arithmetic.
+
+    Floor gap: P(a, u) = 2*a**2*(a+u)**2 - 8*(a**2-2)*(a*u+2) - 2*q(a, u)**2 has
+    degree <= 4 in a and <= 2 in u, so vanishing on a 5 x 3 grid proves P = 0.
+    Slope quadratic: s*q(a, s) - (a**2*s - a*(1+x) - 4*s) with x = s**2 - 1 has
+    degree <= 2 in a and <= 3 in s, so a 3 x 4 grid proves it is 0.  The float
+    functions are held to the exact values at the same points.
+    """
+    for a in map(Fraction, (-3, 1, 2, 5, 7)):
+        for u in (Fraction(1), Fraction(5, 4), Fraction(4, 3)):
+            gap = 2 * (a + u) ** 2 / (a * u + 2) - _floor(a)
+            assert a * a * (a * u + 2) * gap - 2 * _q(a, u) ** 2 == 0
+            assert ab.min_floor_gap(float(a), float(u)) == pytest.approx(float(gap), rel=1e-14)
+    for a in map(Fraction, (-1, 2, 3)):
+        for s in (Fraction(7, 6), Fraction(5, 4), Fraction(13, 10), Fraction(4, 3)):
+            x = s * s - 1
+            value = a * a * s - a * (1 + x) - 4 * s
+            assert s * _q(a, s) == value
+            assert ab.slope_quadratic(float(a), float(x)) == pytest.approx(float(value), rel=1e-13)
+    # Roots: with r**2 = s**2 + 16, lo = -8/(s + r) and hi = (s + r)/2 satisfy
+    # Vieta's formulas for q(., s); rational s and r come from s = (16 - k**2)/(2k).
+    for k in (Fraction(29, 10), Fraction(3), Fraction(31, 10)):
+        s, r = (16 - k * k) / (2 * k), (16 + k * k) / (2 * k)
+        assert r * r == s * s + 16
+        lo, hi = -8 / (s + r), (s + r) / 2
+        assert (lo + hi, lo * hi) == (s, -4)
+        assert _q(lo, s) == _q(hi, s) == 0
 
 
 class TestGridArgmin:

@@ -258,6 +258,13 @@ class TestPlumbing:
         assert code == 0
         assert path.read_text(encoding="utf-8") == out
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "f.csv"
+        code, out, err = run_cli(capsys, "bounds", "--a", "1", "--n", "3", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not target.parent.exists()
+
     def test_idempotent_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "bounds", "--a", "0.5", "--n", "64", "--format", "csv")
         _, second, _ = run_cli(capsys, "bounds", "--a", "0.5", "--n", "64", "--format", "csv")
@@ -326,6 +333,18 @@ def test_size_caps_reject_before_allocating(capsys, monkeypatch):
     for argv, fragment in OVERSIZE:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "") and fragment in err, argv
+
+
+@pytest.mark.parametrize("verb", [("minimize",), ("verify", "--claims", "minimum-floor")])
+@pytest.mark.parametrize("a", ["2.82842612474619", "2.6597923663254877"])
+def test_minimum_next_to_a_regime_boundary_exits_cleanly(capsys, verb, a):
+    # 1e-6 below 2*sqrt(2) and one ulp above A_STAR
+    code, out, err = run_cli(capsys, *verb, "--a", a, "--format", "csv")
+    assert code in (0, 3)
+    if code == 0:
+        assert len(out.splitlines()) == 2 and err == ""
+    else:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 FUZZ_A = ("nan", "inf", "-inf", "-1", "-1e300", "0", repr(ab.A_STAR), repr(ab.TWO_SQRT2), "1e300")
