@@ -27,13 +27,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, SingularFamilyError
-from .family import _check_open_unit, _scalar_like, arccos_ratio, arccos_stable
-from .grids import SCAN_GRID, GridSpec
+from .family import _check_open_unit, _scalar_like, arccos_ratio
+from .grids import SCAN_GRID, GridSpec, _GridTerms
 
 __all__ = [
     "SIGN_THRESHOLD",
@@ -122,40 +121,18 @@ def generalized_ratio(alpha: float, beta: float, gamma: float, x):
     return _scalar_like(x, num * arccos_ratio(arr) * (1.0 - arr) ** (0.5 - alpha))
 
 
-class _GridTerms:
-    """The factors of the family that depend on x alone, on one grid.
+def _alpha_factor(terms: _GridTerms, alpha: float) -> np.ndarray | None:
+    """(1-x)**(0.5-alpha), or alpha*log1p(-x) in log space; None if alpha is not finite."""
+    if not math.isfinite(alpha):
+        return None
+    if alpha > LOG_SPACE_ALPHA:
+        return alpha * np.log1p(-terms.x)
+    return (1.0 - terms.x) ** (0.5 - alpha)
 
-    Each is evaluated on first use and then shared by every triple.  A
-    factor whose evaluation raises (a grid outside [-1, 1]) is not stored,
-    so every triple that needs it raises the same DomainError.
-    """
 
-    def __init__(self, grid: GridSpec) -> None:
-        self.x = grid.points()
-
-    @cached_property
-    def log1p_x(self) -> np.ndarray:
-        return np.log1p(self.x)
-
-    @cached_property
-    def ratio(self) -> np.ndarray:
-        return arccos_ratio(self.x)
-
-    @cached_property
-    def log_arccos(self) -> np.ndarray:
-        return np.log(arccos_stable(self.x))
-
-    def alpha_factor(self, alpha: float) -> np.ndarray | None:
-        """(1-x)**(0.5-alpha), or alpha*log1p(-x) in log space; None if alpha is not finite."""
-        if not math.isfinite(alpha):
-            return None
-        if alpha > LOG_SPACE_ALPHA:
-            return alpha * np.log1p(-self.x)
-        return (1.0 - self.x) ** (0.5 - alpha)
-
-    def power(self, beta: float) -> np.ndarray | None:
-        """(1+x)**beta; None if beta is not finite."""
-        return np.exp(beta * self.log1p_x) if math.isfinite(beta) else None
+def _power(terms: _GridTerms, beta: float) -> np.ndarray | None:
+    """(1+x)**beta; None if beta is not finite."""
+    return np.exp(beta * terms.log1p_x) if math.isfinite(beta) else None
 
 
 def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, factor, power) -> ScanClassification:
@@ -218,7 +195,7 @@ def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SC
     degrades monotone verdicts to Undetermined.
     """
     terms = _GridTerms(grid)
-    return _classify(alpha, beta, gamma, terms, terms.alpha_factor(alpha), terms.power(beta))
+    return _classify(alpha, beta, gamma, terms, _alpha_factor(terms, alpha), _power(terms, beta))
 
 
 def _check_box(*counts: int) -> None:
@@ -244,9 +221,9 @@ def scan_grid(
     terms = _GridTerms(grid)
     results: list[ScanClassification] = []
     for alpha in alphas:
-        factor = terms.alpha_factor(alpha)
+        factor = _alpha_factor(terms, alpha)
         for beta in betas:
-            power = terms.power(beta)
+            power = _power(terms, beta)
             for gamma in gammas:
                 try:
                     results.append(_classify(alpha, beta, gamma, terms, factor, power))

@@ -1,12 +1,14 @@
-"""Sampling grids for the verification engine and the scanner."""
+"""Sampling grids, and the terms of a grid that depend on x alone."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
+from .family import _check_open_unit, arccos_ratio, arccos_stable
 
 __all__ = ["GridSpec", "DEFAULT_GRID", "SCAN_GRID", "MAX_GRID_POINTS"]
 
@@ -14,6 +16,12 @@ _EDGE_WIDTH = 1e-3
 # Largest grid a GridSpec accepts: ten times DEFAULT_GRID.  At 8 bytes a
 # sample, one array of it is 80 MB, and a verification holds several.
 MAX_GRID_POINTS = 10_000_000
+
+# The last grid built, keyed by its spec's repr: specs that compare equal
+# may still build different arrays (a numpy float32 bound gives float32
+# points), while equal reprs build the same one.  One entry: a run moves
+# from grid to grid, and each array kept costs 8 bytes a sample.
+_last_points: tuple[str, np.ndarray | None] = ("", None)
 
 
 @dataclass(frozen=True)
@@ -45,7 +53,22 @@ class GridSpec:
             raise DomainError("spacing must be 'uniform' or 'refined'")
 
     def points(self) -> np.ndarray:
-        """Strictly increasing sample points, including both endpoints."""
+        """Strictly increasing sample points, including both endpoints.
+
+        The array is read-only: the last grid built is kept and returned
+        again to every later call for the same spec.
+        """
+        global _last_points
+        key = repr(self)
+        cached_key, pts = _last_points  # one read: another thread may swap the entry
+        if cached_key != key:
+            _last_points, pts = ("", None), None  # drop the old grid before building the new one
+            pts = self._build()
+            pts.flags.writeable = False
+            _last_points = (key, pts)
+        return pts
+
+    def _build(self) -> np.ndarray:
         if self.spacing == "uniform":
             return np.linspace(self.lo, self.hi, self.n)
         n_edge = self.n // 4
@@ -65,3 +88,62 @@ DEFAULT_GRID = GridSpec(1e-9, 1.0 - 1e-9, 1_000_000, "refined")
 # Scanner default: uniform spacing keeps forward differences above the sign
 # threshold wherever the scanned family is genuinely monotone.
 SCAN_GRID = GridSpec(1e-6, 1.0 - 1e-6, 20_001, "uniform")
+
+
+class _GridTerms:
+    """The terms of one grid that depend on x alone.
+
+    Each is evaluated on first use and then shared by every shape
+    parameter of a verification sweep, or every triple of a scan.  The
+    object caches nothing beyond its own life, so a sweep's terms are freed
+    when its runner returns.  A term whose evaluation raises (a grid
+    outside its domain) is not stored, so every use raises the same
+    DomainError.  ``shape`` and ``ratio_at`` keep the operation order of
+    ``family._shape`` and ``family.bound_ratio``, so their values are the
+    same bits.
+    """
+
+    def __init__(self, grid: GridSpec) -> None:
+        self.x = grid.points()
+
+    @cached_property
+    def _open_x(self) -> np.ndarray:
+        # the bound terms are defined on (0, 1) only, as in family
+        return _check_open_unit(self.x)
+
+    @cached_property
+    def sqrt_1px(self) -> np.ndarray:
+        return np.sqrt(1.0 + self._open_x)
+
+    @cached_property
+    def sqrt_1mx(self) -> np.ndarray:
+        return np.sqrt(1.0 - self._open_x)
+
+    @cached_property
+    def arccos(self) -> np.ndarray:
+        return arccos_stable(self.x)
+
+    @cached_property
+    def arccos_tol(self) -> np.ndarray:
+        """4 ulp of arccos(x): the tolerance of a strict bound on arccos."""
+        return 4.0 * np.spacing(self.arccos)
+
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        return arccos_ratio(self.x)
+
+    @cached_property
+    def log1p_x(self) -> np.ndarray:
+        return np.log1p(self.x)
+
+    @cached_property
+    def log_arccos(self) -> np.ndarray:
+        return np.log(self.arccos)
+
+    def shape(self, a: float) -> np.ndarray:
+        """The bound template sqrt(1-x)/(a + sqrt(1+x))."""
+        return self.sqrt_1mx / (a + self.sqrt_1px)
+
+    def ratio_at(self, a: float) -> np.ndarray:
+        """The family ratio (a + sqrt(1+x)) * arccos(x)/sqrt(1-x)."""
+        return (a + self.sqrt_1px) * self.ratio

@@ -10,7 +10,9 @@ behavior while the ulp rule does not.
 
 Grid evaluation is vectorized and single-threaded; reductions tie-break
 by abscissa (first index on a sorted grid), so reports are bit-identical
-across runs.
+across runs.  A sweep over shape parameters evaluates the terms of its grid
+that depend on x alone once (``grids._GridTerms``); each ``a`` then costs
+only arithmetic on those arrays and its reductions.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from . import explore
 from .analysis import (
     MinimumResult,
+    _grid_argmins,
     bisect_sign_change,
     find_minimum,
     grid_argmin,
@@ -47,16 +50,13 @@ from .family import (
     Regime,
     _check_bound_parameter,
     _floor,
-    _shape,
-    arccos_stable,
-    bound_arrays,
     bound_ratio,
     classify_regime,
     endpoint_limits,
     lower_constant,
     upper_constant,
 )
-from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec
+from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec, _GridTerms
 from .sharp import (
     a_star_pair,
     best_upper,
@@ -180,26 +180,30 @@ def verify_bounds(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport
     The constants come from the regime of ``a``, so for a >= 2*sqrt(2)
     this is the reversed orientation of the generic bracket.
     """
-    x = grid.points()
-    acx = arccos_stable(x)
-    lower, upper = bound_arrays(a, x)
+    return _bounds_report(a, _GridTerms(grid))
+
+
+def _bounds_report(a: float, terms: _GridTerms) -> VerificationReport:
+    acx = terms.arccos
+    template = terms.shape(a)
+    lower, upper = lower_constant(a) * template, upper_constant(a) * template
     margins = np.minimum(acx - lower, upper - acx)
-    tol = 4.0 * np.spacing(acx)
     regime = classify_regime(a).value
     return _pointwise_report(
-        f"family-bracket[a={a:.17g}]", x, margins, tol,
+        f"family-bracket[a={a:.17g}]", terms.x, margins, terms.arccos_tol,
         notes=f"regime={regime}; constants=({lower_constant(a):.9g}, {upper_constant(a):.9g})",
     )
 
 
 def verify_floor(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
     """Check the floor-constant lower bound 8*(1 - 2/a**2) pointwise (a**2 > 0)."""
+    return _floor_report(a, _GridTerms(grid))
+
+
+def _floor_report(a: float, terms: _GridTerms) -> VerificationReport:
     _check_bound_parameter(a)
-    x = grid.points()
-    acx = arccos_stable(x)
-    margins = acx - _floor(a) * _shape(a, x)
-    tol = 4.0 * np.spacing(acx)
-    return _pointwise_report(f"midregime-floor[a={a:.17g}]", x, margins, tol)
+    margins = terms.arccos - _floor(a) * terms.shape(a)
+    return _pointwise_report(f"midregime-floor[a={a:.17g}]", terms.x, margins, terms.arccos_tol)
 
 
 def verify_monotonicity(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
@@ -209,9 +213,13 @@ def verify_monotonicity(a: float, grid: GridSpec = DEFAULT_GRID) -> Verification
     -4 ulp; the interior-minimum regime requires exactly one significant
     sign change, from negative to positive.
     """
+    return _monotonicity_report(a, _GridTerms(grid))
+
+
+def _monotonicity_report(a: float, terms: _GridTerms) -> VerificationReport:
     regime = classify_regime(a)
-    x = grid.points()
-    v = bound_ratio(a, x)
+    x = terms.x
+    v = terms.ratio_at(a)
     d = np.diff(v)
     tol = 4.0 * np.spacing(np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
     claim_id = f"regime-{regime.value}[a={a:.17g}]"
@@ -250,6 +258,10 @@ def verify_limits_and_sharpness(
     constants the regime says are attained; in the interior-minimum regime
     the infimum is the located minimum value instead of an endpoint constant.
     """
+    return _limits_report(a, _GridTerms(grid), eps_list)
+
+
+def _limits_report(a: float, terms: _GridTerms, eps_list: Sequence[float] = DEFAULT_EPS_LIST) -> VerificationReport:
     _check_bound_parameter(a)
     eps = list(eps_list)
     if len(eps) < 2 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
@@ -266,8 +278,8 @@ def verify_limits_and_sharpness(
             checks.append((res[k - 1] - res[k] + noise, probes[k], f"{label} residual monotone at eps={eps[k]:g}"))
         checks.append((final_tol - res[-1], probes[-1], f"{label} final residual"))
 
-    x = grid.points()
-    v = bound_ratio(a, x)
+    x = terms.x
+    v = terms.ratio_at(a)
     vmin_i = int(np.argmin(v))
     vmax_i = int(np.argmax(v))
     vmin, vmax = float(v[vmin_i]), float(v[vmax_i])
@@ -293,10 +305,25 @@ def verify_limits_and_sharpness(
 def _dominance_report(claim_id: str, x: np.ndarray, first: tuple, second: tuple, notes: str) -> VerificationReport:
     """Report ``hi >= lo`` for two (hi, lo) pairs: the tighter margin decides, under its own tolerance."""
     (hi1, lo1), (hi2, lo2) = first, second
-    m1, m2 = hi1 - lo1, hi2 - lo2
-    first_smaller = m1 <= m2
-    tol = np.where(first_smaller, _pair_tol(hi1, lo1), _pair_tol(hi2, lo2))
-    return _pointwise_report(claim_id, x, np.where(first_smaller, m1, m2), tol, notes=notes)
+    first_smaller = hi1 - lo1 <= hi2 - lo2
+    hi, lo = np.where(first_smaller, hi1, hi2), np.where(first_smaller, lo1, lo2)
+    return _pointwise_report(claim_id, x, hi - lo, _pair_tol(hi, lo), notes=notes)
+
+
+def _first_winner_counts(arrays: Sequence[np.ndarray], wins: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[int]:
+    """How often each array holds the best value, a tie going to the earliest.
+
+    ``wins(new, best)`` must be strict, so a later array takes a point only
+    by beating every earlier one; this is np.argmax/np.argmin over the
+    stacked arrays without the stack.
+    """
+    best = arrays[0].copy()
+    winner = np.zeros(best.shape, dtype=np.int8)
+    for k, arr in enumerate(arrays[1:], start=1):
+        won = wins(arr, best)
+        winner[won] = k
+        np.copyto(best, arr, where=won)
+    return np.bincount(winner, minlength=len(arrays)).tolist()
 
 
 def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
@@ -321,12 +348,8 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
         "carlson": carlson_up,
         "best": best_upper(x),
     }
-    lower_names = list(lowers)
-    upper_names = list(uppers)
-    argmax_idx = np.argmax(np.vstack([lowers[k] for k in lower_names]), axis=0)
-    argmin_idx = np.argmin(np.vstack([uppers[k] for k in upper_names]), axis=0)
-    lower_counts = {name: int(np.count_nonzero(argmax_idx == i)) for i, name in enumerate(lower_names)}
-    upper_counts = {name: int(np.count_nonzero(argmin_idx == i)) for i, name in enumerate(upper_names)}
+    lower_counts = dict(zip(lowers, _first_winner_counts(list(lowers.values()), np.greater)))
+    upper_counts = dict(zip(uppers, _first_winner_counts(list(uppers.values()), np.less)))
 
     rep_lower = _dominance_report(
         "sharp-lower-dominance", x,
@@ -339,13 +362,13 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
         notes="doubly-sharp upper bound <= both instance upper bounds",
     )
 
-    tol = _pair_tol(lowers["lambda"], lowers["a-star"])
     diff = lowers["lambda"] - lowers["a-star"]
     i_max = int(np.argmax(diff))
     i_min = int(np.argmin(diff))
     up_witness = float(diff[i_max])
     down_witness = float(-diff[i_min])
-    witnessed = up_witness > float(tol[i_max]) and down_witness > float(tol[i_min])
+    tol_max, tol_min = _pair_tol(lowers["lambda"][[i_max, i_min]], lowers["a-star"][[i_max, i_min]])
+    witnessed = up_witness > float(tol_max) and down_witness > float(tol_min)
     signs = np.sign(diff)
     cells = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
     crossovers = []
@@ -387,38 +410,44 @@ def _scaled_grid(grid: GridSpec | None, n: int) -> GridSpec:
     return GridSpec(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n, "refined")
 
 
-def _sweep(check: Callable[..., VerificationReport], values: Sequence[float], n: int) -> Runner:
-    """Runner calling ``check(a, grid=g)`` for each of ``values``, or for ``a`` alone, on an n-point default grid."""
+def _sweep(check: Callable[[float, _GridTerms], VerificationReport], values: Sequence[float], n: int) -> Runner:
+    """Runner calling ``check(a, terms)`` for each of ``values``, or for ``a`` alone, on an n-point default grid.
+
+    The grid's terms are evaluated once per run and shared by every ``a``.
+    """
 
     def runner(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-        g = _scaled_grid(grid, n)
-        return [check(av, grid=g) for av in (values if a is None else (a,))]
+        terms = _GridTerms(_scaled_grid(grid, n))
+        return [check(av, terms) for av in (values if a is None else (a,))]
 
     return runner
 
 
 def _claim_classic(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    g = _scaled_grid(grid, 1_000_000)
-    x = g.points()
-    acx = arccos_stable(x)
+    terms = _GridTerms(_scaled_grid(grid, 1_000_000))
+    x, acx, tol = terms.x, terms.arccos, terms.arccos_tol
     lower, upper = carlson_pair(x)
-    tol = 4.0 * np.spacing(acx)
     return [
         _pointwise_report("classic-lower", x, acx - lower, tol, notes="classical lower constant 6"),
         _pointwise_report("classic-upper", x, upper - acx, tol, notes="classical upper constant (1/2+sqrt(2))*pi"),
     ]
 
 
-def _minimum_slacks(a: float) -> tuple[MinimumResult, float, tuple[float, ...]]:
-    """The interior minimum, the brute-force argmin and five slacks, each positive when its check holds.
+# Size of the uniform grid of the brute-force argmin cross-check.
+BRUTE_FORCE_N = 1_000_001
 
-    Slacks: residual, floor, below the endpoint limits, brute-force x0 and brute-force value.  The brute
-    force shares no code with the bisection in find_minimum, so it stays an independent cross-check.
+
+def _minimum_slacks(a: float, brute: tuple[float, float]) -> tuple[MinimumResult, tuple[float, ...]]:
+    """The interior minimum and five slacks, each positive when its check holds.
+
+    Slacks: residual, floor, below the endpoint limits, and agreement of x0 and of the value with the
+    brute-force argmin ``brute`` = (bx, bval) on BRUTE_FORCE_N points.  The brute force shares no code with
+    the bisection in find_minimum, so it stays an independent cross-check.
     """
     res = find_minimum(a)
     floor = _floor(a)
     at0, at1 = endpoint_limits(a)
-    bx, bval = grid_argmin(a, 1_000_001)
+    bx, bval = brute
     slacks = (
         1e-12 - res.residual,
         res.f_min - floor + 4.0 * float(np.spacing(floor)),
@@ -426,12 +455,13 @@ def _minimum_slacks(a: float) -> tuple[MinimumResult, float, tuple[float, ...]]:
         1e-6 - abs(bx - res.x0),
         1e-10 - abs(bval - res.f_min),
     )
-    return res, bx, slacks
+    return res, slacks
 
 
-def _interior_report(a: float, grid: GridSpec) -> VerificationReport:
-    mono = verify_monotonicity(a, grid)
-    res, bx, slacks = _minimum_slacks(a)
+def _interior_report(a: float, terms: _GridTerms) -> VerificationReport:
+    mono = _monotonicity_report(a, terms)
+    bx, bval = grid_argmin(a, BRUTE_FORCE_N)
+    res, slacks = _minimum_slacks(a, (bx, bval))
     labels = ("implicit-equation residual", "minimum above floor", "minimum below endpoint limits",
               "argmin agrees with brute force", "minimum value agrees with brute force")
     checks = [
@@ -439,21 +469,21 @@ def _interior_report(a: float, grid: GridSpec) -> VerificationReport:
         *zip(slacks, (res.x0, res.x0, res.x0, bx, bx), labels),
     ]
     return _composite_report(
-        f"regime-InteriorMinimum[a={a:.17g}]", checks, mono.samples + 1_000_001,
+        f"regime-InteriorMinimum[a={a:.17g}]", checks, mono.samples + BRUTE_FORCE_N,
         notes=f"x0={res.x0:.12g}; f_min={res.f_min:.12g}; iterations={res.iterations}",
     )
 
 
 def _claim_minimum_floor(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    values = (a,) if a is not None else np.linspace(A_STAR, TWO_SQRT2, 22)[1:-1]
+    values = [float(v) for v in ((a,) if a is not None else np.linspace(A_STAR, TWO_SQRT2, 22)[1:-1])]
     labels = ("residual", "floor", "below endpoint limits", "brute-force x0", "brute-force value")
     checks: list[tuple[float, float, str]] = []
-    for av in map(float, values):
-        _, _, slacks = _minimum_slacks(av)
+    for av, brute in zip(values, _grid_argmins(values, BRUTE_FORCE_N)):
+        _, slacks = _minimum_slacks(av, brute)
         checks.extend((slack, av, f"{label} at a={av:.6g}") for slack, label in zip(slacks, labels))
     return [
         _composite_report(
-            "minimum-floor", checks, len(values) * 1_000_001,
+            "minimum-floor", checks, len(values) * BRUTE_FORCE_N,
             notes="sweep over the interior-minimum interval; worst_x is the parameter a",
         )
     ]
@@ -593,11 +623,11 @@ class Claim:
 
 CLAIMS: tuple[Claim, ...] = (
     Claim("classic-lower", "classical lower bound (constant 6) is strict on (0,1)", _claim_classic),
-    Claim("family-bracket", "two-sided family bound holds with the regime's constants", _sweep(verify_bounds, BRACKET_A_VALUES, 1_000_000)),
-    Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _sweep(verify_floor, FLOOR_A_VALUES, 1_000_000)),
-    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _sweep(verify_limits_and_sharpness, BRACKET_A_VALUES, 200_000)),
-    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _sweep(verify_monotonicity, INCREASING_A_VALUES, 100_000), Regime.INCREASING),
-    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _sweep(verify_monotonicity, DECREASING_A_VALUES, 100_000), Regime.DECREASING),
+    Claim("family-bracket", "two-sided family bound holds with the regime's constants", _sweep(_bounds_report, BRACKET_A_VALUES, 1_000_000)),
+    Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _sweep(_floor_report, FLOOR_A_VALUES, 1_000_000)),
+    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _sweep(_limits_report, BRACKET_A_VALUES, 200_000)),
+    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _sweep(_monotonicity_report, INCREASING_A_VALUES, 100_000), Regime.INCREASING),
+    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _sweep(_monotonicity_report, DECREASING_A_VALUES, 100_000), Regime.DECREASING),
     Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _sweep(_interior_report, INTERIOR_A_VALUES, 100_000), Regime.INTERIOR_MINIMUM),
     Claim("minimum-floor", "interior minimum satisfies its floor and brute-force cross-check", _claim_minimum_floor, Regime.INTERIOR_MINIMUM),
     Claim("aux-slope-limits", "derivative-apparatus limits and threshold shape", _claim_aux_slope_limits),

@@ -197,6 +197,28 @@ class TestFindMinimum:
         assert res.x0 == pytest.approx(0.99999292893915280, abs=1e-8)
         assert res.f_min == pytest.approx(5.9999985857860210, rel=1e-14)
 
+    @pytest.mark.parametrize("gap", [5e-8, 1e-8, 1e-10])
+    def test_x0_next_to_the_decreasing_boundary_against_mpmath(self, gap):
+        # Within about 6e-8 of 2*sqrt(2) the slope factor is rounding noise
+        # near the minimum: the residual reads 0 while x0 may be off by
+        # up to about 2.4e-7.  The minimum lies near 1 - 7.07*gap.
+        a = ab.TWO_SQRT2 - gap
+        res = ab.find_minimum(a)
+        am = mp.mpf(a)
+
+        def slope(t):  # slope factor at x = 1 - t, written without cancellation in t
+            s = mp.sqrt(2 - t)
+            return 2 * mp.asin(mp.sqrt(t / 2)) - 2 * mp.sqrt(t) * (am + s) / (am * s + 2)
+
+        with mp.workdps(50):
+            lo, hi = mp.mpf("1e-20"), mp.mpf("1e-3")  # slope > 0 right of the minimum, < 0 left
+            assert slope(lo) > 0 > slope(hi)
+            for _ in range(200):
+                mid = mp.sqrt(lo * hi)
+                lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+            root = 1 - lo
+            assert abs(mp.mpf(res.x0) - root) <= 5e-7
+
     def test_one_ulp_above_a_star(self):
         # the true minimum lies near x = 2e-15, where binary64 cannot resolve
         # the sign of the slope factor
