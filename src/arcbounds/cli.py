@@ -4,7 +4,8 @@ Verbs: eval, bounds, classify, minimize, verify, compare, scan.  Output is
 a human table on a terminal and CSV when piped (override with --format).
 CSV and JSON carry full binary64 round-trip precision; tables show six
 significant digits.  Exit status: 0 success, 1 verification failure,
-2 usage error, 3 domain error.
+2 usage error, 3 domain error, 141 (128 + SIGPIPE) when the reader of
+stdout closes the pipe early, as in ``arcbounds bounds ... | head``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, astuple, fields
@@ -28,6 +30,8 @@ from .grids import SCAN_GRID, GridSpec
 from .sharp import a_star_pair, best_upper, carlson_pair, lambda_lower
 
 __all__ = ["main", "emit_curve"]
+
+_CSV_BLOCK_ROWS = 4096  # rows per `%` in CSV output: bounds the Python floats and text alive at once
 
 CURVE_HEADER = (
     "x",
@@ -47,7 +51,8 @@ CURVE_HEADER = (
 def emit_curve(a: float, n: int, grid: str = "refined") -> tuple[tuple[str, ...], np.ndarray]:
     """Plot-ready sweep of every bound candidate plus the family pair at ``a``.
 
-    Returns the column header and an (n, 11) array in strictly increasing x.
+    Returns the column header and a float array with 11 columns and one row per
+    grid sample, in strictly increasing x.
     """
     x = GridSpec(1e-9, 1.0 - 1e-9, n, grid).points()
     fam_lo, fam_up = bound_arrays(a, x)
@@ -97,6 +102,21 @@ def _emit_rows(header: Sequence[str], rows: Iterable[Sequence], fmt: str, out) -
     out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
     for row in text_rows:
         out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
+
+
+def _emit_array(header: Sequence[str], cols: np.ndarray, fmt: str, out) -> None:
+    """Rows of a 2-D float array; CSV is one ``%`` per block of rows, byte for byte ``_emit_rows``'s.
+
+    ``"%.17g" % v`` and ``f"{v:.17g}"`` share one float formatter, and a number needs no quoting.
+    """
+    if fmt != "csv":
+        _emit_rows(header, cols.tolist(), fmt, out)
+        return
+    csv.writer(out, lineterminator="\n").writerow(header)
+    row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
+    for start in range(0, len(cols), _CSV_BLOCK_ROWS):
+        block = cols[start : start + _CSV_BLOCK_ROWS]
+        out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,13 +218,11 @@ def _run(args, out) -> int:
 
     if args.verb == "bounds":
         if args.full:
-            header, cols = emit_curve(args.a, args.n, args.grid)
-            _emit_rows(header, cols.tolist(), fmt, out)
+            _emit_array(*emit_curve(args.a, args.n, args.grid), fmt, out)
             return 0
         x = GridSpec(1e-9, 1.0 - 1e-9, args.n, args.grid).points()
         lower, upper = bound_arrays(args.a, x)
-        rows = np.column_stack([x, lower, arccos_stable(x), upper]).tolist()
-        _emit_rows(("x", "lower", "arccos", "upper"), rows, fmt, out)
+        _emit_array(("x", "lower", "arccos", "upper"), np.column_stack([x, lower, arccos_stable(x), upper]), fmt, out)
         return 0
 
     if args.verb == "classify":
@@ -275,7 +293,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.out is None:
-            return _run(args, sys.stdout)
+            try:
+                code = _run(args, sys.stdout)
+                sys.stdout.flush()
+                return code
+            except BrokenPipeError:
+                # The reader closed stdout early (`| head`): exit silently, as a shell reports
+                # SIGPIPE.  fd 1 goes to devnull so the interpreter's final flush cannot raise again.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                return 141
         try:
             fh = open(args.out, "w", encoding="utf-8", newline="\n")
         except OSError as exc:
