@@ -55,25 +55,15 @@ def emit_curve(a: float, n: int, grid: str = "refined") -> tuple[tuple[str, ...]
     grid sample, in strictly increasing x.
     """
     x = GridSpec(1e-9, 1.0 - 1e-9, n, grid).points()
-    fam_lo, fam_up = bound_arrays(a, x)
-    astar_lo, astar_up = a_star_pair(x)
-    carl_lo, carl_up = carlson_pair(x)
-    lam_lo = lambda_lower(x)
-    cols = np.column_stack(
-        [
-            x,
-            fam_lo,
-            np.maximum(lam_lo, astar_lo),  # best_lower without evaluating both bounds again
-            astar_lo,
-            carl_lo,
-            lam_lo,
-            arccos_stable(x),
-            astar_up,
-            carl_up,
-            best_upper(x),
-            fam_up,
-        ]
-    )
+    cols = np.empty((x.size, len(CURVE_HEADER)))  # filled column by column: no second copy of the table
+    cols[:, 0] = x
+    cols[:, 1], cols[:, 10] = bound_arrays(a, x)
+    cols[:, 3], cols[:, 7] = a_star_pair(x)
+    cols[:, 4], cols[:, 8] = carlson_pair(x)
+    cols[:, 5] = lambda_lower(x)
+    np.maximum(cols[:, 5], cols[:, 3], out=cols[:, 2])  # best_lower without evaluating both bounds again
+    cols[:, 6] = arccos_stable(x)
+    cols[:, 9] = best_upper(x)
     return CURVE_HEADER, cols
 
 

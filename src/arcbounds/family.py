@@ -181,6 +181,18 @@ def _check_bound_parameter(a: float) -> None:
         raise DomainError("bound evaluation requires a > -1 so the denominator stays positive")
 
 
+def _constants(a: float) -> tuple[float, float]:
+    """The regime's best (lower, upper) constants for ``a`` (requires a > -1)."""
+    _check_bound_parameter(a)
+    at0, at1 = endpoint_limits(a)
+    regime = classify_regime(a)
+    if regime is Regime.INCREASING:
+        return at0, at1
+    if regime is Regime.DECREASING:
+        return at1, at0
+    return _floor(a), max(at0, at1)
+
+
 def lower_constant(a: float) -> float:
     """Best lower bound constant for the regime of ``a`` (requires a > -1).
 
@@ -188,31 +200,19 @@ def lower_constant(a: float) -> float:
     2 + sqrt(2)*a (the x -> 1- limit).  Interior minimum: the floor
     8*(1 - 2/a**2) for the minimum value.
     """
-    _check_bound_parameter(a)
-    regime = classify_regime(a)
-    if regime is Regime.INCREASING:
-        return endpoint_limits(a)[0]
-    if regime is Regime.DECREASING:
-        return endpoint_limits(a)[1]
-    return _floor(a)
+    return _constants(a)[0]
 
 
 def upper_constant(a: float) -> float:
     """Best upper bound constant for the regime of ``a`` (requires a > -1)."""
-    _check_bound_parameter(a)
-    regime = classify_regime(a)
-    at0, at1 = endpoint_limits(a)
-    if regime is Regime.INCREASING:
-        return at1
-    if regime is Regime.DECREASING:
-        return at0
-    return max(at0, at1)
+    return _constants(a)[1]
 
 
 def bound_arrays(a: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (lower, upper) bound values at the points ``x``."""
     template = _shape(a, _check_open_unit(x))
-    return lower_constant(a) * template, upper_constant(a) * template
+    c_lower, c_upper = _constants(a)
+    return c_lower * template, c_upper * template
 
 
 def bound_pair(a: float, x: float) -> BoundPair:
@@ -221,12 +221,7 @@ def bound_pair(a: float, x: float) -> BoundPair:
     Guarantees lower < arccos(x) < upper in exact arithmetic; in binary64
     the containment holds up to 4 ulp of arccos(x).
     """
-    lower, upper = bound_arrays(a, x)
-    return BoundPair(
-        x=float(x),
-        lower=float(lower),
-        upper=float(upper),
-        c_lower=lower_constant(a),
-        c_upper=upper_constant(a),
-        a=float(a),
-    )
+    template = _shape(a, _check_open_unit(x))
+    c_lower, c_upper = _constants(a)
+    lower, upper = float(c_lower * template), float(c_upper * template)
+    return BoundPair(x=float(x), lower=lower, upper=upper, c_lower=c_lower, c_upper=c_upper, a=float(a))

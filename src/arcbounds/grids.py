@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,12 +18,6 @@ _EDGE_WIDTH = 1e-3
 # sample, one array of it is 80 MB, and a verification holds several.
 MAX_GRID_POINTS = 10_000_000
 
-# The last grid built, keyed by its spec's repr: specs that compare equal
-# may still build different arrays (a numpy float32 bound gives float32
-# points), while equal reprs build the same one.  One entry: a run moves
-# from grid to grid, and each array kept costs 8 bytes a sample.
-_last_points: tuple[str, np.ndarray | None] = ("", None)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -34,7 +29,9 @@ class GridSpec:
     bound constants is decided; the rest sample the middle uniformly.
     Sub-ulp duplicates near the endpoints are collapsed, so a refined grid
     beyond ~2e5 points holds slightly fewer than ``n`` samples; reports
-    always carry the actual count.
+    always carry the actual count.  The bounds and their width must be
+    finite, and a refined grid of 16 or more points must be wide enough
+    (about 1e-314) that its smallest endpoint offset does not underflow.
     """
 
     lo: float
@@ -45,43 +42,36 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise DomainError("grid requires lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise DomainError("grid requires finite bounds with a finite width hi - lo")
         if self.n < 2:
             raise DomainError("grid requires n >= 2")
         if self.n > MAX_GRID_POINTS:
             raise DomainError(f"grid requires n <= MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         if self.spacing not in ("uniform", "refined"):
             raise DomainError("spacing must be 'uniform' or 'refined'")
+        if self.spacing == "refined" and self.n >= 16 and self._edge() * 1e-9 == 0.0:
+            raise DomainError("refined grid too narrow: its endpoint offsets underflow; use uniform spacing")
+
+    def _edge(self) -> float:
+        return min(_EDGE_WIDTH, 0.25 * (self.hi - self.lo))
 
     def points(self) -> np.ndarray:
         """Strictly increasing sample points, including both endpoints.
 
-        The array is read-only: the last grid built is kept and returned
-        again to every later call for the same spec.
+        Each call builds a new array.  A refined grid is its left zone, its
+        middle and its mirrored right zone laid end to end with repeats
+        dropped: each zone is nondecreasing and ends at or below where the
+        next begins, so no sort is needed.
         """
-        global _last_points
-        key = repr(self)
-        cached_key, pts = _last_points  # one read: another thread may swap the entry
-        if cached_key != key:
-            _last_points, pts = ("", None), None  # drop the old grid before building the new one
-            pts = self._build()
-            pts.flags.writeable = False
-            _last_points = (key, pts)
-        return pts
-
-    def _build(self) -> np.ndarray:
-        if self.spacing == "uniform":
-            return np.linspace(self.lo, self.hi, self.n)
         n_edge = self.n // 4
-        if n_edge < 4:
+        if self.spacing == "uniform" or n_edge < 4:
             return np.linspace(self.lo, self.hi, self.n)
-        width = self.hi - self.lo
-        edge = min(_EDGE_WIDTH, 0.25 * width)
+        edge = self._edge()
         offsets = np.concatenate(([0.0], np.geomspace(edge * 1e-9, edge, n_edge - 1)))
-        left = self.lo + offsets
-        right = self.hi - offsets
-        n_mid = self.n - 2 * n_edge
-        mid = np.linspace(self.lo + edge, self.hi - edge, n_mid + 2)[1:-1]
-        return np.unique(np.concatenate([left, mid, right]))
+        mid = np.linspace(self.lo + edge, self.hi - edge, self.n - 2 * n_edge + 2)[1:-1]
+        pts = np.concatenate([self.lo + offsets, mid, (self.hi - offsets)[::-1]])
+        return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 DEFAULT_GRID = GridSpec(1e-9, 1.0 - 1e-9, 1_000_000, "refined")

@@ -140,7 +140,11 @@ def _pair_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inequality between them is only resolvable outside the sum of their
     spacings (4 ulp each side).
     """
-    return 4.0 * (np.spacing(np.abs(a)) + np.spacing(np.abs(b)))
+    tol = np.spacing(np.abs(a))
+    b_ulp = np.abs(b)
+    tol += np.spacing(b_ulp, out=b_ulp)
+    tol *= 4.0  # in place: the bits of 4.0 * (...) with fewer full-size temporaries
+    return tol
 
 
 def _pointwise_report(claim_id: str, x: np.ndarray, margins: np.ndarray, tol: np.ndarray, notes: str = "") -> VerificationReport:
@@ -210,8 +214,9 @@ def verify_monotonicity(a: float, grid: GridSpec = DEFAULT_GRID) -> Verification
     """Check the regime's monotonicity pattern of forward differences.
 
     Monotone regimes require every difference on the regime's side of
-    -4 ulp; the interior-minimum regime requires exactly one significant
-    sign change, from negative to positive.
+    minus the pair tolerance (4 ulp of each of its two values); the
+    interior-minimum regime requires exactly one sign change beyond that
+    tolerance, from negative to positive.
     """
     return _monotonicity_report(a, _GridTerms(grid))
 
@@ -221,7 +226,7 @@ def _monotonicity_report(a: float, terms: _GridTerms) -> VerificationReport:
     x = terms.x
     v = terms.ratio_at(a)
     d = np.diff(v)
-    tol = 4.0 * np.spacing(np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
+    tol = _pair_tol(v[:-1], v[1:])
     claim_id = f"regime-{regime.value}[a={a:.17g}]"
     if regime is Regime.INCREASING:
         return _pointwise_report(claim_id, x[:-1], d, tol, notes="all forward differences nonnegative")

@@ -160,7 +160,7 @@ class TestBlockCsv:
         # tracing every float the formatter makes costs about 3 s here and 12 s at 200,000.
         n = 50_000
         argv = ["bounds", "--a", "1", "--n", str(n), "--full", "--format", "csv", "--out", os.devnull]
-        assert main(argv) == 0  # warm-up: caches the grid, so it is not counted below
+        assert main(argv) == 0  # warm-up: one-time first-call allocations are not counted below
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -216,6 +216,14 @@ class TestVerify:
         reports = json.loads(out)
         assert len(reports) == 1
         assert reports[0]["passed"] is True
+
+    @pytest.mark.parametrize("n", ["200000", "1000000"])
+    def test_regime_decreasing_passes_on_large_refined_grids(self, capsys, n):
+        # Next to x = 1 - 1e-9 a difference of two ratio values computes to +4.4e-15 where the
+        # true one is negative: each value carries its own few ulp, so the tolerance covers both.
+        code, out, _ = run_cli(capsys, "verify", "--claims", "regime-decreasing", "--n", n, "--format", "csv")
+        assert [r["passed"] for r in csv.DictReader(io.StringIO(out))] == ["true", "true"]
+        assert code == 0
 
     def test_unknown_claim_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--claims", "nope")

@@ -93,3 +93,28 @@ def test_grid_points_sorted_and_bounded(lo, width, n, spacing):
     assert pts[0] == g.lo and pts[-1] == g.hi
     assert np.all(np.diff(pts) > 0.0)
     assert np.all((pts >= g.lo) & (pts <= g.hi))
+
+
+def _sorted_refined_points(g):
+    """The refined grid as np.unique builds it: the three zones sorted and deduplicated."""
+    n_edge = g.n // 4
+    edge = min(1e-3, 0.25 * (g.hi - g.lo))
+    offsets = np.concatenate(([0.0], np.geomspace(edge * 1e-9, edge, n_edge - 1)))
+    mid = np.linspace(g.lo + edge, g.hi - edge, g.n - 2 * n_edge + 2)[1:-1]
+    return np.unique(np.concatenate([g.lo + offsets, mid, g.hi - offsets]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(min_value=-1e3, max_value=1e3),
+    log_width=st.floats(min_value=-300.0, max_value=3.0),
+    n=st.integers(min_value=16, max_value=200_001),
+)
+def test_refined_points_equal_the_sorted_build(lo, log_width, n):
+    hi = lo + 10.0**log_width
+    g = ab.GridSpec(lo, hi if hi > lo else float(np.nextafter(lo, np.inf)), n, "refined")
+    np.testing.assert_array_equal(g.points(), _sorted_refined_points(g))
+
+
+def test_default_grid_equals_the_sorted_build():
+    np.testing.assert_array_equal(ab.DEFAULT_GRID.points(), _sorted_refined_points(ab.DEFAULT_GRID))

@@ -57,6 +57,23 @@ class TestGridSpec:
         pts = GridSpec(0.0, 1.0, 4, "refined").points()
         assert np.allclose(pts, np.linspace(0.0, 1.0, 4))
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)])
+    def test_non_finite_bounds_or_width_rejected(self, lo, hi):
+        with pytest.raises(ab.DomainError, match="finite"):
+            GridSpec(lo, hi, 10)
+
+    def test_refined_grid_too_narrow_for_its_edge_zones_rejected(self):
+        with pytest.raises(ab.DomainError, match="too narrow"):
+            GridSpec(0.0, 1e-315, 100)
+        assert GridSpec(0.0, 1e-315, 100, "uniform").points().size == 100
+        assert GridSpec(0.0, 1e-315, 10).points().size == 10  # too few points for edge zones
+
+    def test_points_is_a_new_array_each_call(self):
+        g = GridSpec(1e-9, 1.0 - 1e-9, 1_000)
+        first = g.points()
+        first[0] = 0.5
+        assert g.points()[0] == g.lo
+
 
 class TestVerifyBounds:
     def test_uniform_passes(self):
