@@ -50,6 +50,7 @@ from .family import (
     arccos_stable,
     bound_ratio,
 )
+from .grids import DEFAULT_GRID
 
 __all__ = [
     "MinimumResult",
@@ -164,8 +165,12 @@ def threshold_gap(x):
     return _scalar_like(x, out)
 
 
-def bisect_sign_change(fn: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-13, max_iter: int = 200) -> tuple[float, int]:
-    """Bisect fn on [lo, hi] down to an interval of width xtol.
+# Cap on bisection steps, far above the ~43 an interval in (0, 1) needs to reach 1e-13.
+_BISECT_MAX_ITER = 200
+
+
+def bisect_sign_change(fn: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-13) -> tuple[float, int]:
+    """Bisect fn on [lo, hi] down to an interval of width xtol, in at most 200 steps.
 
     fn(lo) and fn(hi) must be nonzero and of opposite signs: an end where fn
     rounds to 0 is no evidence of a root there.  Returns the midpoint of the
@@ -177,7 +182,7 @@ def bisect_sign_change(fn: Callable[[float], float], lo: float, hi: float, xtol:
         raise ConvergenceError("no strict sign change on the supplied interval")
     negative_left = flo < 0.0
     iterations = 0
-    while hi - lo > xtol and iterations < max_iter:
+    while hi - lo > xtol and iterations < _BISECT_MAX_ITER:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -248,16 +253,17 @@ def min_value_lower(a: float) -> float:
 _ARGMIN_CHUNK = 1 << 16
 
 
-def grid_argmin(a: float, n: int, lo: float = 1e-9, hi: float = 1.0 - 1e-9, chunk: int = _ARGMIN_CHUNK) -> tuple[float, float]:
-    """Brute-force argmin of the ratio on a uniform n-point grid.
+def grid_argmin(a: float, n: int) -> tuple[float, float]:
+    """Brute-force argmin of the ratio on n uniform points over DEFAULT_GRID's interval.
 
-    Evaluates in chunks to bound memory; ties resolve to the smallest
-    abscissa, so the result is independent of the chunking.
+    Evaluates in chunks of _ARGMIN_CHUNK points to bound memory; ties
+    resolve to the smallest abscissa, so the result is independent of the
+    chunking.
     """
-    return _grid_argmins((a,), n, lo, hi, chunk)[0]
+    return _grid_argmins((a,), n)[0]
 
 
-def _grid_argmins(a_values, n: int, lo: float = 1e-9, hi: float = 1.0 - 1e-9, chunk: int = _ARGMIN_CHUNK) -> list[tuple[float, float]]:
+def _grid_argmins(a_values, n: int) -> list[tuple[float, float]]:
     """``grid_argmin`` for each of ``a_values``, sharing each chunk's sqrt(1+x) and arccos ratio.
 
     Each value is bound_ratio's (a + sqrt(1+x)) * arccos_ratio(x), in that order.
@@ -267,7 +273,8 @@ def _grid_argmins(a_values, n: int, lo: float = 1e-9, hi: float = 1.0 - 1e-9, ch
     for a in a_values:
         _check_finite_parameter(a)
     best = [(math.nan, math.inf)] * len(a_values)
-    step = (hi - lo) / (n - 1)
+    lo, chunk = DEFAULT_GRID.lo, _ARGMIN_CHUNK
+    step = (DEFAULT_GRID.hi - lo) / (n - 1)
     for start in range(0, n, chunk):
         x = _check_open_unit(lo + step * np.arange(start, min(start + chunk, n), dtype=np.float64))
         s = np.sqrt(1.0 + x)

@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import explore, verify
 from .analysis import MinimumResult, find_minimum
 from .errors import DomainError
 from .family import arccos_stable, bound_arrays, bound_ratio, classify_regime
-from .grids import SCAN_GRID, GridSpec
+from .grids import DEFAULT_GRID, SCAN_GRID
 from .sharp import a_star_pair, best_upper, carlson_pair, lambda_lower
 
 __all__ = ["main", "emit_curve"]
@@ -54,7 +54,7 @@ def emit_curve(a: float, n: int, grid: str = "refined") -> tuple[tuple[str, ...]
     Returns the column header and a float array with 11 columns and one row per
     grid sample, in strictly increasing x.
     """
-    x = GridSpec(1e-9, 1.0 - 1e-9, n, grid).points()
+    x = replace(DEFAULT_GRID, n=n, spacing=grid).points()
     cols = np.empty((x.size, len(CURVE_HEADER)))  # filled column by column: no second copy of the table
     cols[:, 0] = x
     cols[:, 1], cols[:, 10] = bound_arrays(a, x)
@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("compare", help="dominance table for the sharp bound candidates")
-    p.add_argument("--n", type=int, default=1_000_000)
+    p.add_argument("--n", type=int, default=DEFAULT_GRID.n)
     p.add_argument("--grid", choices=("uniform", "refined"), default="refined")
     add_common(p)
 
@@ -210,7 +210,7 @@ def _run(args, out) -> int:
         if args.full:
             _emit_array(*emit_curve(args.a, args.n, args.grid), fmt, out)
             return 0
-        x = GridSpec(1e-9, 1.0 - 1e-9, args.n, args.grid).points()
+        x = replace(DEFAULT_GRID, n=args.n, spacing=args.grid).points()
         lower, upper = bound_arrays(args.a, x)
         _emit_array(("x", "lower", "arccos", "upper"), np.column_stack([x, lower, arccos_stable(x), upper]), fmt, out)
         return 0
@@ -233,9 +233,9 @@ def _run(args, out) -> int:
             _emit_rows(("claim_id", "description"), rows, fmt, out)
             return 0
         ids = None if args.claims.strip() == "all" else [t.strip() for t in args.claims.split(",") if t.strip()]
-        grid = None
-        if args.n is not None:
-            grid = GridSpec(1e-9, 1.0 - 1e-9, args.n, args.grid)
+        if ids == []:
+            raise DomainError(f"--claims {args.claims!r} names no claim")  # checking nothing must not read as verified
+        grid = None if args.n is None else replace(DEFAULT_GRID, n=args.n, spacing=args.grid)
         try:
             reports = verify.run_claims(ids, grid=grid, a=args.a)
         except KeyError as exc:
@@ -249,7 +249,7 @@ def _run(args, out) -> int:
         return 0 if all(r.passed for r in reports) else 1
 
     if args.verb == "compare":
-        result = verify.compare_bounds(GridSpec(1e-9, 1.0 - 1e-9, args.n, args.grid))
+        result = verify.compare_bounds(replace(DEFAULT_GRID, n=args.n, spacing=args.grid))
         if fmt == "json":
             out.write(json.dumps(asdict(result), indent=2) + "\n")
         elif fmt == "csv":
@@ -262,7 +262,7 @@ def _run(args, out) -> int:
         return 0 if all(r.passed for r in result.reports) else 1
 
     if args.verb == "scan":
-        grid = GridSpec(1e-6, 1.0 - 1e-6, args.n, args.grid)
+        grid = replace(SCAN_GRID, n=args.n, spacing=args.grid)
         results = explore.scan_grid(*_scan_axes(args.alpha, args.beta, args.gamma), grid)
         if fmt == "json":
             out.write(json.dumps([r.to_dict() for r in results], indent=2) + "\n")

@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -49,12 +49,11 @@ from .family import (
     TWO_SQRT2,
     Regime,
     _check_bound_parameter,
+    _constants,
     _floor,
     bound_ratio,
     classify_regime,
     endpoint_limits,
-    lower_constant,
-    upper_constant,
 )
 from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec, _GridTerms
 from .sharp import (
@@ -190,12 +189,12 @@ def verify_bounds(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport
 def _bounds_report(a: float, terms: _GridTerms) -> VerificationReport:
     acx = terms.arccos
     template = terms.shape(a)
-    lower, upper = lower_constant(a) * template, upper_constant(a) * template
-    margins = np.minimum(acx - lower, upper - acx)
+    c_lower, c_upper = _constants(a)
+    margins = np.minimum(acx - c_lower * template, c_upper * template - acx)
     regime = classify_regime(a).value
     return _pointwise_report(
         f"family-bracket[a={a:.17g}]", terms.x, margins, terms.arccos_tol,
-        notes=f"regime={regime}; constants=({lower_constant(a):.9g}, {upper_constant(a):.9g})",
+        notes=f"regime={regime}; constants=({c_lower:.9g}, {c_upper:.9g})",
     )
 
 
@@ -249,28 +248,23 @@ def _monotonicity_report(a: float, terms: _GridTerms) -> VerificationReport:
     return VerificationReport(claim_id, ok, int(d.size), margin, change_cell, notes)
 
 
-def verify_limits_and_sharpness(
-    a: float,
-    eps_list: Sequence[float] = DEFAULT_EPS_LIST,
-    grid: GridSpec = DEFAULT_GRID,
-) -> VerificationReport:
+def verify_limits_and_sharpness(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
     """Confirm the endpoint limits and that grid extrema attain the constants.
 
     The ratio must approach pi*(1+a)/2 at x -> 0+ and 2 + sqrt(2)*a at
-    x -> 1-, with residuals shrinking through ``eps_list`` (monotone up to
-    float noise) and below 1e-7*scale at the smallest eps, where scale =
-    max(1, |limits|).  Grid extrema must land within 1e-5*scale of the
-    constants the regime says are attained; in the interior-minimum regime
-    the infimum is the located minimum value instead of an endpoint constant.
+    x -> 1-.  Its residuals at the fixed endpoint distances DEFAULT_EPS_LIST
+    (1e-4 down to 1e-12) must shrink (monotone up to float noise) and end
+    below 1e-7*scale, where scale = max(1, |limits|).  Grid extrema must
+    land within 1e-5*scale of the regime's constants (family._constants);
+    in the interior-minimum regime the infimum is the located minimum value
+    instead of the floor constant.
     """
-    return _limits_report(a, _GridTerms(grid), eps_list)
+    return _limits_report(a, _GridTerms(grid))
 
 
-def _limits_report(a: float, terms: _GridTerms, eps_list: Sequence[float] = DEFAULT_EPS_LIST) -> VerificationReport:
-    _check_bound_parameter(a)
-    eps = list(eps_list)
-    if len(eps) < 2 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ValueError("eps_list must decrease toward 0")
+def _limits_report(a: float, terms: _GridTerms) -> VerificationReport:
+    c_lower, c_upper = _constants(a)
+    eps = DEFAULT_EPS_LIST
     at0, at1 = endpoint_limits(a)
     r0 = [abs(bound_ratio(a, e) - at0) for e in eps]
     r1 = [abs(bound_ratio(a, 1.0 - e) - at1) for e in eps]
@@ -289,17 +283,16 @@ def _limits_report(a: float, terms: _GridTerms, eps_list: Sequence[float] = DEFA
     vmax_i = int(np.argmax(v))
     vmin, vmax = float(v[vmin_i]), float(v[vmax_i])
     regime = classify_regime(a)
-    if regime is Regime.INCREASING:
-        checks.append((attained_tol - abs(vmin - at0), float(x[vmin_i]), "infimum attains left constant"))
-        checks.append((attained_tol - abs(vmax - at1), float(x[vmax_i]), "supremum attains right constant"))
-    elif regime is Regime.DECREASING:
-        checks.append((attained_tol - abs(vmin - at1), float(x[vmin_i]), "infimum attains right constant"))
-        checks.append((attained_tol - abs(vmax - at0), float(x[vmax_i]), "supremum attains left constant"))
-    else:
+    if regime is Regime.INTERIOR_MINIMUM:
         f_min = find_minimum(a).f_min
-        checks.append((attained_tol - abs(vmax - max(at0, at1)), float(x[vmax_i]), "supremum attains larger endpoint constant"))
+        checks.append((attained_tol - abs(vmax - c_upper), float(x[vmax_i]), "supremum attains larger endpoint constant"))
         checks.append((attained_tol - abs(vmin - f_min), float(x[vmin_i]), "infimum attains interior minimum"))
         checks.append((vmin - f_min + 4.0 * float(np.spacing(abs(f_min))), float(x[vmin_i]), "grid infimum above true minimum"))
+    else:
+        # an increasing ratio attains its lower constant on the left, a decreasing one on the right
+        low_side, high_side = ("left", "right") if regime is Regime.INCREASING else ("right", "left")
+        checks.append((attained_tol - abs(vmin - c_lower), float(x[vmin_i]), f"infimum attains {low_side} constant"))
+        checks.append((attained_tol - abs(vmax - c_upper), float(x[vmax_i]), f"supremum attains {high_side} constant"))
     samples = len(eps) * 2 + x.size
     return _composite_report(
         f"endpoint-constants[a={a:.17g}]", checks, samples,
@@ -410,9 +403,7 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
 
 
 def _scaled_grid(grid: GridSpec | None, n: int) -> GridSpec:
-    if grid is not None:
-        return grid
-    return GridSpec(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n, "refined")
+    return replace(DEFAULT_GRID, n=n) if grid is None else grid
 
 
 def _sweep(check: Callable[[float, _GridTerms], VerificationReport], values: Sequence[float], n: int) -> Runner:
@@ -534,7 +525,7 @@ def _claim_aux_roots(grid: GridSpec | None, a: float | None) -> list[Verificatio
     checks.append((1e-10 - float(res_lo[j]), float(xs[j]), "low root annihilates the quadratic"))
     # Near the endpoints of a refined grid neighbouring roots differ by less
     # than an ulp, so the claim keeps uniform spacing; an override sets n only.
-    g = GridSpec(DEFAULT_GRID.lo, DEFAULT_GRID.hi, 10_000 if grid is None else grid.n, "uniform")
+    g = replace(DEFAULT_GRID, n=10_000 if grid is None else grid.n, spacing="uniform")
     x = g.points()
     lo_g, hi_g = slope_quadratic_roots(x)
     checks.append((float(np.min(np.diff(lo_g))), float(x[0]), "low root strictly increasing"))
@@ -569,11 +560,8 @@ def _claim_sharp_dominance(grid: GridSpec | None, a: float | None) -> list[Verif
 
 
 def _claim_gain_maximizer(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    if grid is None:
-        xs = GridSpec(1e-9, 1.0 - 1e-9, 100, "refined").points()
-    else:
-        pts = grid.points()
-        xs = pts[:: max(1, pts.size // 100)][:100]
+    pts = _scaled_grid(grid, 100).points()
+    xs = pts[:: max(1, pts.size // 100)][:100]  # the 100-point default is its own subsample
     avals = np.linspace(A_STAR, TWO_SQRT2, 10_002)[1:-1]
     gains = lower_gain(avals[None, :], xs[:, None])
     grid_max = np.max(gains, axis=1)
@@ -601,7 +589,7 @@ def _claim_scan_slice(grid: GridSpec | None, a: float | None) -> list[Verificati
     }
     # The scanner needs a uniform grid (see classify_family); an override
     # sets n only.
-    g = SCAN_GRID if grid is None else GridSpec(SCAN_GRID.lo, SCAN_GRID.hi, grid.n, "uniform")
+    g = SCAN_GRID if grid is None else replace(SCAN_GRID, n=grid.n)
     checks: list[tuple[float, float, str]] = []
     for gamma in gammas:
         expected = mapping[classify_regime(gamma)]

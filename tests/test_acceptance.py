@@ -4,7 +4,9 @@ Criterion 4 checks the regime map at {2.3, 2.5, 2.7, 2.75, 2.8}.  The
 threshold 2*(pi-2)/(4-pi) = 2.6598 is recomputed here rather than read
 from the package, so a wrong ``A_STAR`` shows up as a failure: at 2.3 and
 2.5 the ratio is strictly increasing and has no interior minimum, while
-2.7, 2.75 and 2.8 lie inside (A*, 2*sqrt(2)) and have exactly one.
+2.7, 2.75 and 2.8 lie inside (A*, 2*sqrt(2)) and have exactly one.  The
+regime map is also asserted at both thresholds and at their neighbouring
+doubles inside the interval, so a threshold set too low or too high fails.
 """
 
 import json
@@ -106,6 +108,21 @@ def test_criterion_4_monotone_regimes():
     _line("criterion 4 (monotone sets)", ok, "increasing at {-3, 0, 2, A*}, decreasing at {2*sqrt2, 4}")
     for r in incr + decr:
         assert r.passed, r
+
+
+def test_criterion_4_regime_boundaries():
+    # each threshold and its binary64 neighbour on the interior side: a package
+    # threshold off by even one ulp, in either direction, moves one of the four
+    cases = [
+        (A_STAR_REF, "Increasing"),
+        (math.nextafter(A_STAR_REF, 3.0), "InteriorMinimum"),
+        (math.nextafter(TWO_SQRT2_REF, 0.0), "InteriorMinimum"),
+        (TWO_SQRT2_REF, "Decreasing"),
+    ]
+    got = [ab.classify_regime(a).value for a, _ in cases]
+    ok = got == [regime for _, regime in cases]
+    _line("criterion 4 (regime boundaries)", ok, ", ".join(f"{a!r}: {g}" for (a, _), g in zip(cases, got)))
+    assert ok, list(zip(cases, got))
 
 
 @pytest.mark.parametrize("a", CRITERION_4_A)

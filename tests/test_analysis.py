@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 import arcbounds as ab
+from arcbounds import analysis
 from arcbounds.analysis import _q, bisect_sign_change
 from arcbounds.errors import ConvergenceError, DomainError, RegimeError
 from arcbounds.family import _floor
@@ -288,10 +289,11 @@ def test_factor_identities_hold_exactly():
 
 
 class TestGridArgmin:
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         a = 2.7
         ref = ab.grid_argmin(a, 100_001)
-        alt = ab.grid_argmin(a, 100_001, chunk=7_777)
+        monkeypatch.setattr(analysis, "_ARGMIN_CHUNK", 7_777)
+        alt = ab.grid_argmin(a, 100_001)
         assert ref == alt
 
     def test_matches_direct_numpy(self):

@@ -373,6 +373,8 @@ BAD_INPUTS = [
     (("verify", "--claims", "regime-decreasing", "--a", "2.5"), "'regime-decreasing' covers the Decreasing regime only; a=2.5 is Increasing"),
     (("verify", "--claims", "regime-increasing", "--a", "4"), "'regime-increasing' covers the Increasing regime only; a=4 is Decreasing"),
     (("verify", "--n", "1"), "n >= 2"),
+    (("verify", "--claims", ""), "names no claim"),
+    (("verify", "--claims", " , "), "names no claim"),
     (("bounds", "--a", "0", "--n", "1"), "n >= 2"),
     (("bounds", "--a", "0", "--n", "1", "--full"), "n >= 2"),
     (("compare", "--n", "1"), "n >= 2"),

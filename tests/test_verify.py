@@ -141,10 +141,6 @@ class TestVerifyLimits:
         rep = verify_limits_and_sharpness(2.75, grid=SMALL)
         assert rep.passed
 
-    def test_eps_list_must_decrease(self):
-        with pytest.raises(ValueError):
-            verify_limits_and_sharpness(0.0, eps_list=[1e-6, 1e-4], grid=SMALL)
-
 
 class TestCompareBounds:
     def test_dominance_and_crossover(self):
