@@ -70,8 +70,6 @@ from .verify import (
     VerificationReport,
     claim_ids,
     compare_bounds,
-    reports_to_csv,
-    reports_to_json,
     run_claims,
     verify_bounds,
     verify_floor,

@@ -148,17 +148,24 @@ def _floor(a: float) -> float:
 def bound_ratio(a: float, x):
     """Evaluate the family ratio (a + sqrt(1+x)) * arccos(x) / sqrt(1-x).
 
-    Finite for every finite a; x must lie in (0, 1).
+    x must lie in (0, 1), and a where ``endpoint_limits`` is finite, which keeps the ratio finite.
     """
-    _check_finite_parameter(a)
+    endpoint_limits(a)
     arr = _check_open_unit(x)
     out = (a + np.sqrt(1.0 + arr)) * arccos_ratio(arr)
     return _scalar_like(x, out)
 
 
 def endpoint_limits(a: float) -> tuple[float, float]:
-    """Limits of the ratio at the two endpoints: (pi*(1+a)/2, 2 + sqrt(2)*a)."""
-    return (PI * (1.0 + a) / 2.0, 2.0 + SQRT2 * a)
+    """Limits of the ratio at the two endpoints: (pi*(1+a)/2, 2 + sqrt(2)*a).
+
+    Raises DomainError for a non-finite a and where a limit overflows (|a| above about 5.72e307).
+    """
+    _check_finite_parameter(a)
+    at0, at1 = PI * (1.0 + a) / 2.0, 2.0 + SQRT2 * a
+    if not (math.isfinite(at0) and math.isfinite(at1)):
+        raise DomainError(f"endpoint limit pi*(1+a)/2 overflows for a this far from 0 (a={a:.17g})")
+    return at0, at1
 
 
 def classify_regime(a: float) -> Regime:

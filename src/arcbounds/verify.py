@@ -17,11 +17,8 @@ only arithmetic on those arrays and its reductions.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,7 +38,7 @@ from .analysis import (
     slope_threshold,
     threshold_gap,
 )
-from .errors import RegimeError
+from .errors import DomainError, RegimeError
 from .family import (
     A_STAR,
     PI,
@@ -80,8 +77,6 @@ __all__ = [
     "run_claims",
     "claim_ids",
     "REPORT_HEADER",
-    "reports_to_json",
-    "reports_to_csv",
 ]
 
 DEFAULT_EPS_LIST = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
@@ -109,9 +104,6 @@ class VerificationReport:
     worst_margin: float
     worst_x: float
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 REPORT_HEADER = tuple(f.name for f in fields(VerificationReport))
@@ -650,8 +642,9 @@ def run_claims(
     ``grid`` overrides each claim's default grid; ``a`` narrows the
     parameterized claims to a single shape parameter.  With ``a`` and no
     ids, only the claims that admit ``a`` run: those without a regime and
-    those whose regime is the regime of ``a``.  Raises RegimeError, before
-    any claim runs, if ``a`` lies outside a named claim's regime.
+    those whose regime is the regime of ``a``.  Raises, before any claim
+    runs, DomainError if ``ids`` is empty or names an unknown claim, and
+    RegimeError if ``a`` lies outside a named claim's regime.
     """
     if ids is None:
         selected = list(CLAIMS)
@@ -663,10 +656,12 @@ def run_claims(
         for cid in ids:
             key = _ALIASES.get(cid, cid)
             if key not in _CLAIM_INDEX:
-                raise KeyError(f"unknown claim id: {cid!r}")
+                raise DomainError(f"unknown claim id: {cid!r}")
             claim = _CLAIM_INDEX[key]
             if claim not in selected:
                 selected.append(claim)
+        if not selected:
+            raise DomainError("the claim id list names no claim")  # checking nothing must not read as verified
     for claim in selected:
         if a is not None and claim.regime is not None and classify_regime(a) is not claim.regime:
             raise RegimeError(f"claim {claim.claim_id!r} covers the {claim.regime.value} regime only; a={a:.17g} is {classify_regime(a).value}")
@@ -675,17 +670,3 @@ def run_claims(
         reports.extend(claim.runner(grid, a))
     return reports
 
-
-def reports_to_json(reports: Sequence[VerificationReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
-def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_HEADER)
-    writer.writerows(
-        (r.claim_id, str(r.passed).lower(), r.samples, f"{r.worst_margin:.17g}", f"{r.worst_x:.17g}", r.notes)
-        for r in reports
-    )
-    return buf.getvalue()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,63 @@ def test_factor_identities_hold_exactly():
         lo, hi = -8 / (s + r), (s + r) / 2
         assert (lo + hi, lo * hi) == (s, -4)
         assert _q(lo, s) == _q(hi, s) == 0
+
+
+@dataclass(frozen=True)
+class QSqrt2:
+    """p + r*sqrt(2) with rational p and r: exact arithmetic in Q(sqrt(2))."""
+
+    p: Fraction
+    r: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(v) -> "QSqrt2":
+        return v if isinstance(v, QSqrt2) else QSqrt2(Fraction(v))
+
+    def __sub__(self, other):
+        o = QSqrt2.of(other)
+        return QSqrt2(self.p - o.p, self.r - o.r)
+
+    def __mul__(self, other):
+        o = QSqrt2.of(other)
+        return QSqrt2(self.p * o.p + 2 * self.r * o.r, self.p * o.r + self.r * o.p)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return QSqrt2(-self.p, -self.r)
+
+    def sign(self) -> int:
+        """Exact sign: compare p**2 with 2*r**2 when p and r differ in sign (sqrt(2) is irrational)."""
+        sp, sr = (self.p > 0) - (self.p < 0), (self.r > 0) - (self.r < 0)
+        if sp * sr >= 0:  # one sign, or a zero part
+            return sp or sr
+        return sp if self.p * self.p > 2 * self.r * self.r else sr
+
+
+def test_quadratic_sign_regimes_hold_exactly():
+    """The quadratic half of aux-sign-regimes, proved for the six claimed a.
+
+    q(a, s) is linear in s, so its sign on s in (1, sqrt(2)) follows from its
+    two ends: a q that is >= 0 at both ends and > 0 at one is > 0 inside
+    (and mirrored for < 0).  The ends are evaluated in Q(sqrt(2)) with the
+    package's own ``_q``.
+    """
+    root2 = QSqrt2(Fraction(0), Fraction(1))
+    one = QSqrt2(Fraction(1))
+    assert [(one - root2).sign(), (QSqrt2(Fraction(3)) - 2 * root2).sign()] == [-1, 1]
+    for sign, values in ((1, (2 * root2, QSqrt2(Fraction(3)))), (-1, (-root2, QSqrt2(Fraction(0)), one, QSqrt2(Fraction(2.56))))):
+        for a in values:
+            ends = [sign * _q(a, s).sign() for s in (one, root2)]
+            assert min(ends) >= 0 and max(ends) == 1, (a, ends)
+    # q vanishes at s = sqrt(2) for a = 2*sqrt(2) and a = -sqrt(2).  The binary64
+    # TWO_SQRT2 lies above 2*sqrt(2) and keeps q positive there, but -math.sqrt(2)
+    # lies below -sqrt(2) and makes q positive at s = sqrt(2), against the
+    # claimed negative sign; the sampled claim stops at x = 1 - 1e-9.
+    assert _q(2 * root2, root2).sign() == _q(-root2, root2).sign() == 0
+    assert _q(QSqrt2(Fraction(ab.TWO_SQRT2)), root2).sign() == 1
+    assert _q(QSqrt2(Fraction(-SQRT2)), root2).sign() == 1
+    assert _q(QSqrt2(Fraction(-SQRT2)), one).sign() == -1
 
 
 class TestGridArgmin:

@@ -375,6 +375,7 @@ BAD_INPUTS = [
     (("verify", "--n", "1"), "n >= 2"),
     (("verify", "--claims", ""), "names no claim"),
     (("verify", "--claims", " , "), "names no claim"),
+    (("verify", "--claims", "nope"), "error: unknown claim id: 'nope'"),
     (("bounds", "--a", "0", "--n", "1"), "n >= 2"),
     (("bounds", "--a", "0", "--n", "1", "--full"), "n >= 2"),
     (("compare", "--n", "1"), "n >= 2"),
@@ -393,6 +394,9 @@ BAD_INPUTS = [
     (("scan", "--alpha", "inf", "--beta", "0.5", "--gamma", "1"), "non-finite"),
     (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", ","), "no values"),
     (("verify", "--claims", "midregime-floor", "--a", "1e-154", "--n", "2001"), "overflows"),
+    (("bounds", "--a", "6e307", "--n", "3"), "endpoint limit pi*(1+a)/2 overflows"),
+    (("verify", "--claims", "endpoint-constants", "--a", "6e307", "--n", "101"), "endpoint limit pi*(1+a)/2 overflows"),
+    (("eval", "--a", "1.7e308", "--x", "0.5"), "endpoint limit pi*(1+a)/2 overflows"),
 ]
 # One past each size cap; test_size_caps_reject_before_allocating checks that
 # nothing is sampled or expanded first.

@@ -208,8 +208,25 @@ class TestBoundPair:
         with pytest.raises(DomainError):
             ab.bound_pair(0.0, 1.0)
 
+    def test_overflowing_endpoint_limit_rejected(self):
+        # pi*(1+a)/2 overflows above a ~ 5.72e307; the upper bound was inf
+        with pytest.raises(DomainError, match="overflows"):
+            ab.bound_pair(6e307, 0.5)
+        bp = ab.bound_pair(5e307, 0.5)
+        assert math.isfinite(bp.c_upper) and bp.lower < ab.arccos_stable(0.5) < bp.upper
+
 
 def test_endpoint_limits():
     at0, at1 = ab.endpoint_limits(ab.TWO_SQRT2)
     assert at0 == pytest.approx(6.013679264953263, rel=1e-14)
     assert at1 == pytest.approx(6.0, rel=1e-15)
+
+
+def test_endpoint_limits_overflow_is_a_domain_error():
+    for a in (6e307, -6e307, 1.7e308):
+        for fn in (ab.endpoint_limits, lambda a: ab.bound_ratio(a, 0.5)):
+            with pytest.raises(DomainError, match="overflows"):
+                fn(a)
+    with pytest.raises(DomainError, match="shape parameter must be finite"):
+        ab.endpoint_limits(math.inf)
+    assert ab.classify_regime(1.7e308) is ab.Regime.DECREASING

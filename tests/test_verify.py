@@ -2,18 +2,20 @@ import csv
 import io
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import arcbounds as ab
+from arcbounds.cli import _emit_rows
+from arcbounds.errors import DomainError
 from arcbounds.grids import GridSpec
 from arcbounds.verify import (
     CLAIMS,
+    REPORT_HEADER,
     claim_ids,
     compare_bounds,
-    reports_to_csv,
-    reports_to_json,
     run_claims,
     verify_bounds,
     verify_limits_and_sharpness,
@@ -22,6 +24,13 @@ from arcbounds.verify import (
 
 SMALL = GridSpec(1e-9, 1.0 - 1e-9, 20_001, "refined")
 SMALL_UNIFORM = GridSpec(1e-9, 1.0 - 1e-9, 20_001, "uniform")
+
+
+def write_reports(reports, fmt: str) -> str:
+    """Reports as the CLI writes them: REPORT_HEADER rows through ``cli._emit_rows``."""
+    buf = io.StringIO()
+    _emit_rows(REPORT_HEADER, map(astuple, reports), fmt, buf)
+    return buf.getvalue()
 
 
 class TestGridSpec:
@@ -168,8 +177,14 @@ class TestRegistry:
         assert "family-bracket" in ids and "sharp-dominance" in ids
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainError, match="unknown claim id: 'no-such-claim'"):
             run_claims(["no-such-claim"])
+
+    def test_empty_id_list_rejected(self):
+        # a run that checks nothing must not read as verified
+        for ids in ([], (), iter([])):
+            with pytest.raises(DomainError, match="names no claim"):
+                run_claims(ids)
 
     def test_parameter_filter(self):
         reports = run_claims(["family-bracket"], grid=SMALL, a=0.0)
@@ -183,8 +198,8 @@ class TestRegistry:
 
     def test_determinism(self):
         ids = ["classic-lower", "sharp-dominance"]
-        first = reports_to_json(run_claims(ids, grid=SMALL))
-        second = reports_to_json(run_claims(ids, grid=SMALL))
+        first = write_reports(run_claims(ids, grid=SMALL), "json")
+        second = write_reports(run_claims(ids, grid=SMALL), "json")
         assert first == second
 
     def test_refined_finds_margins_at_least_as_small_as_uniform(self):
@@ -209,7 +224,7 @@ class TestRegistry:
 class TestSerialization:
     def test_json_round_trip(self):
         reports = run_claims(["classic-lower"], grid=SMALL)
-        parsed = json.loads(reports_to_json(reports))
+        parsed = json.loads(write_reports(reports, "json"))
         assert len(parsed) == len(reports)
         for obj, rep in zip(parsed, reports):
             assert obj["claim_id"] == rep.claim_id
@@ -220,7 +235,7 @@ class TestSerialization:
 
     def test_csv_round_trip(self):
         reports = run_claims(["classic-lower", "gain-maximizer"], grid=SMALL)
-        text = reports_to_csv(reports)
+        text = write_reports(reports, "csv")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == len(reports)
         for row, rep in zip(rows, reports):
@@ -234,13 +249,13 @@ class TestSerialization:
             ab.VerificationReport("plain", True, 2, 0.5, 0.25, "no comma"),
             ab.VerificationReport("quoted", False, 2, -0.5, 0.75, 'a, "b"'),
         ]
-        assert reports_to_csv(reports).splitlines()[1:] == [
+        assert write_reports(reports, "csv").splitlines()[1:] == [
             "plain,true,2,0.5,0.25,no comma",
             'quoted,false,2,-0.5,0.75,"a, ""b"""',
         ]
 
     def test_csv_uses_lf_only(self):
-        text = reports_to_csv(run_claims(["classic-lower"], grid=SMALL))
+        text = write_reports(run_claims(["classic-lower"], grid=SMALL), "csv")
         assert "\r" not in text
         assert text.endswith("\n")
 
