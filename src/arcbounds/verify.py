@@ -86,6 +86,11 @@ FLOOR_A_VALUES = (2.3, 2.5, 2.7, 2.75, 2.8)
 INCREASING_A_VALUES = (-3.0, 0.0, 2.0, A_STAR)
 DECREASING_A_VALUES = (TWO_SQRT2, 4.0)
 INTERIOR_A_VALUES = (2.7, 2.75, 2.8)
+MINIMUM_A_VALUES = tuple(float(v) for v in np.linspace(A_STAR, TWO_SQRT2, 22)[1:-1])
+# aux-sign-regimes' one-signed slope quadratic.  The binary64 -SQRT2 lies below -sqrt(2), where the
+# quadratic turns positive next to x = 1, so the claim takes the next double toward 0.
+QUADRATIC_POSITIVE_A_VALUES = (TWO_SQRT2, 3.0)
+QUADRATIC_NEGATIVE_A_VALUES = (math.nextafter(-SQRT2, 0.0), 0.0, 1.0, 2.56)
 
 
 @dataclass(frozen=True)
@@ -118,10 +123,6 @@ class ComparisonResult:
     crossovers: tuple[float, ...]
     lower_argmax_counts: dict[str, int]
     upper_argmin_counts: dict[str, int]
-
-
-# A claim runner: (grid override, parameter override) -> reports.
-Runner = Callable[[GridSpec | None, float | None], list[VerificationReport]]
 
 
 def _pair_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -394,25 +395,17 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
 # Claim registry
 
 
-def _scaled_grid(grid: GridSpec | None, n: int) -> GridSpec:
-    return replace(DEFAULT_GRID, n=n) if grid is None else grid
+def _each_a(report: Callable[[float, _GridTerms], VerificationReport]) -> Callable[..., list[VerificationReport]]:
+    """Check calling ``report(a, terms)`` for each value; the grid's terms are evaluated once and shared."""
+    def check(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+        terms = _GridTerms(grid)
+        return [report(a, terms) for a in values]
+
+    return check
 
 
-def _sweep(check: Callable[[float, _GridTerms], VerificationReport], values: Sequence[float], n: int) -> Runner:
-    """Runner calling ``check(a, terms)`` for each of ``values``, or for ``a`` alone, on an n-point default grid.
-
-    The grid's terms are evaluated once per run and shared by every ``a``.
-    """
-
-    def runner(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-        terms = _GridTerms(_scaled_grid(grid, n))
-        return [check(av, terms) for av in (values if a is None else (a,))]
-
-    return runner
-
-
-def _claim_classic(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    terms = _GridTerms(_scaled_grid(grid, 1_000_000))
+def _claim_classic(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+    terms = _GridTerms(grid)
     x, acx, tol = terms.x, terms.arccos, terms.arccos_tol
     lower, upper = carlson_pair(x)
     return [
@@ -462,8 +455,7 @@ def _interior_report(a: float, terms: _GridTerms) -> VerificationReport:
     )
 
 
-def _claim_minimum_floor(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    values = [float(v) for v in ((a,) if a is not None else np.linspace(A_STAR, TWO_SQRT2, 22)[1:-1])]
+def _claim_minimum_floor(values: Sequence[float], grid: None) -> list[VerificationReport]:
     labels = ("residual", "floor", "below endpoint limits", "brute-force x0", "brute-force value")
     checks: list[tuple[float, float, str]] = []
     for av, brute in zip(values, _grid_argmins(values, BRUTE_FORCE_N)):
@@ -477,7 +469,7 @@ def _claim_minimum_floor(grid: GridSpec | None, a: float | None) -> list[Verific
     ]
 
 
-def _claim_aux_slope_limits(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
+def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
     checks: list[tuple[float, float, str]] = []
     for av in (0.0, 1.0, 3.0):
         dev = abs(slope_factor(av, 1e-10) - slope_factor_limit0(av))
@@ -485,8 +477,7 @@ def _claim_aux_slope_limits(grid: GridSpec | None, a: float | None) -> list[Veri
     checks.append((1e-5 - abs(slope_threshold(1e-10) - 8.0 / PI), 1e-10, "threshold left endpoint 8/pi"))
     checks.append((1e-5 - abs(slope_threshold(1.0 - 1e-10) - TWO_SQRT2), 1.0 - 1e-10, "threshold right endpoint 2*sqrt(2)"))
     checks.append((1e-5 - abs(threshold_gap(1.0 - 1e-10)), 1.0 - 1e-10, "threshold gap vanishes at 1"))
-    g = _scaled_grid(grid, 100_000)
-    x = g.points()
+    x = grid.points()
     p = slope_threshold(x)
     r = threshold_gap(x)
     tol_p = 4.0 * float(np.max(np.spacing(p)))
@@ -499,7 +490,7 @@ def _claim_aux_slope_limits(grid: GridSpec | None, a: float | None) -> list[Veri
     return [_composite_report("aux-slope-limits", checks, 6 + 2 * x.size, notes="derivative-apparatus limits and shapes")]
 
 
-def _claim_aux_roots(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
+def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
     checks: list[tuple[float, float, str]] = []
     lo0, hi0 = slope_quadratic_roots(1e-10)
     lo1, hi1 = slope_quadratic_roots(1.0 - 1e-10)
@@ -515,29 +506,25 @@ def _claim_aux_roots(grid: GridSpec | None, a: float | None) -> list[Verificatio
     checks.append((1e-10 - float(res_hi[i]), float(xs[i]), "high root annihilates the quadratic"))
     j = int(np.argmax(res_lo))
     checks.append((1e-10 - float(res_lo[j]), float(xs[j]), "low root annihilates the quadratic"))
-    # Near the endpoints of a refined grid neighbouring roots differ by less
-    # than an ulp, so the claim keeps uniform spacing; an override sets n only.
-    g = replace(DEFAULT_GRID, n=10_000 if grid is None else grid.n, spacing="uniform")
-    x = g.points()
+    x = grid.points()
     lo_g, hi_g = slope_quadratic_roots(x)
     checks.append((float(np.min(np.diff(lo_g))), float(x[0]), "low root strictly increasing"))
     checks.append((float(np.min(np.diff(hi_g))), float(x[0]), "high root strictly increasing"))
     return [_composite_report("aux-quadratic-roots", checks, 204 + 2 * x.size, notes="roots of the slope quadratic")]
 
 
-def _claim_aux_sign_regimes(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    g = _scaled_grid(grid, 100_000)
-    x = g.points()
+def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+    x = grid.points()
     s = np.sqrt(1.0 + x)
     checks: list[tuple[float, float, str]] = []
     # sign * value must stay above -tol; its argmin is the tightest sample
-    for sign, what, values in ((1.0, "positive", (TWO_SQRT2, 3.0)), (-1.0, "negative", (-SQRT2, 0.0, 1.0, 2.56))):
-        for av in values:
+    for sign, what, avals in ((1.0, "positive", QUADRATIC_POSITIVE_A_VALUES), (-1.0, "negative", QUADRATIC_NEGATIVE_A_VALUES)):
+        for av in avals:
             h = sign * slope_quadratic(av, x)
             i = int(np.argmin(h))
             checks.append((float(h[i]) + 4.0 * float(np.spacing(av * av * SQRT2 + 4.0 * SQRT2)), float(x[i]), f"quadratic {what} at a={av:.6g}"))
-    for sign, what, values in ((1.0, "positive", (0.0, 2.0, 8.0 / PI)), (-1.0, "negative", (TWO_SQRT2, 4.0))):
-        for av in values:
+    for sign, what, avals in ((1.0, "positive", (0.0, 2.0, 8.0 / PI)), (-1.0, "negative", (TWO_SQRT2, 4.0))):
+        for av in avals:
             q = sign * slope_term(av, x)
             scale = (abs(av) * s + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + s)
             tol = 4.0 * np.spacing(scale)
@@ -546,13 +533,8 @@ def _claim_aux_sign_regimes(grid: GridSpec | None, a: float | None) -> list[Veri
     return [_composite_report("aux-sign-regimes", checks, 11 * x.size, notes="one-signedness of the quadratic and the slope term")]
 
 
-def _claim_sharp_dominance(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    g = _scaled_grid(grid, 1_000_000)
-    return list(compare_bounds(g).reports)
-
-
-def _claim_gain_maximizer(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
-    pts = _scaled_grid(grid, 100).points()
+def _claim_gain_maximizer(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+    pts = grid.points()
     xs = pts[:: max(1, pts.size // 100)][:100]  # the 100-point default is its own subsample
     avals = np.linspace(A_STAR, TWO_SQRT2, 10_002)[1:-1]
     gains = lower_gain(avals[None, :], xs[:, None])
@@ -570,7 +552,7 @@ def _claim_gain_maximizer(grid: GridSpec | None, a: float | None) -> list[Verifi
     return [_composite_report("gain-maximizer", checks, int(gains.size), notes="pointwise optimality of the gain maximizer")]
 
 
-def _claim_scan_slice(grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
+def _claim_scan_slice(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
     base = [float(v) for v in np.linspace(-0.9, 4.0, 46)]
     stress = [A_STAR - 2e-3, A_STAR + 2e-3, TWO_SQRT2 - 2e-3, TWO_SQRT2 + 2e-3]
     gammas = sorted(base + stress)
@@ -579,19 +561,16 @@ def _claim_scan_slice(grid: GridSpec | None, a: float | None) -> list[Verificati
         Regime.DECREASING: explore.Verdict.DECREASING,
         Regime.INTERIOR_MINIMUM: explore.Verdict.NON_MONOTONE,
     }
-    # The scanner needs a uniform grid (see classify_family); an override
-    # sets n only.
-    g = SCAN_GRID if grid is None else replace(SCAN_GRID, n=grid.n)
     checks: list[tuple[float, float, str]] = []
     for gamma in gammas:
         expected = mapping[classify_regime(gamma)]
-        result = explore.classify_family(0.5, 0.5, gamma, g)
+        result = explore.classify_family(0.5, 0.5, gamma, grid)
         agree = result.verdict is expected
         margin = result.margin if agree else -max(result.margin, 1.0)
         checks.append((margin, gamma, f"gamma={gamma:.6g}: {result.verdict.value} vs {expected.value}"))
     return [
         _composite_report(
-            "scan-slice", checks, len(gammas) * g.n,
+            "scan-slice", checks, len(gammas) * grid.n,
             notes="generalized-family slice at (1/2, 1/2, gamma) agrees with the regime map; worst_x is gamma",
         )
     ]
@@ -599,32 +578,48 @@ def _claim_scan_slice(grid: GridSpec | None, a: float | None) -> list[Verificati
 
 @dataclass(frozen=True)
 class Claim:
+    """One registry row: ``check(values, grid)``, its default grid and the shape parameters it sweeps.
+
+    ``runner(grid, a)``: a caller's grid replaces ``grid``, but a uniform ``grid`` keeps its spacing and
+    takes only the caller's n, and a None ``grid`` samples none.  A given ``a`` replaces nonempty ``values``.
+    """
+
     claim_id: str
     description: str
-    runner: Runner
+    check: Callable[[Sequence[float], GridSpec | None], list[VerificationReport]]
+    grid: GridSpec | None
+    values: tuple[float, ...] = ()
     # The only regime a parameterized run may name; None accepts every a.
     regime: Regime | None = None
 
+    def runner(self, grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
+        own = self.grid
+        if grid is not None and own is not None:
+            own = replace(own, n=grid.n) if own.spacing == "uniform" else grid
+        return self.check((a,) if a is not None and self.values else self.values, own)
+
 
 CLAIMS: tuple[Claim, ...] = (
-    Claim("classic-lower", "classical lower bound (constant 6) is strict on (0,1)", _claim_classic),
-    Claim("family-bracket", "two-sided family bound holds with the regime's constants", _sweep(_bounds_report, BRACKET_A_VALUES, 1_000_000)),
-    Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _sweep(_floor_report, FLOOR_A_VALUES, 1_000_000)),
-    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _sweep(_limits_report, BRACKET_A_VALUES, 200_000)),
-    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _sweep(_monotonicity_report, INCREASING_A_VALUES, 100_000), Regime.INCREASING),
-    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _sweep(_monotonicity_report, DECREASING_A_VALUES, 100_000), Regime.DECREASING),
-    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _sweep(_interior_report, INTERIOR_A_VALUES, 100_000), Regime.INTERIOR_MINIMUM),
-    Claim("minimum-floor", "interior minimum satisfies its floor and brute-force cross-check", _claim_minimum_floor, Regime.INTERIOR_MINIMUM),
-    Claim("aux-slope-limits", "derivative-apparatus limits and threshold shape", _claim_aux_slope_limits),
-    Claim("aux-quadratic-roots", "slope-quadratic roots: limits, residuals, monotonicity", _claim_aux_roots),
-    Claim("aux-sign-regimes", "one-signed ranges of the quadratic and the slope term", _claim_aux_sign_regimes),
-    Claim("sharp-dominance", "dominance and non-inclusion among the sharp bounds", _claim_sharp_dominance),
-    Claim("gain-maximizer", "gain maximizer is pointwise optimal and matches its closed form", _claim_gain_maximizer),
-    Claim("scan-slice", "scanner verdicts agree with the regime map on the (1/2, 1/2, gamma) slice", _claim_scan_slice),
+    Claim("classic-lower", "classical lower bound (constant 6) is strict on (0,1)", _claim_classic, DEFAULT_GRID),
+    Claim("family-bracket", "two-sided family bound holds with the regime's constants", _each_a(_bounds_report), DEFAULT_GRID, BRACKET_A_VALUES),
+    Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _each_a(_floor_report), DEFAULT_GRID, FLOOR_A_VALUES),
+    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _each_a(_limits_report), replace(DEFAULT_GRID, n=200_000), BRACKET_A_VALUES),
+    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _each_a(_monotonicity_report), replace(DEFAULT_GRID, n=100_000), INCREASING_A_VALUES, Regime.INCREASING),
+    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _each_a(_monotonicity_report), replace(DEFAULT_GRID, n=100_000), DECREASING_A_VALUES, Regime.DECREASING),
+    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _each_a(_interior_report), replace(DEFAULT_GRID, n=100_000), INTERIOR_A_VALUES, Regime.INTERIOR_MINIMUM),
+    Claim("minimum-floor", "interior minimum satisfies its floor and brute-force cross-check", _claim_minimum_floor, None, MINIMUM_A_VALUES, Regime.INTERIOR_MINIMUM),
+    Claim("aux-slope-limits", "derivative-apparatus limits and threshold shape", _claim_aux_slope_limits, replace(DEFAULT_GRID, n=100_000)),
+    # Near the endpoints of a refined grid neighbouring roots differ by less than an ulp, so this grid is uniform.
+    Claim("aux-quadratic-roots", "slope-quadratic roots: limits, residuals, monotonicity", _claim_aux_roots, replace(DEFAULT_GRID, n=10_000, spacing="uniform")),
+    Claim("aux-sign-regimes", "one-signed ranges of the quadratic and the slope term", _claim_aux_sign_regimes, replace(DEFAULT_GRID, n=100_000)),
+    Claim("sharp-dominance", "dominance and non-inclusion among the sharp bounds", lambda values, grid: list(compare_bounds(grid).reports), DEFAULT_GRID),
+    Claim("gain-maximizer", "gain maximizer is pointwise optimal and matches its closed form", _claim_gain_maximizer, replace(DEFAULT_GRID, n=100)),
+    # The scanner needs a uniform grid (see classify_family).
+    Claim("scan-slice", "scanner verdicts agree with the regime map on the (1/2, 1/2, gamma) slice", _claim_scan_slice, SCAN_GRID),
 )
 
 _CLAIM_INDEX = {c.claim_id: c for c in CLAIMS}
-# The classic-* pair is produced by one runner.
+# The classic-* pair is produced by one check.
 _ALIASES = {"classic-upper": "classic-lower"}
 
 
@@ -639,18 +634,19 @@ def run_claims(
 ) -> list[VerificationReport]:
     """Run a subset of the registry (all claims when ids is None).
 
-    ``grid`` overrides each claim's default grid; ``a`` narrows the
-    parameterized claims to a single shape parameter.  With ``a`` and no
-    ids, only the claims that admit ``a`` run: those without a regime and
-    those whose regime is the regime of ``a``.  Raises, before any claim
-    runs, DomainError if ``ids`` is empty or names an unknown claim, and
-    RegimeError if ``a`` lies outside a named claim's regime.
+    ``grid`` replaces each claim's registry grid, but a uniform registry grid
+    keeps its spacing and takes only the n of ``grid``; ``a`` narrows the
+    parameterized claims to one shape parameter, and with no ids only the
+    claims without a regime or of the regime of ``a`` run.  Raises, before
+    any claim runs, DomainError if ``a`` is not finite or ``ids`` is empty or
+    names an unknown claim, and RegimeError if ``a`` lies outside a named
+    claim's regime.
     """
+    regime = None if a is None else classify_regime(a)
     if ids is None:
-        selected = list(CLAIMS)
         if a is not None:
             _check_bound_parameter(a)
-            selected = [c for c in CLAIMS if c.regime in (None, classify_regime(a))]
+        selected = [c for c in CLAIMS if a is None or c.regime in (None, regime)]
     else:
         selected = []
         for cid in ids:
@@ -663,10 +659,9 @@ def run_claims(
         if not selected:
             raise DomainError("the claim id list names no claim")  # checking nothing must not read as verified
     for claim in selected:
-        if a is not None and claim.regime is not None and classify_regime(a) is not claim.regime:
-            raise RegimeError(f"claim {claim.claim_id!r} covers the {claim.regime.value} regime only; a={a:.17g} is {classify_regime(a).value}")
+        if a is not None and claim.regime not in (None, regime):
+            raise RegimeError(f"claim {claim.claim_id!r} covers the {claim.regime.value} regime only; a={a:.17g} is {regime.value}")
     reports: list[VerificationReport] = []
     for claim in selected:
         reports.extend(claim.runner(grid, a))
     return reports
-

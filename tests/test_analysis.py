@@ -11,6 +11,7 @@ from arcbounds import analysis
 from arcbounds.analysis import _q, bisect_sign_change
 from arcbounds.errors import ConvergenceError, DomainError, RegimeError
 from arcbounds.family import _floor
+from arcbounds.verify import QUADRATIC_NEGATIVE_A_VALUES, QUADRATIC_POSITIVE_A_VALUES
 from conftest import accuracy_sample, brute_force_argmin, count_significant_sign_changes, worst_ulp
 
 PI = math.pi
@@ -344,6 +345,18 @@ def test_quadratic_sign_regimes_hold_exactly():
     assert _q(QSqrt2(Fraction(ab.TWO_SQRT2)), root2).sign() == 1
     assert _q(QSqrt2(Fraction(-SQRT2)), root2).sign() == 1
     assert _q(QSqrt2(Fraction(-SQRT2)), one).sign() == -1
+
+
+def test_sampled_quadratic_sign_parameters_hold_exactly():
+    """Every binary64 a that aux-sign-regimes samples makes q strictly one-signed on s in [1, sqrt(2)].
+
+    q(a, s) is linear in s, so a strict sign at both ends is a strict sign on
+    the closed interval, x = 1 included.
+    """
+    root2 = QSqrt2(Fraction(0), Fraction(1))
+    for sign, values in ((1, QUADRATIC_POSITIVE_A_VALUES), (-1, QUADRATIC_NEGATIVE_A_VALUES)):
+        for a in values:
+            assert [sign * analysis._q(QSqrt2(Fraction(a)), s).sign() for s in (QSqrt2(Fraction(1)), root2)] == [1, 1], a
 
 
 class TestGridArgmin:

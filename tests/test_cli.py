@@ -388,6 +388,8 @@ BAD_INPUTS = [
     (("verify", "--a", "nan"), "shape parameter must be finite"),
     (("verify", "--claims", "family-bracket", "--a", "nan"), "shape parameter must be finite"),
     (("verify", "--claims", "midregime-floor", "--a", "nan"), "shape parameter must be finite"),
+    (("verify", "--claims", "aux-slope-limits", "--a", "nan"), "must be finite"),
+    (("verify", "--claims", "scan-slice", "--a", "inf", "--n", "2001"), "must be finite"),
     (("verify", "--claims", "midregime-floor", "--a", "0"), "undefined at a = 0"),
     (("verify", "--claims", "midregime-floor", "--a", "1e-300"), "a^2 underflows"),
     (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "nan"), "non-finite"),

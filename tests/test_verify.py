@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -219,6 +219,27 @@ class TestRegistry:
     def test_descriptions_present(self):
         for claim in CLAIMS:
             assert claim.description
+
+    @pytest.mark.parametrize("spacing", ["refined", "uniform"])
+    @pytest.mark.parametrize("claim", CLAIMS, ids=[c.claim_id for c in CLAIMS])
+    def test_each_claim_samples_one_grid_by_the_override_rule(self, monkeypatch, claim, spacing):
+        # a uniform registry grid keeps its spacing and takes only the override's n;
+        # minimum-floor's brute force samples no GridSpec
+        sampled, points = set(), GridSpec.points
+
+        def recording_points(grid):
+            sampled.add(grid)
+            return points(grid)
+
+        monkeypatch.setattr(GridSpec, "points", recording_points)
+        override = GridSpec(1e-9, 1.0 - 1e-9, 2001, spacing)
+        run_claims([claim.claim_id], grid=override)
+        if claim.claim_id == "minimum-floor":
+            assert (claim.grid, sampled) == (None, set())
+        elif claim.claim_id in ("aux-quadratic-roots", "scan-slice"):
+            assert claim.grid.spacing == "uniform" and sampled == {replace(claim.grid, n=2001)}
+        else:
+            assert sampled == {override}
 
 
 class TestSerialization:
