@@ -68,13 +68,8 @@ from .verify import (
     CLAIMS,
     ComparisonResult,
     VerificationReport,
-    claim_ids,
     compare_bounds,
     run_claims,
-    verify_bounds,
-    verify_floor,
-    verify_limits_and_sharpness,
-    verify_monotonicity,
 )
 
 __version__ = "0.1.0"

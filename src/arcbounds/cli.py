@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list registry claim ids and exit")
     p.add_argument("--a", type=float, default=None, help="restrict parameterized claims to one a")
     p.add_argument("--n", type=int, default=None, help="override the per-claim default grids with one n-point grid")
-    p.add_argument("--grid", choices=("uniform", "refined"), default="refined", help="spacing of the override grid (with --n)")
+    p.add_argument("--grid", choices=("uniform", "refined"), default=None, help="spacing of the override grid (needs --n; default refined)")
     add_common(p)
 
     p = sub.add_parser("compare", help="dominance table for the sharp bound candidates")
@@ -180,6 +180,8 @@ def _parse_axis(text: str) -> tuple[int, Callable[[], list[float]]]:
         lo, hi, count = _axis_number(float, parts[0]), _axis_number(float, parts[1]), _axis_number(int, parts[2])
         if count < 1:
             raise DomainError("axis count must be >= 1")
+        if not math.isfinite(hi - lo):  # also NaN or infinite at either end
+            raise DomainError(f"axis range {text!r} needs finite ends and a finite width hi - lo")
         return count, lambda: [lo] if count == 1 else list(np.linspace(lo, hi, count))
     values = [_axis_number(float, tok) for tok in text.split(",") if tok != ""]
     if not values:
@@ -233,7 +235,7 @@ def _run(args, out) -> int:
             _emit_rows(("claim_id", "description"), rows, fmt, out)
             return 0
         ids = None if args.claims.strip() == "all" else [t.strip() for t in args.claims.split(",") if t.strip()]
-        grid = None if args.n is None else replace(DEFAULT_GRID, n=args.n, spacing=args.grid)
+        grid = None if args.n is None else replace(DEFAULT_GRID, n=args.n, spacing=args.grid or DEFAULT_GRID.spacing)
         reports = verify.run_claims(ids, grid=grid, a=args.a)
         _emit_rows(verify.REPORT_HEADER, map(astuple, reports), fmt, out)
         return 0 if all(r.passed for r in reports) else 1
@@ -270,6 +272,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.verb == "verify" and args.grid is not None and args.n is None:
+        print("error: verify --grid sets the spacing of the --n grid, so it needs --n", file=sys.stderr)
+        return 2
     try:
         if args.out is None:
             try:

@@ -55,6 +55,8 @@ LOG_SPACE_ALPHA = 10.0
 MAX_SCAN_TRIPLES = 1_000_000
 
 EVIDENCE_NOTE = "numerical evidence only, not a proof"
+# Floating-point states a classification may hit and then reports as a DomainError itself.
+_OVERFLOW_CHECKED = dict(over="ignore", under="ignore", invalid="ignore")
 
 
 class Verdict(enum.Enum):
@@ -147,12 +149,18 @@ def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, factor
     if alpha > LOG_SPACE_ALPHA:
         # differences of log|F|; when F < 0 its monotonicity is reversed
         rel = np.diff(np.log(np.abs(num)) + terms.log_arccos - factor)
+        # a non-finite log|F| leaves a non-finite difference next to it
+        representable = math.isfinite(rel.min()) and math.isfinite(rel.max())
         if num[0] < 0.0:
             rel = -rel
     else:
         v = num * terms.ratio * factor
         size = np.abs(v)
+        # F is finite and nonzero, so a NaN, infinite or zero |F| is binary64 overflow or underflow
+        representable = 0.0 < size.min() and size.max() < math.inf
         rel = np.diff(v) / np.maximum(size[:-1], size[1:])
+    if not representable:
+        raise DomainError(f"family values overflow or underflow binary64 for alpha={alpha!r}, beta={beta!r}, gamma={gamma!r}")
     pos = rel > SIGN_THRESHOLD
     neg = rel < -SIGN_THRESHOLD
     common = dict(alpha=float(alpha), beta=float(beta), gamma=float(gamma))
@@ -192,10 +200,12 @@ def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SC
     threshold with one sign; NonMonotone requires witnesses of both signs;
     everything else is Undetermined.  Prefer uniform grids: a refined grid
     makes near-endpoint differences legitimately sub-threshold, which
-    degrades monotone verdicts to Undetermined.
+    degrades monotone verdicts to Undetermined.  Raises DomainError when
+    the family's values overflow or underflow binary64 on the grid.
     """
     terms = _GridTerms(grid)
-    return _classify(alpha, beta, gamma, terms, _alpha_factor(terms, alpha), _power(terms, beta))
+    with np.errstate(**_OVERFLOW_CHECKED):
+        return _classify(alpha, beta, gamma, terms, _alpha_factor(terms, alpha), _power(terms, beta))
 
 
 def _check_box(*counts: int) -> None:
@@ -212,31 +222,23 @@ def scan_grid(
 ) -> list[ScanClassification]:
     """Cartesian-product scan, row-major over (alpha, beta, gamma).
 
-    Per-triple domain and singularity errors are recorded in that triple's
-    entry (verdict Error) and never abort the scan.  A box of more than
-    MAX_SCAN_TRIPLES triples raises DomainError before the grid is sampled.
+    Per-triple domain, singularity and overflow errors are recorded in that
+    triple's entry (verdict Error) and never abort the scan.  A box of more
+    than MAX_SCAN_TRIPLES triples raises DomainError before the grid is
+    sampled.
     """
     alphas, betas, gammas = ([float(v) for v in axis] for axis in (alphas, betas, gammas))
     _check_box(len(alphas), len(betas), len(gammas))
     terms = _GridTerms(grid)
     results: list[ScanClassification] = []
-    for alpha in alphas:
-        factor = _alpha_factor(terms, alpha)
-        for beta in betas:
-            power = _power(terms, beta)
-            for gamma in gammas:
-                try:
-                    results.append(_classify(alpha, beta, gamma, terms, factor, power))
-                except DomainError as exc:
-                    results.append(
-                        ScanClassification(
-                            alpha=alpha,
-                            beta=beta,
-                            gamma=gamma,
-                            verdict=Verdict.ERROR,
-                            evidence_x=math.nan,
-                            margin=math.nan,
-                            error=str(exc),
-                        )
-                    )
+    with np.errstate(**_OVERFLOW_CHECKED):
+        for alpha in alphas:
+            factor = _alpha_factor(terms, alpha)
+            for beta in betas:
+                power = _power(terms, beta)
+                for gamma in gammas:
+                    try:
+                        results.append(_classify(alpha, beta, gamma, terms, factor, power))
+                    except DomainError as exc:
+                        results.append(ScanClassification(alpha, beta, gamma, Verdict.ERROR, math.nan, math.nan, error=str(exc)))
     return results

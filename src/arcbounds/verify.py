@@ -69,13 +69,8 @@ __all__ = [
     "ComparisonResult",
     "Claim",
     "CLAIMS",
-    "verify_bounds",
-    "verify_floor",
-    "verify_monotonicity",
-    "verify_limits_and_sharpness",
     "compare_bounds",
     "run_claims",
-    "claim_ids",
     "REPORT_HEADER",
 ]
 
@@ -158,28 +153,26 @@ def _pointwise_report(claim_id: str, x: np.ndarray, margins: np.ndarray, tol: np
     )
 
 
+def _tightest(slack: np.ndarray, x: np.ndarray, label: str) -> tuple[float, float, str]:
+    """The (slack, location, label) sub-check of an array of slacks: its first-index minimum."""
+    i = int(np.argmin(slack))
+    return float(slack[i]), float(x[i]), label
+
+
 def _composite_report(claim_id: str, checks: list[tuple[float, float, str]], samples: int, notes: str = "") -> VerificationReport:
-    """Combine (slack, location, label) sub-checks; worst slack decides."""
-    slacks = [c[0] for c in checks]
-    i = min(range(len(checks)), key=lambda k: slacks[k])
-    worst, worst_x, label = checks[i]
-    passed = all(s > 0.0 for s in slacks)
-    note = f"tightest: {label}"
-    if notes:
-        note = notes + "; " + note
+    """Combine (slack, location, label) sub-checks; the first smallest slack decides."""
+    worst, worst_x, label = min(checks, key=lambda c: c[0])
+    passed = all(c[0] > 0.0 for c in checks)
+    note = f"{notes}; tightest: {label}" if notes else f"tightest: {label}"
     return VerificationReport(claim_id, passed, samples, float(worst), float(worst_x), note)
 
 
-def verify_bounds(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
+def _bounds_report(a: float, terms: _GridTerms) -> VerificationReport:
     """Check the two-sided family bound at every grid point.
 
     The constants come from the regime of ``a``, so for a >= 2*sqrt(2)
     this is the reversed orientation of the generic bracket.
     """
-    return _bounds_report(a, _GridTerms(grid))
-
-
-def _bounds_report(a: float, terms: _GridTerms) -> VerificationReport:
     acx = terms.arccos
     template = terms.shape(a)
     c_lower, c_upper = _constants(a)
@@ -191,18 +184,14 @@ def _bounds_report(a: float, terms: _GridTerms) -> VerificationReport:
     )
 
 
-def verify_floor(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
-    """Check the floor-constant lower bound 8*(1 - 2/a**2) pointwise (a**2 > 0)."""
-    return _floor_report(a, _GridTerms(grid))
-
-
 def _floor_report(a: float, terms: _GridTerms) -> VerificationReport:
+    """Check the floor-constant lower bound 8*(1 - 2/a**2) pointwise (a**2 > 0)."""
     _check_bound_parameter(a)
     margins = terms.arccos - _floor(a) * terms.shape(a)
     return _pointwise_report(f"midregime-floor[a={a:.17g}]", terms.x, margins, terms.arccos_tol)
 
 
-def verify_monotonicity(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
+def _monotonicity_report(a: float, terms: _GridTerms) -> VerificationReport:
     """Check the regime's monotonicity pattern of forward differences.
 
     Monotone regimes require every difference on the regime's side of
@@ -210,10 +199,6 @@ def verify_monotonicity(a: float, grid: GridSpec = DEFAULT_GRID) -> Verification
     interior-minimum regime requires exactly one sign change beyond that
     tolerance, from negative to positive.
     """
-    return _monotonicity_report(a, _GridTerms(grid))
-
-
-def _monotonicity_report(a: float, terms: _GridTerms) -> VerificationReport:
     regime = classify_regime(a)
     x = terms.x
     v = terms.ratio_at(a)
@@ -241,7 +226,7 @@ def _monotonicity_report(a: float, terms: _GridTerms) -> VerificationReport:
     return VerificationReport(claim_id, ok, int(d.size), margin, change_cell, notes)
 
 
-def verify_limits_and_sharpness(a: float, grid: GridSpec = DEFAULT_GRID) -> VerificationReport:
+def _limits_report(a: float, terms: _GridTerms) -> VerificationReport:
     """Confirm the endpoint limits and that grid extrema attain the constants.
 
     The ratio must approach pi*(1+a)/2 at x -> 0+ and 2 + sqrt(2)*a at
@@ -252,10 +237,6 @@ def verify_limits_and_sharpness(a: float, grid: GridSpec = DEFAULT_GRID) -> Veri
     in the interior-minimum regime the infimum is the located minimum value
     instead of the floor constant.
     """
-    return _limits_report(a, _GridTerms(grid))
-
-
-def _limits_report(a: float, terms: _GridTerms) -> VerificationReport:
     c_lower, c_upper = _constants(a)
     eps = DEFAULT_EPS_LIST
     at0, at1 = endpoint_limits(a)
@@ -470,46 +451,47 @@ def _claim_minimum_floor(values: Sequence[float], grid: None) -> list[Verificati
 
 
 def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    checks: list[tuple[float, float, str]] = []
-    for av in (0.0, 1.0, 3.0):
-        dev = abs(slope_factor(av, 1e-10) - slope_factor_limit0(av))
-        checks.append((1e-5 - dev, 1e-10, f"slope-factor limit at a={av:g}"))
-    checks.append((1e-5 - abs(slope_threshold(1e-10) - 8.0 / PI), 1e-10, "threshold left endpoint 8/pi"))
-    checks.append((1e-5 - abs(slope_threshold(1.0 - 1e-10) - TWO_SQRT2), 1.0 - 1e-10, "threshold right endpoint 2*sqrt(2)"))
-    checks.append((1e-5 - abs(threshold_gap(1.0 - 1e-10)), 1.0 - 1e-10, "threshold gap vanishes at 1"))
+    checks = [
+        (1e-5 - abs(slope_factor(av, 1e-10) - slope_factor_limit0(av)), 1e-10, f"slope-factor limit at a={av:g}")
+        for av in (0.0, 1.0, 3.0)
+    ]
     x = grid.points()
     p = slope_threshold(x)
     r = threshold_gap(x)
     tol_p = 4.0 * float(np.max(np.spacing(p)))
-    checks.append((float(np.min(np.diff(p))) + tol_p, float(x[int(np.argmin(np.diff(p)))]), "threshold strictly increasing"))
-    checks.append((float(np.min(p)) - 8.0 / PI + tol_p, float(x[0]), "threshold range floor"))
-    checks.append((TWO_SQRT2 - float(np.max(p)) + tol_p, float(x[-1]), "threshold range ceiling"))
     tol_r = 4.0 * float(np.max(np.spacing(np.abs(r) + 1.0)))
-    checks.append((float(np.min(-np.diff(r))) + tol_r, float(x[int(np.argmax(np.diff(r)))]), "gap strictly decreasing"))
-    checks.append((float(np.min(r)) + tol_r, float(x[int(np.argmin(r))]), "gap positive"))
+    checks += [
+        (1e-5 - abs(slope_threshold(1e-10) - 8.0 / PI), 1e-10, "threshold left endpoint 8/pi"),
+        (1e-5 - abs(slope_threshold(1.0 - 1e-10) - TWO_SQRT2), 1.0 - 1e-10, "threshold right endpoint 2*sqrt(2)"),
+        (1e-5 - abs(threshold_gap(1.0 - 1e-10)), 1.0 - 1e-10, "threshold gap vanishes at 1"),
+        _tightest(np.diff(p) + tol_p, x, "threshold strictly increasing"),
+        _tightest(p - 8.0 / PI + tol_p, x, "threshold range floor"),
+        _tightest(TWO_SQRT2 - p + tol_p, x, "threshold range ceiling"),
+        _tightest(tol_r - np.diff(r), x, "gap strictly decreasing"),
+        _tightest(r + tol_r, x, "gap positive"),
+    ]
     return [_composite_report("aux-slope-limits", checks, 6 + 2 * x.size, notes="derivative-apparatus limits and shapes")]
 
 
 def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    checks: list[tuple[float, float, str]] = []
     lo0, hi0 = slope_quadratic_roots(1e-10)
     lo1, hi1 = slope_quadratic_roots(1.0 - 1e-10)
-    checks.append((1e-6 - abs(lo0 - (1.0 - math.sqrt(17.0)) / 2.0), 1e-10, "low root left limit"))
-    checks.append((1e-6 - abs(hi0 - (1.0 + math.sqrt(17.0)) / 2.0), 1e-10, "high root left limit"))
-    checks.append((1e-6 - abs(lo1 + SQRT2), 1.0 - 1e-10, "low root right limit"))
-    checks.append((1e-6 - abs(hi1 - TWO_SQRT2), 1.0 - 1e-10, "high root right limit"))
     xs = np.linspace(0.005, 0.995, 100)
     lo, hi = slope_quadratic_roots(xs)
     res_hi = np.abs([slope_quadratic(float(h), float(xv)) for h, xv in zip(hi, xs)])
     res_lo = np.abs([slope_quadratic(float(l), float(xv)) for l, xv in zip(lo, xs)])
-    i = int(np.argmax(res_hi))
-    checks.append((1e-10 - float(res_hi[i]), float(xs[i]), "high root annihilates the quadratic"))
-    j = int(np.argmax(res_lo))
-    checks.append((1e-10 - float(res_lo[j]), float(xs[j]), "low root annihilates the quadratic"))
     x = grid.points()
     lo_g, hi_g = slope_quadratic_roots(x)
-    checks.append((float(np.min(np.diff(lo_g))), float(x[0]), "low root strictly increasing"))
-    checks.append((float(np.min(np.diff(hi_g))), float(x[0]), "high root strictly increasing"))
+    checks = [
+        (1e-6 - abs(lo0 - (1.0 - math.sqrt(17.0)) / 2.0), 1e-10, "low root left limit"),
+        (1e-6 - abs(hi0 - (1.0 + math.sqrt(17.0)) / 2.0), 1e-10, "high root left limit"),
+        (1e-6 - abs(lo1 + SQRT2), 1.0 - 1e-10, "low root right limit"),
+        (1e-6 - abs(hi1 - TWO_SQRT2), 1.0 - 1e-10, "high root right limit"),
+        _tightest(1e-10 - res_hi, xs, "high root annihilates the quadratic"),
+        _tightest(1e-10 - res_lo, xs, "low root annihilates the quadratic"),
+        _tightest(np.diff(lo_g), x, "low root strictly increasing"),
+        _tightest(np.diff(hi_g), x, "high root strictly increasing"),
+    ]
     return [_composite_report("aux-quadratic-roots", checks, 204 + 2 * x.size, notes="roots of the slope quadratic")]
 
 
@@ -517,19 +499,15 @@ def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> list[Ver
     x = grid.points()
     s = np.sqrt(1.0 + x)
     checks: list[tuple[float, float, str]] = []
-    # sign * value must stay above -tol; its argmin is the tightest sample
+    # sign * value must stay above -tol
     for sign, what, avals in ((1.0, "positive", QUADRATIC_POSITIVE_A_VALUES), (-1.0, "negative", QUADRATIC_NEGATIVE_A_VALUES)):
         for av in avals:
-            h = sign * slope_quadratic(av, x)
-            i = int(np.argmin(h))
-            checks.append((float(h[i]) + 4.0 * float(np.spacing(av * av * SQRT2 + 4.0 * SQRT2)), float(x[i]), f"quadratic {what} at a={av:.6g}"))
+            tol = 4.0 * float(np.spacing(av * av * SQRT2 + 4.0 * SQRT2))
+            checks.append(_tightest(sign * slope_quadratic(av, x) + tol, x, f"quadratic {what} at a={av:.6g}"))
     for sign, what, avals in ((1.0, "positive", (0.0, 2.0, 8.0 / PI)), (-1.0, "negative", (TWO_SQRT2, 4.0))):
         for av in avals:
-            q = sign * slope_term(av, x)
             scale = (abs(av) * s + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + s)
-            tol = 4.0 * np.spacing(scale)
-            i = int(np.argmin(q + tol))
-            checks.append((float(q[i] + tol[i]), float(x[i]), f"slope term {what} at a={av:.6g}"))
+            checks.append(_tightest(sign * slope_term(av, x) + 4.0 * np.spacing(scale), x, f"slope term {what} at a={av:.6g}"))
     return [_composite_report("aux-sign-regimes", checks, 11 * x.size, notes="one-signedness of the quadratic and the slope term")]
 
 
@@ -542,13 +520,12 @@ def _claim_gain_maximizer(values: Sequence[float], grid: GridSpec) -> list[Verif
     attained = lower_gain(lower_gain_argmax(xs), xs)
     closed = lower_gain_max(xs)
     tol = _pair_tol(attained, grid_max)
-    checks: list[tuple[float, float, str]] = []
-    i = int(np.argmin(attained - grid_max))
-    checks.append((float((attained - grid_max)[i] + tol[i]), float(xs[i]), "maximizer beats the parameter grid"))
-    j = int(np.argmax(np.abs(closed - attained)))
-    checks.append((float(tol[j] - abs(closed[j] - attained[j])), float(xs[j]), "closed-form maximum matches composition"))
     dev = abs(lower_gain_argmax(1e-12) - (1.0 + math.sqrt(3.0)))
-    checks.append((1e-8 - dev, 1e-12, "maximizer tends to 1+sqrt(3) at the left endpoint"))
+    checks = [
+        _tightest(attained - grid_max + tol, xs, "maximizer beats the parameter grid"),
+        _tightest(tol - np.abs(closed - attained), xs, "closed-form maximum matches composition"),
+        (1e-8 - dev, 1e-12, "maximizer tends to 1+sqrt(3) at the left endpoint"),
+    ]
     return [_composite_report("gain-maximizer", checks, int(gains.size), notes="pointwise optimality of the gain maximizer")]
 
 
@@ -621,10 +598,6 @@ CLAIMS: tuple[Claim, ...] = (
 _CLAIM_INDEX = {c.claim_id: c for c in CLAIMS}
 # The classic-* pair is produced by one check.
 _ALIASES = {"classic-upper": "classic-lower"}
-
-
-def claim_ids() -> list[str]:
-    return [c.claim_id for c in CLAIMS]
 
 
 def run_claims(

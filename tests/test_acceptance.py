@@ -69,7 +69,7 @@ def test_criterion_1_classic_lower_bound():
 
 def test_criterion_2_family_bracket():
     t0 = time.perf_counter()
-    reports = [ab.verify_bounds(a, GRID_1M) for a in SEVEN_A]
+    reports = [r for a in SEVEN_A for r in ab.run_claims(["family-bracket"], grid=GRID_1M, a=a)]
     floor_margins_ok = True
     x = GRID_1M.points()
     acx = ab.arccos_stable(x)
@@ -102,8 +102,8 @@ def test_criterion_3_best_possible_constants():
 
 
 def test_criterion_4_monotone_regimes():
-    incr = [ab.verify_monotonicity(a, GRID_100K) for a in (-3.0, 0.0, 2.0, ab.A_STAR)]
-    decr = [ab.verify_monotonicity(a, GRID_100K) for a in (ab.TWO_SQRT2, 4.0)]
+    incr = [r for a in (-3.0, 0.0, 2.0, ab.A_STAR) for r in ab.run_claims(["regime-increasing"], grid=GRID_100K, a=a)]
+    decr = [r for a in (ab.TWO_SQRT2, 4.0) for r in ab.run_claims(["regime-decreasing"], grid=GRID_100K, a=a)]
     ok = all(r.passed for r in incr + decr)
     _line("criterion 4 (monotone sets)", ok, "increasing at {-3, 0, 2, A*}, decreasing at {2*sqrt2, 4}")
     for r in incr + decr:

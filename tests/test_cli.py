@@ -311,6 +311,22 @@ class TestScan:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [float(r["gamma"]) for r in rows] == pytest.approx([-0.9, 1.55, 4.0])
 
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, verdicts",
+        [
+            ("0:1e308:3", "0.5", "1", ["Decreasing", "Error", "Error"]),
+            ("0.5", "1e308", "1", ["Error"]),
+            ("5", "0.5", "1e308", ["Error"]),
+            ("-1e6", "0.5", "1", ["Error"]),
+        ],
+    )
+    def test_overflow_or_underflow_recorded_without_warnings(self, capsys, alpha, beta, gamma, verdicts):
+        code, out, err = run_cli(capsys, "scan", "--alpha", alpha, "--beta", beta, "--gamma", gamma, "--format", "json")
+        assert (code, err) == (0, "")
+        results = json.loads(out)
+        assert [r["verdict"] for r in results] == verdicts
+        assert all("overflow or underflow" in r["error"] for r in results if r["verdict"] == "Error")
+
     def test_singular_triple_recorded(self, capsys):
         # the = form also takes a value that starts with a dash
         code, out, _ = run_cli(
@@ -329,6 +345,12 @@ class TestPlumbing:
         assert run_cli(capsys, "bogus-verb")[0] == 2
         assert run_cli(capsys, "eval", "--a", "0")[0] == 2
         assert run_cli(capsys, "eval", "--a", "zero", "--x", "0.5")[0] == 2
+
+    def test_verify_grid_without_n_is_usage_error(self, capsys):
+        # --grid sets the spacing of the --n override grid; alone it would be ignored
+        code, out, err = run_cli(capsys, "verify", "--claims", "family-bracket", "--grid", "uniform", "--a", "1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "--n" in err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
@@ -395,6 +417,8 @@ BAD_INPUTS = [
     (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "nan"), "non-finite"),
     (("scan", "--alpha", "inf", "--beta", "0.5", "--gamma", "1"), "non-finite"),
     (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", ","), "no values"),
+    (("scan", "--alpha", "0:inf:5", "--beta", "0.5", "--gamma", "1"), "needs finite ends and a finite width"),
+    (("scan", "--alpha", "-1e308:1e308:3", "--beta", "0.5", "--gamma", "1"), "needs finite ends and a finite width"),
     (("verify", "--claims", "midregime-floor", "--a", "1e-154", "--n", "2001"), "overflows"),
     (("bounds", "--a", "6e307", "--n", "3"), "endpoint limit pi*(1+a)/2 overflows"),
     (("verify", "--claims", "endpoint-constants", "--a", "6e307", "--n", "101"), "endpoint limit pi*(1+a)/2 overflows"),
@@ -468,22 +492,33 @@ def fuzz_argv(draw):
     if verb == "compare":
         return ["compare", *n]
     if verb == "scan":
-        return ["scan", "--alpha", "0.5", "--beta", "0.5", *option("gamma", a), *n]
+        if draw(st.booleans()):
+            return ["scan", "--alpha", "0.5", "--beta", "0.5", *option("gamma", a), *n]
+        # one lo:hi:count axis whose ends may be non-finite, huge or far apart
+        axes = {"alpha": "0.5", "beta": "0.5", "gamma": "1"}
+        ends = st.sampled_from(FUZZ_A + ("1e308", "-1e308"))
+        axes[draw(st.sampled_from(sorted(axes)))] = f"{draw(ends)}:{draw(ends)}:{draw(st.sampled_from((1, 2, 3)))}"
+        return ["scan", *(arg for name, value in axes.items() for arg in option(name, value)), *n]
     claims = draw(st.lists(st.sampled_from(CHEAP_CLAIMS), min_size=1, max_size=2, unique=True))
-    return ["verify", "--claims", ",".join(claims), *n, *(option("a", a) if draw(st.booleans()) else [])]
+    grid = option("grid", draw(st.sampled_from(("uniform", "refined")))) if draw(st.booleans()) else []
+    # without --n only with --grid, a usage error: the default grids are too large to fuzz
+    n = [] if grid and draw(st.booleans()) else n
+    return ["verify", "--claims", ",".join(claims), *n, *grid, *(option("a", a) if draw(st.booleans()) else [])]
 
 
 @settings(max_examples=150, deadline=None)
 @given(fuzz_argv())
 def test_fuzz_exit_codes(argv):
-    # every value here parses as a float, so none is a usage error (exit 2)
+    # every value here parses as a float, so the one usage error (exit 2) is verify --grid without --n
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     err = err.getvalue()
-    assert code in (0, 1, 3), err
+    options = {arg.split("=")[0] for arg in argv}
+    usage_error = argv[0] == "verify" and "--grid" in options and "--n" not in options
+    assert code in ((2,) if usage_error else (0, 1, 3)), err
     assert "Traceback" not in err
-    if code == 3:
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if code in (2, 3):
+        assert out.getvalue() == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
     if code == 1:
         assert argv[0] in ("verify", "compare")

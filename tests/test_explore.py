@@ -135,6 +135,18 @@ class TestScanGrid:
         second = [r.to_dict() for r in scan_grid([0.5], [0.5], [0.0, 2.7], g)]
         assert first == second
 
+    # on SCAN_GRID the family's values overflow binary64 (large alpha in log space, large beta,
+    # large gamma) or underflow it ((1-x)**(0.5-alpha) for very negative alpha)
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma", [(5e307, 0.5, 1.0), (1e308, 0.5, 1.0), (0.5, 1e308, 1.0), (5.0, 0.5, 1e308), (-1e6, 0.5, 1.0)]
+    )
+    def test_overflow_or_underflow_is_an_error(self, alpha, beta, gamma):
+        [result] = scan_grid([alpha], [beta], [gamma])
+        assert result.verdict is Verdict.ERROR
+        assert result.error == f"family values overflow or underflow binary64 for alpha={alpha!r}, beta={beta!r}, gamma={gamma!r}"
+        with pytest.raises(DomainError, match="overflow or underflow"):
+            classify_family(alpha, beta, gamma)
+
 
 def _per_triple_scan(alphas, betas, gammas, grid):
     rows = []

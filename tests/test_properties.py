@@ -77,7 +77,7 @@ def test_interior_minimum_well_formed(a):
 @settings(max_examples=20, deadline=None)
 @given(a=st.floats(min_value=ab.A_STAR + 1e-2, max_value=ab.TWO_SQRT2 - 1e-2))
 def test_interior_minimum_single_sign_change(a):
-    rep = ab.verify_monotonicity(a, ab.GridSpec(1e-9, 1.0 - 1e-9, 10_000, "uniform"))
+    [rep] = ab.run_claims(["regime-interior-minimum"], grid=ab.GridSpec(1e-9, 1.0 - 1e-9, 10_000, "uniform"), a=a)
     assert rep.passed
 
 

@@ -85,12 +85,13 @@ def test_composite_reports_equal_direct_evaluation():
     assert [_bits(r) + (r.notes,) for r in got] == [_bits(r) + (r.notes,) for r in expected]
 
 
-def test_public_checks_equal_the_sweep_reports():
+def test_fresh_terms_equal_the_sweep_reports():
+    # each report from a fresh _GridTerms equals the one from the sweep's shared terms
     sweep = run_claims(["family-bracket", "midregime-floor", "endpoint-constants", "regime-increasing"], grid=GRID)
-    direct = [verify.verify_bounds(a, GRID) for a in BRACKET_A_VALUES]
-    direct += [verify.verify_floor(a, GRID) for a in FLOOR_A_VALUES]
-    direct += [verify.verify_limits_and_sharpness(a, grid=GRID) for a in BRACKET_A_VALUES]
-    direct += [verify.verify_monotonicity(a, GRID) for a in INCREASING_A_VALUES]
+    direct = [verify._bounds_report(a, _GridTerms(GRID)) for a in BRACKET_A_VALUES]
+    direct += [verify._floor_report(a, _GridTerms(GRID)) for a in FLOOR_A_VALUES]
+    direct += [verify._limits_report(a, _GridTerms(GRID)) for a in BRACKET_A_VALUES]
+    direct += [verify._monotonicity_report(a, _GridTerms(GRID)) for a in INCREASING_A_VALUES]
     assert sweep == direct
 
 

@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 
 import arcbounds as ab
+from arcbounds import verify
 from arcbounds.cli import _emit_rows
 from arcbounds.errors import DomainError
-from arcbounds.grids import GridSpec
+from arcbounds.grids import GridSpec, _GridTerms
 from arcbounds.verify import (
     CLAIMS,
     REPORT_HEADER,
-    claim_ids,
+    _monotonicity_report,
     compare_bounds,
     run_claims,
-    verify_bounds,
-    verify_limits_and_sharpness,
-    verify_monotonicity,
 )
 
 SMALL = GridSpec(1e-9, 1.0 - 1e-9, 20_001, "refined")
@@ -86,38 +84,39 @@ class TestGridSpec:
 
 class TestVerifyBounds:
     def test_uniform_passes(self):
-        rep = verify_bounds(0.0, GridSpec(1e-9, 1.0 - 1e-9, 10_000, "uniform"))
+        [rep] = run_claims(["family-bracket"], grid=GridSpec(1e-9, 1.0 - 1e-9, 10_000, "uniform"), a=0.0)
         assert rep.passed
         assert rep.worst_margin > 0.0
         assert rep.samples == 10_000
 
     def test_reversed_orientation(self):
-        rep = verify_bounds(ab.TWO_SQRT2, SMALL)
+        [rep] = run_claims(["family-bracket"], grid=SMALL, a=ab.TWO_SQRT2)
         assert rep.passed
         assert "Decreasing" in rep.notes
 
     def test_degenerate_two_point_grid(self):
-        rep = verify_bounds(0.0, GridSpec(0.5 - 1e-6, 0.5 + 1e-6, 2, "uniform"))
+        [rep] = run_claims(["family-bracket"], grid=GridSpec(0.5 - 1e-6, 0.5 + 1e-6, 2, "uniform"), a=0.0)
         assert rep.passed
         assert rep.samples == 2
 
     def test_worst_x_inside_grid(self):
         g = GridSpec(0.1, 0.9, 1_000, "uniform")
-        rep = verify_bounds(1.0, g)
+        [rep] = run_claims(["family-bracket"], grid=g, a=1.0)
         assert g.lo <= rep.worst_x <= g.hi
 
 
 class TestVerifyMonotonicity:
     def test_increasing(self):
-        rep = verify_monotonicity(1.0, SMALL)
+        [rep] = run_claims(["regime-increasing"], grid=SMALL, a=1.0)
         assert rep.passed
 
     def test_decreasing(self):
-        rep = verify_monotonicity(3.0, SMALL)
+        [rep] = run_claims(["regime-decreasing"], grid=SMALL, a=3.0)
         assert rep.passed
 
     def test_interior_minimum_sign_change(self):
-        rep = verify_monotonicity(2.7, GridSpec(1e-9, 1.0 - 1e-9, 100_000, "refined"))
+        # the bare sign-pattern report: the registry runs it inside the regime-interior-minimum composite
+        rep = _monotonicity_report(2.7, _GridTerms(GridSpec(1e-9, 1.0 - 1e-9, 100_000, "refined")))
         assert rep.passed
         # the sign-change cell must straddle the located minimum
         x0 = ab.find_minimum(2.7).x0
@@ -127,27 +126,27 @@ class TestVerifyMonotonicity:
         # an increasing parameter checked on points only left of any
         # minimum still passes; a middle-regime one on a slice missing the
         # minimum has no sign change and must fail
-        rep = verify_monotonicity(2.7, GridSpec(0.5, 0.9, 5_000, "uniform"))
+        rep = _monotonicity_report(2.7, _GridTerms(GridSpec(0.5, 0.9, 5_000, "uniform")))
         assert not rep.passed
 
 
 class TestVerifyLimits:
     def test_classical_parameter(self):
-        rep = verify_limits_and_sharpness(ab.TWO_SQRT2, grid=SMALL)
+        [rep] = run_claims(["endpoint-constants"], grid=SMALL, a=ab.TWO_SQRT2)
         assert rep.passed
         assert "6.01367926" in rep.notes and "regime=Decreasing" in rep.notes
 
     def test_zero_parameter(self):
-        rep = verify_limits_and_sharpness(0.0, grid=SMALL)
+        [rep] = run_claims(["endpoint-constants"], grid=SMALL, a=0.0)
         assert rep.passed
         assert "1.57079633, 2" in rep.notes
 
     def test_threshold_parameter(self):
-        rep = verify_limits_and_sharpness(ab.A_STAR, grid=SMALL)
+        [rep] = run_claims(["endpoint-constants"], grid=SMALL, a=ab.A_STAR)
         assert rep.passed
 
     def test_interior_parameter(self):
-        rep = verify_limits_and_sharpness(2.75, grid=SMALL)
+        [rep] = run_claims(["endpoint-constants"], grid=SMALL, a=2.75)
         assert rep.passed
 
 
@@ -172,7 +171,7 @@ class TestCompareBounds:
 
 class TestRegistry:
     def test_ids_unique_and_listed(self):
-        ids = claim_ids()
+        ids = [c.claim_id for c in CLAIMS]
         assert len(ids) == len(set(ids))
         assert "family-bracket" in ids and "sharp-dominance" in ids
 
@@ -240,6 +239,27 @@ class TestRegistry:
             assert claim.grid.spacing == "uniform" and sampled == {replace(claim.grid, n=2001)}
         else:
             assert sampled == {override}
+
+
+def test_composite_reports_the_tightest_sample_of_an_array_check(monkeypatch):
+    # a dip in the low root between two interior samples makes "low root strictly increasing"
+    # the failing sub-check; the report must point at that sample, not at the grid's first point
+    grid = GridSpec(1e-9, 1.0 - 1e-9, 2001, "uniform")
+    k = 1234
+    roots = verify.slope_quadratic_roots
+
+    def dipped_roots(x):
+        lo, hi = roots(x)
+        if np.ndim(x) and np.size(x) == grid.n:
+            lo = lo.copy()
+            lo[k + 1 :] -= 1.0
+        return lo, hi
+
+    monkeypatch.setattr(verify, "slope_quadratic_roots", dipped_roots)
+    [rep] = run_claims(["aux-quadratic-roots"], grid=grid)
+    assert not rep.passed and rep.notes.endswith("tightest: low root strictly increasing")
+    assert rep.worst_margin < -0.9
+    assert rep.worst_x == grid.points()[k]
 
 
 class TestSerialization:
