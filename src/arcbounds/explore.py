@@ -4,22 +4,22 @@ Classifies the monotonicity of
 
     (gamma + (1+x)**beta) / (1-x)**alpha * arccos(x)
 
-on (0, 1) by the signs of forward differences over a sampling grid.  No
-analytic answer is attempted: a verdict is numerical evidence, not proof,
-and every serialized record says so.  Differences are compared on a
-relative scale against SIGN_THRESHOLD; anything smaller is treated as
+on (0, 1) by the signs of forward differences of log|F| over a sampling
+grid, reversed where F < 0.  No analytic answer is attempted: a verdict is
+numerical evidence, not proof, and every serialized record says so.  A log
+difference is the relative difference of F to first order; it is compared
+against SIGN_THRESHOLD, and anything smaller is treated as
 indistinguishable from zero, with Undetermined as the honest fallback.
 
 The (alpha, beta, gamma) = (1/2, 1/2, a) slice reproduces the bound
 family, so scanner verdicts there must agree with the regime map.
 
 Cost model.  A scan evaluates its transcendentals once per grid (the
-points, arccos(x)/sqrt(1-x) or log arccos(x), and log1p(x)),
-once per alpha ((1-x)**(0.5-alpha), or alpha*log1p(-x) in log space) and
-once per (alpha, beta) pair ((1+x)**beta).  Each gamma then costs only
-arithmetic on those arrays, plus one log in log space, so only one array
-per factor is alive whatever the box shape.  classify_family runs the
-same per-gamma code on the terms of its single triple.
+points, log arccos(x) and log1p(x)), once per alpha (alpha*log1p(-x)) and
+once per (alpha, beta) pair ((1+x)**beta).  Each gamma then costs one log
+and arithmetic on those arrays, so only one array per factor is alive
+whatever the box shape.  classify_family runs the same per-gamma code on
+the terms of its single triple.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .grids import SCAN_GRID, GridSpec, _GridTerms
 
 __all__ = [
     "SIGN_THRESHOLD",
-    "LOG_SPACE_ALPHA",
     "MAX_SCAN_TRIPLES",
     "Verdict",
     "ScanClassification",
@@ -45,17 +44,13 @@ __all__ = [
     "scan_grid",
 ]
 
-# Relative size a forward difference must exceed to count as a sign.
+# Size a forward difference of log|F| must exceed to count as a sign.
 SIGN_THRESHOLD = 1e-12
-# Above this exponent the (1-x)**(-alpha) factor can overflow binary64 near
-# x = 1; classification then uses differences of log F, which preserves
-# monotonicity because F is one-signed on a non-singular family.
-LOG_SPACE_ALPHA = 10.0
 # Largest (alpha, beta, gamma) box a scan accepts: a 100 x 100 x 100 box.
 MAX_SCAN_TRIPLES = 1_000_000
 
 EVIDENCE_NOTE = "numerical evidence only, not a proof"
-# Floating-point states a classification may hit and then reports as a DomainError itself.
+# Floating-point states an evaluation may hit and then reports as a DomainError itself.
 _OVERFLOW_CHECKED = dict(over="ignore", under="ignore", invalid="ignore")
 
 
@@ -71,11 +66,12 @@ class Verdict(enum.Enum):
 class ScanClassification:
     """Monotonicity verdict for one (alpha, beta, gamma) triple.
 
-    For NonMonotone the two witnesses are the strongest relative forward
-    differences of each sign, and ``evidence_x`` is the strongest sample
-    of the minority sign.  For monotone verdicts ``evidence_x`` marks the
-    weakest difference and ``margin`` its relative size; for Undetermined
-    ``margin`` is the largest (sub-threshold) relative difference seen.
+    Differences are forward differences of log|F|, negated where F < 0.
+    For NonMonotone the two witnesses are the strongest differences of
+    each sign, and ``evidence_x`` is the strongest sample of the minority
+    sign.  For monotone verdicts ``evidence_x`` marks the weakest
+    difference and ``margin`` its size; for Undetermined ``margin`` is the
+    largest (sub-threshold) difference seen.
     """
 
     alpha: float
@@ -109,27 +105,35 @@ def _checked_numerator(beta: float, gamma: float, power: np.ndarray) -> np.ndarr
     return num
 
 
+def _unrepresentable(alpha: float, beta: float, gamma: float) -> DomainError:
+    return DomainError(f"family values overflow or underflow binary64 for alpha={alpha!r}, beta={beta!r}, gamma={gamma!r}")
+
+
 def generalized_ratio(alpha: float, beta: float, gamma: float, x):
     """Evaluate the generalized family; x in (0, 1).
 
     Raises SingularFamilyError when the numerator vanishes at a sampled
-    point.  May overflow to inf for large alpha near x = 1; the classifier
-    switches to log space there instead.
+    point, and DomainError, without a numpy warning, where binary64 cannot
+    hold the value: it overflows, or underflows to 0, as for large |alpha|
+    near x = 1.  The classifier works with log|F| and so still classifies
+    such a family.
     """
     arr = _check_open_unit(x)
     _check_finite(alpha, beta, gamma)
     flat = np.atleast_1d(arr)
-    num = _checked_numerator(beta, gamma, np.exp(beta * np.log1p(flat))).reshape(np.shape(arr))
-    return _scalar_like(x, num * arccos_ratio(arr) * (1.0 - arr) ** (0.5 - alpha))
+    with np.errstate(**_OVERFLOW_CHECKED):
+        num = _checked_numerator(beta, gamma, np.exp(beta * np.log1p(flat))).reshape(np.shape(arr))
+        value = num * arccos_ratio(arr) * (1.0 - arr) ** (0.5 - alpha)
+    # the numerator is nonzero, so a NaN, infinite or zero |F| is binary64 overflow or underflow
+    size = np.abs(value)
+    if not (0.0 < size.min() and size.max() < math.inf):
+        raise _unrepresentable(alpha, beta, gamma)
+    return _scalar_like(x, value)
 
 
 def _alpha_factor(terms: _GridTerms, alpha: float) -> np.ndarray | None:
-    """(1-x)**(0.5-alpha), or alpha*log1p(-x) in log space; None if alpha is not finite."""
-    if not math.isfinite(alpha):
-        return None
-    if alpha > LOG_SPACE_ALPHA:
-        return alpha * np.log1p(-terms.x)
-    return (1.0 - terms.x) ** (0.5 - alpha)
+    """alpha*log1p(-x), the log of (1-x)**alpha; None if alpha is not finite."""
+    return alpha * np.log1p(-terms.x) if math.isfinite(alpha) else None
 
 
 def _power(terms: _GridTerms, beta: float) -> np.ndarray | None:
@@ -140,33 +144,25 @@ def _power(terms: _GridTerms, beta: float) -> np.ndarray | None:
 def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, factor, power) -> ScanClassification:
     """Classify one triple from its grid's terms, alpha's factor and beta's power.
 
-    Only arithmetic runs here; the expressions keep the order of a direct
-    evaluation, (num * ratio) * factor and (log|num| + log arccos) - factor.
+    Only arithmetic and one log run here, in the order of a direct
+    evaluation of log|F| = (log|num| + log arccos) - factor.
     """
     _check_finite(alpha, beta, gamma)
     num = _checked_numerator(beta, gamma, power)
     x = terms.x
-    if alpha > LOG_SPACE_ALPHA:
-        # differences of log|F|; when F < 0 its monotonicity is reversed
-        rel = np.diff(np.log(np.abs(num)) + terms.log_arccos - factor)
-        # a non-finite log|F| leaves a non-finite difference next to it
-        representable = math.isfinite(rel.min()) and math.isfinite(rel.max())
-        if num[0] < 0.0:
-            rel = -rel
-    else:
-        v = num * terms.ratio * factor
-        size = np.abs(v)
-        # F is finite and nonzero, so a NaN, infinite or zero |F| is binary64 overflow or underflow
-        representable = 0.0 < size.min() and size.max() < math.inf
-        rel = np.diff(v) / np.maximum(size[:-1], size[1:])
-    if not representable:
-        raise DomainError(f"family values overflow or underflow binary64 for alpha={alpha!r}, beta={beta!r}, gamma={gamma!r}")
-    pos = rel > SIGN_THRESHOLD
-    neg = rel < -SIGN_THRESHOLD
+    dlog = np.diff(np.log(np.abs(num)) + terms.log_arccos - factor)
+    # a non-finite log|F| leaves a non-finite difference next to it
+    if not (math.isfinite(dlog.min()) and math.isfinite(dlog.max())):
+        raise _unrepresentable(alpha, beta, gamma)
+    # num is one-signed, and where F < 0 its monotonicity is reversed
+    if num[0] < 0.0:
+        dlog = -dlog
+    pos = dlog > SIGN_THRESHOLD
+    neg = dlog < -SIGN_THRESHOLD
     common = dict(alpha=float(alpha), beta=float(beta), gamma=float(gamma))
     if pos.any() and neg.any():
-        i_up = int(np.argmax(rel))
-        i_down = int(np.argmin(rel))
+        i_up = int(np.argmax(dlog))
+        i_down = int(np.argmin(dlog))
         up_count = int(np.count_nonzero(pos))
         down_count = int(np.count_nonzero(neg))
         minority_is_up = up_count < down_count
@@ -174,21 +170,21 @@ def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, factor
         return ScanClassification(
             verdict=Verdict.NON_MONOTONE,
             evidence_x=evidence,
-            margin=float(min(rel[i_up], -rel[i_down])),
+            margin=float(min(dlog[i_up], -dlog[i_down])),
             witness_down=float(x[i_down]),
             witness_up=float(x[i_up]),
             **common,
         )
     if pos.all():
-        i = int(np.argmin(rel))
-        return ScanClassification(verdict=Verdict.INCREASING, evidence_x=float(x[i]), margin=float(rel[i]), **common)
+        i = int(np.argmin(dlog))
+        return ScanClassification(verdict=Verdict.INCREASING, evidence_x=float(x[i]), margin=float(dlog[i]), **common)
     if neg.all():
-        i = int(np.argmax(rel))
-        return ScanClassification(verdict=Verdict.DECREASING, evidence_x=float(x[i]), margin=float(-rel[i]), **common)
+        i = int(np.argmax(dlog))
+        return ScanClassification(verdict=Verdict.DECREASING, evidence_x=float(x[i]), margin=float(-dlog[i]), **common)
     return ScanClassification(
         verdict=Verdict.UNDETERMINED,
         evidence_x=math.nan,
-        margin=float(np.max(np.abs(rel))),
+        margin=float(np.max(np.abs(dlog))),
         **common,
     )
 
@@ -201,7 +197,7 @@ def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SC
     everything else is Undetermined.  Prefer uniform grids: a refined grid
     makes near-endpoint differences legitimately sub-threshold, which
     degrades monotone verdicts to Undetermined.  Raises DomainError when
-    the family's values overflow or underflow binary64 on the grid.
+    log|F| or its differences overflow binary64 on the grid.
     """
     terms = _GridTerms(grid)
     with np.errstate(**_OVERFLOW_CHECKED):

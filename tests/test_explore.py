@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import arcbounds as ab
 from arcbounds.errors import DomainError, SingularFamilyError
 from arcbounds.explore import (
-    LOG_SPACE_ALPHA,
     MAX_SCAN_TRIPLES,
     ScanClassification,
     Verdict,
@@ -43,6 +43,22 @@ class TestGeneralizedRatio:
         with pytest.raises(DomainError):
             generalized_ratio(math.inf, 0.5, 1.0, 0.5)
 
+    # F overflows to inf, gives inf * 0 = NaN, or underflows to 0; a numpy
+    # RuntimeWarning on the way would fail the test, as pytest turns it into an error
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, x",
+        [
+            (0.5, 1e308, 1.0, 0.5),
+            (1e308, 0.5, 1.0, 0.5),
+            (-1e6, 1e308, 1.0, 0.5),
+            (-60.0, 0.5, 1.0, 0.999999),
+            (-60.0, 0.5, 1.0, np.array([0.5, 0.999999])),
+        ],
+    )
+    def test_unrepresentable_value_is_a_domain_error(self, alpha, beta, gamma, x):
+        with pytest.raises(DomainError, match="overflow or underflow binary64"):
+            generalized_ratio(alpha, beta, gamma, x)
+
 
 class TestClassifyFamily:
     def test_slice_verdicts(self):
@@ -75,15 +91,15 @@ class TestClassifyFamily:
         assert result.verdict is Verdict.INCREASING
 
     def test_log_space_consistency(self):
-        direct = classify_family(LOG_SPACE_ALPHA - 0.25, 0.5, 1.0)
-        logged = classify_family(LOG_SPACE_ALPHA + 0.25, 0.5, 1.0)
-        assert direct.verdict is Verdict.INCREASING
-        assert logged.verdict is Verdict.INCREASING
+        below = classify_family(9.75, 0.5, 1.0)
+        above = classify_family(10.25, 0.5, 1.0)
+        assert below.verdict is Verdict.INCREASING
+        assert above.verdict is Verdict.INCREASING
 
     def test_log_space_negative_numerator(self):
-        direct = classify_family(9.0, 0.0, -3.0)
-        logged = classify_family(12.0, 0.0, -3.0)
-        assert direct.verdict is logged.verdict is Verdict.DECREASING
+        below = classify_family(9.0, 0.0, -3.0)
+        above = classify_family(12.0, 0.0, -3.0)
+        assert below.verdict is above.verdict is Verdict.DECREASING
 
     def test_large_alpha_no_overflow(self):
         result = classify_family(60.0, 0.5, 1.0)
@@ -135,11 +151,8 @@ class TestScanGrid:
         second = [r.to_dict() for r in scan_grid([0.5], [0.5], [0.0, 2.7], g)]
         assert first == second
 
-    # on SCAN_GRID the family's values overflow binary64 (large alpha in log space, large beta,
-    # large gamma) or underflow it ((1-x)**(0.5-alpha) for very negative alpha)
-    @pytest.mark.parametrize(
-        "alpha, beta, gamma", [(5e307, 0.5, 1.0), (1e308, 0.5, 1.0), (0.5, 1e308, 1.0), (5.0, 0.5, 1e308), (-1e6, 0.5, 1.0)]
-    )
+    # on SCAN_GRID log|F| overflows binary64: alpha*log1p(-x) for a huge alpha, (1+x)**beta for a huge beta
+    @pytest.mark.parametrize("alpha, beta, gamma", [(5e307, 0.5, 1.0), (1e308, 0.5, 1.0), (0.5, 1e308, 1.0)])
     def test_overflow_or_underflow_is_an_error(self, alpha, beta, gamma):
         [result] = scan_grid([alpha], [beta], [gamma])
         assert result.verdict is Verdict.ERROR
@@ -159,10 +172,10 @@ def _per_triple_scan(alphas, betas, gammas, grid):
 
 
 def test_scan_equals_per_triple_classification():
-    # every branch: direct and log space (alpha > 10), beta = 0, singular gammas
+    # every branch: alpha small, large and very negative, beta = 0, singular gammas
     # (-1.2 for beta = 1/2, -1 for beta = 0), non-finite parameters, NonMonotone
     # at (1/2, 1/2, 2.7), and Undetermined on a two-point grid
-    alphas = [0.5, LOG_SPACE_ALPHA + 2.0, math.nan, math.inf]
+    alphas = [0.5, 12.0, -60.0, math.nan, math.inf]
     betas = [0.0, 0.5, -math.inf]
     gammas = [-3.0, -1.2, -1.0, 0.0, 2.7, math.nan]
     grids = [GridSpec(1e-4, 1.0 - 1e-4, 501, "uniform"), GridSpec(0.5 - 1e-14, 0.5 + 1e-14, 2, "uniform")]
@@ -175,6 +188,54 @@ def test_scan_equals_per_triple_classification():
         seen |= {r.verdict for r in scanned}
         seen |= {r.error.split(" ")[0] for r in scanned if r.error}
     assert seen >= set(Verdict) | {"alpha", "beta", "gamma", "family"}
+
+
+def _mp_direction(alpha, beta, gamma, x0, x1):
+    """+1 where F rises from x0 to x1, -1 where it falls: sign(F) times the sign of the log|F| difference, at 50 digits."""
+    with mp.workdps(50):
+
+        def signed_log(x):
+            xm = mp.mpf(x)
+            num = gamma + (1 + xm) ** beta
+            return mp.sign(num), mp.log(abs(num)) + mp.log(mp.acos(xm)) - alpha * mp.log(1 - xm)
+
+        (s0, l0), (s1, l1) = signed_log(x0), signed_log(x1)
+        assert s0 == s1 != 0
+        return int(s0 * mp.sign(l1 - l0))
+
+
+def test_log_space_verdicts_against_mpmath():
+    # below alpha of about -53, (1-x)**(-alpha) underflows binary64 on SCAN_GRID although log|F| does not;
+    # F < 0 for gamma = -9 and for (beta, gamma) = (-1, -1), and at gamma = -1 the numerator starts near beta*x,
+    # so F first rises and then falls.  At gamma = 1e308, F overflows and log|F| does not.
+    results = scan_grid([-54.0, -60.0, -80.0, -1e6], [-1.0, 0.5, 1.0, 3.0], [-9.0, -1.0, 0.0, 1.0, 2.7])
+    results += scan_grid([5.0], [0.5], [1e308])
+    assert {r.verdict for r in results} == {Verdict.INCREASING, Verdict.DECREASING, Verdict.NON_MONOTONE}
+    assert results[-1].verdict is Verdict.INCREASING
+    assert next(r for r in results if (r.alpha, r.beta, r.gamma) == (-1e6, 0.5, 1.0)).verdict is Verdict.DECREASING
+    xs = SCAN_GRID.points()
+    direction = {Verdict.INCREASING: 1, Verdict.DECREASING: -1}
+    for r in results:
+        if r.verdict is Verdict.NON_MONOTONE:
+            assert r.gamma == -1.0 and r.evidence_x in (r.witness_up, r.witness_down)
+            checks = [(r.witness_up, 1), (r.witness_down, -1)]
+        else:
+            # the weakest difference and both ends of the grid
+            checks = [(x, direction[r.verdict]) for x in (r.evidence_x, xs[0], xs[-2])]
+        for x, sign in checks:
+            i = int(np.searchsorted(xs, x))
+            assert xs[i] == x
+            assert _mp_direction(r.alpha, r.beta, r.gamma, xs[i], xs[i + 1]) == sign, r
+
+
+@pytest.mark.parametrize("alpha, beside", [(9.75, 10.25), (-52.0, -54.0)])
+def test_verdicts_agree_on_either_side_of_alpha(alpha, beside):
+    # -53 is about where (1-x)**(-alpha) underflows binary64 on SCAN_GRID
+    betas = [-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
+    gammas = [-3.0, -1.0, -0.5, 0.0, 1.0, 2.5, 2.7, 4.0]
+    verdicts = [r.verdict for r in scan_grid([alpha], betas, gammas)]
+    assert verdicts == [r.verdict for r in scan_grid([beside], betas, gammas)]
+    assert len(set(verdicts)) >= 3
 
 
 def test_scan_box_cap():
