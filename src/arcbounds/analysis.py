@@ -38,10 +38,10 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError
 from .family import (
-    A_STAR,
     PI,
     SQRT2,
     TWO_SQRT2,
+    Regime,
     _check_finite_parameter,
     _check_open_unit,
     _floor,
@@ -49,6 +49,7 @@ from .family import (
     arccos_ratio,
     arccos_stable,
     bound_ratio,
+    classify_regime,
 )
 from .grids import DEFAULT_GRID
 
@@ -94,23 +95,34 @@ def _check_slope_parameter(a: float) -> None:
         raise DomainError("a in (-2, -sqrt(2)) makes the slope-factor denominator vanish on (0, 1)")
 
 
+def _representable(name: str, a: float, x, out):
+    """``out`` for ``x``; DomainError, not the numpy warning its caller ignores, where a value is not finite."""
+    if not np.isfinite(out).all():
+        raise DomainError(f"{name} is infinite or overflows binary64 for a={a:.17g}")
+    return _scalar_like(x, out)
+
+
+@np.errstate(all="ignore")
 def slope_factor(a: float, x):
-    """Sign carrier of the ratio's x-derivative (requires a outside (-2, -sqrt(2)))."""
+    """Sign carrier of the ratio's x-derivative; requires a outside (-2, -sqrt(2)) and a finite value."""
     _check_slope_parameter(a)
     arr = _check_open_unit(x)
     s = np.sqrt(1.0 + arr)
     out = arccos_stable(arr) - 2.0 * np.sqrt(1.0 - arr) * (a + s) / (a * s + 2.0)
-    return _scalar_like(x, out)
+    return _representable("slope factor", a, x, out)
 
 
 def slope_factor_limit0(a: float) -> float:
     """Limit of slope_factor at x -> 0+: ((pi-4)*a + 2*(pi-2)) / (2*(a+2)).
 
     Zero exactly at a = A_STAR, which is where the interior minimum enters
-    through the left endpoint.
+    through the left endpoint.  Infinite at a = -2, which raises DomainError.
     """
     _check_slope_parameter(a)
-    return ((PI - 4.0) * a + 2.0 * (PI - 2.0)) / (2.0 * (a + 2.0))
+    if a == -2.0:
+        raise DomainError("the slope-factor limit at x -> 0+ is infinite at a = -2")
+    # the halved numerator over a + 2: the same bits, and no overflow of 2*(a + 2) for |a| above 9e307
+    return (0.5 * (PI - 4.0) * a + (PI - 2.0)) / (a + 2.0)
 
 
 def _q(a, s):
@@ -118,12 +130,12 @@ def _q(a, s):
     return a * a - a * s - 4
 
 
+@np.errstate(all="ignore")
 def slope_quadratic(a: float, x):
     """Quadratic in a controlling the slope factor's monotonicity: s*q(a, s), s = sqrt(1+x)."""
     _check_finite_parameter(a)
-    arr = _check_open_unit(x)
-    s = np.sqrt(1.0 + arr)
-    return _scalar_like(x, s * _q(a, s))
+    s = np.sqrt(1.0 + _check_open_unit(x))
+    return _representable("slope quadratic", a, x, s * _q(a, s))
 
 
 def slope_quadratic_roots(x):
@@ -132,12 +144,12 @@ def slope_quadratic_roots(x):
     root_lo spans ((1-sqrt(17))/2, -sqrt(2)) and root_hi spans
     ((1+sqrt(17))/2, 2*sqrt(2)) as x runs over (0, 1).
     """
-    arr = _check_open_unit(x)
-    s = np.sqrt(1.0 + arr)
+    s = np.sqrt(1.0 + _check_open_unit(x))
     t = s + np.sqrt(s * s + 16.0)
     return _scalar_like(x, -8.0 / t), _scalar_like(x, 0.5 * t)
 
 
+@np.errstate(all="ignore")
 def slope_term(a: float, x):
     """Cleared-denominator variant of the slope sign carrier.
 
@@ -148,21 +160,18 @@ def slope_term(a: float, x):
     arr = _check_open_unit(x)
     s = np.sqrt(1.0 + arr)
     out = (a * s + 2.0) * arccos_stable(arr) - 2.0 * np.sqrt(1.0 - arr) * (a + s)
-    return _scalar_like(x, out)
+    return _representable("slope term", a, x, out)
 
 
 def slope_threshold(x):
     """4*sqrt(1-x)/arccos(x); strictly increasing from 8/pi to 2*sqrt(2)."""
-    arr = _check_open_unit(x)
-    out = 4.0 / arccos_ratio(arr)
-    return _scalar_like(x, out)
+    return _scalar_like(x, 4.0 / arccos_ratio(_check_open_unit(x)))
 
 
 def threshold_gap(x):
     """2*sqrt(1-x**2)/(1+x) - arccos(x); positive and strictly decreasing to 0."""
     arr = _check_open_unit(x)
-    out = 2.0 * np.sqrt(1.0 - arr) / np.sqrt(1.0 + arr) - arccos_stable(arr)
-    return _scalar_like(x, out)
+    return _scalar_like(x, 2.0 * np.sqrt(1.0 - arr) / np.sqrt(1.0 + arr) - arccos_stable(arr))
 
 
 # Cap on bisection steps, far above the ~43 an interval in (0, 1) needs to reach 1e-13.
@@ -197,11 +206,6 @@ def bisect_sign_change(fn: Callable[[float], float], lo: float, hi: float, xtol:
     return 0.5 * (lo + hi), iterations
 
 
-def _check_interior_regime(a: float) -> None:
-    if not math.isfinite(a) or a <= A_STAR or a >= TWO_SQRT2:
-        raise RegimeError(f"a = {a!r} is outside the open interior-minimum interval (A_STAR, 2*sqrt(2))")
-
-
 def find_minimum(a: float) -> MinimumResult:
     """Locate the unique interior minimum of the ratio for A_STAR < a < 2*sqrt(2).
 
@@ -213,7 +217,8 @@ def find_minimum(a: float) -> MinimumResult:
     bracket is bisected to below 1e-13.  Raises RegimeError, naming the
     nearby boundary, if binary64 resolves no strict sign at one end.
     """
-    _check_interior_regime(a)
+    if classify_regime(a) is not Regime.INTERIOR_MINIMUM:
+        raise RegimeError(f"a = {a!r} is outside the open interior-minimum interval (A_STAR, 2*sqrt(2))")
     fn = lambda x: slope_factor(a, x)
     offsets = (1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
     lo = next((t for t in offsets if fn(t) < 0.0), None)
@@ -225,15 +230,19 @@ def find_minimum(a: float) -> MinimumResult:
     return MinimumResult(a=float(a), x0=x0, f_min=float(bound_ratio(a, x0)), residual=abs(fn(x0)), iterations=iterations)
 
 
+@np.errstate(all="ignore")
 def min_floor_gap(a: float, u):
     """2*(a+u)**2/(a*u+2) - 8*(1 - 2/a**2) as the square 2*(q(a, u)/a)**2/(a*u+2).
 
     Nonnegative where a*u + 2 > 0; q/a stays finite for large a.  Raises
-    DomainError where the floor does.
+    DomainError where the floor does, for a non-finite u, and where the gap
+    is infinite (a*u + 2 = 0) or overflows.
     """
     _floor(a)
     u_arr = np.asarray(u, dtype=np.float64)
-    return _scalar_like(u, 2.0 * (_q(a, u_arr) / a) ** 2 / (a * u_arr + 2.0))
+    if not np.isfinite(u_arr).all():
+        raise DomainError("floor gap argument u must be finite")
+    return _representable("floor gap", a, u, 2.0 * (_q(a, u_arr) / a) ** 2 / (a * u_arr + 2.0))
 
 
 def min_value_lower(a: float) -> float:
@@ -243,7 +252,7 @@ def min_value_lower(a: float) -> float:
     equals the classical constant 6.  It is a floor because the gap above
     it, ``min_floor_gap``, is a perfect square.
     """
-    if not math.isfinite(a) or a <= A_STAR or a > TWO_SQRT2:
+    if a != TWO_SQRT2 and classify_regime(a) is not Regime.INTERIOR_MINIMUM:
         raise RegimeError(f"a = {a!r} is outside (A_STAR, 2*sqrt(2)]")
     return _floor(a)
 

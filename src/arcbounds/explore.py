@@ -131,14 +131,14 @@ def generalized_ratio(alpha: float, beta: float, gamma: float, x):
     return _scalar_like(x, value)
 
 
-def _alpha_factor(terms: _GridTerms, alpha: float) -> np.ndarray | None:
-    """alpha*log1p(-x), the log of (1-x)**alpha; None if alpha is not finite."""
-    return alpha * np.log1p(-terms.x) if math.isfinite(alpha) else None
+def _alpha_factor(terms: _GridTerms, alpha: float) -> np.ndarray:
+    """alpha*log1p(-x), the log of (1-x)**alpha; _classify rejects a non-finite alpha."""
+    return alpha * np.log1p(-terms.x)
 
 
-def _power(terms: _GridTerms, beta: float) -> np.ndarray | None:
-    """(1+x)**beta; None if beta is not finite."""
-    return np.exp(beta * terms.log1p_x) if math.isfinite(beta) else None
+def _power(terms: _GridTerms, beta: float) -> np.ndarray:
+    """(1+x)**beta; _classify rejects a non-finite beta."""
+    return np.exp(beta * terms.log1p_x)
 
 
 def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, factor, power) -> ScanClassification:

@@ -23,6 +23,11 @@ All functions are pure, accept scalars or numpy arrays, and do all
 arithmetic in binary64.  arccos comes straight from libm: the quotient
 arccos(x)/sqrt(1-x) needs no rewrite near x = 1, because 1 - x is exact
 for x >= 1/2 (Sterbenz's lemma).
+
+Each input rule has one owner, which checks it in one pass before the
+arithmetic it guards: ``_check_open_unit`` owns 0 < x < 1, ``arccos_stable``
+-1 <= x <= 1, ``_check_finite_parameter`` a finite a, ``_constants`` a > -1,
+and ``classify_regime`` the regime of a.
 """
 
 from __future__ import annotations
@@ -84,17 +89,10 @@ class BoundPair:
     a: float
 
 
-def _as_float_array(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("argument must be finite")
-    return arr
-
-
 def _check_open_unit(x) -> np.ndarray:
-    arr = _as_float_array(x)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("x must lie in the open interval (0, 1)")
+    arr = np.asarray(x, dtype=np.float64)
+    if not ((arr > 0.0) & (arr < 1.0)).all():  # False for NaN and +-inf too
+        raise DomainError("x must lie in the open interval (0, 1)" if np.isfinite(arr).all() else "argument must be finite")
     return arr
 
 
@@ -109,7 +107,7 @@ def arccos_stable(x):
     Raises DomainError if |x| > 1.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(np.isnan(arr)) or np.any(np.abs(arr) > 1.0):
+    if not (np.abs(arr) <= 1.0).all():  # False for NaN too
         raise DomainError("arccos argument must lie in [-1, 1]")
     return _scalar_like(x, np.arccos(arr))
 
@@ -121,9 +119,7 @@ def arccos_ratio(x):
     roundings of arccos, sqrt and the division remain (3 ulp in the tests).
     """
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(np.isnan(arr)) or np.any(np.abs(arr) > 1.0):
-        raise DomainError("argument must lie in [-1, 1]")
-    out = np.divide(np.arccos(arr), np.sqrt(1.0 - arr), out=np.full(arr.shape, SQRT2), where=arr < 1.0)
+    out = np.divide(arccos_stable(arr), np.sqrt(1.0 - arr), out=np.full(arr.shape, SQRT2), where=arr < 1.0)
     return _scalar_like(x, out)
 
 
@@ -152,8 +148,7 @@ def bound_ratio(a: float, x):
     """
     endpoint_limits(a)
     arr = _check_open_unit(x)
-    out = (a + np.sqrt(1.0 + arr)) * arccos_ratio(arr)
-    return _scalar_like(x, out)
+    return _scalar_like(x, (a + np.sqrt(1.0 + arr)) * arccos_ratio(arr))
 
 
 def endpoint_limits(a: float) -> tuple[float, float]:
@@ -217,8 +212,8 @@ def upper_constant(a: float) -> float:
 
 def bound_arrays(a: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (lower, upper) bound values at the points ``x``."""
-    template = _shape(a, _check_open_unit(x))
     c_lower, c_upper = _constants(a)
+    template = _shape(a, _check_open_unit(x))
     return c_lower * template, c_upper * template
 
 
@@ -228,7 +223,7 @@ def bound_pair(a: float, x: float) -> BoundPair:
     Guarantees lower < arccos(x) < upper in exact arithmetic; in binary64
     the containment holds up to 4 ulp of arccos(x).
     """
-    template = _shape(a, _check_open_unit(x))
     c_lower, c_upper = _constants(a)
+    template = _shape(a, _check_open_unit(x))
     lower, upper = float(c_lower * template), float(c_upper * template)
     return BoundPair(x=float(x), lower=lower, upper=upper, c_lower=c_lower, c_upper=c_upper, a=float(a))

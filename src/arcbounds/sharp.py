@@ -79,8 +79,7 @@ def lambda_kernel(x):
     """cos(arctan(sqrt((1-x)/(1+x))) / 3); strictly increasing from
     cos(pi/12) to 1 on (0, 1).
     """
-    arr = _check_open_unit(x)
-    return _scalar_like(x, _lambda(arr))
+    return _scalar_like(x, _lambda(_check_open_unit(x)))
 
 
 def lambda_lower(x):
@@ -122,7 +121,7 @@ def sqrt3_lower(x):
 
 def _check_gain_parameter(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= A_STAR) or np.any(arr >= TWO_SQRT2):
+    if not ((arr > A_STAR) & (arr < TWO_SQRT2)).all():  # False for NaN and +-inf too
         raise RegimeError("gain parameter must lie in the open interior-minimum interval")
     return arr
 
@@ -136,16 +135,12 @@ def lower_gain(a, x):
     a_arr = _check_gain_parameter(a)
     x_arr = _check_open_unit(x)
     out = (1.0 - 2.0 / (a_arr * a_arr)) / (a_arr + np.sqrt(1.0 + x_arr))
-    if np.ndim(a) == 0 and np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def lower_gain_argmax(x):
     """Maximizer of the gain over a: 2*sqrt(2)*lambda_kernel(x), inside (1+sqrt(3), 2*sqrt(2))."""
-    arr = _check_open_unit(x)
-    out = TWO_SQRT2 * _lambda(arr)
-    return _scalar_like(x, out)
+    return _scalar_like(x, TWO_SQRT2 * _lambda(_check_open_unit(x)))
 
 
 def lower_gain_max(x):
@@ -158,16 +153,12 @@ def lower_gain_max(x):
     arr = _check_open_unit(x)
     lam = _lambda(arr)
     lam2 = lam * lam
-    out = (4.0 * lam2 - 1.0) / (4.0 * lam2 * (TWO_SQRT2 * lam + np.sqrt(1.0 + arr)))
-    return _scalar_like(x, out)
+    return _scalar_like(x, (4.0 * lam2 - 1.0) / (4.0 * lam2 * (TWO_SQRT2 * lam + np.sqrt(1.0 + arr))))
 
 
 def best_lower(x):
     """Pointwise max of the lambda lower bound and the A_STAR lower bound."""
-    lam = lambda_lower(x)
-    pi2 = a_star_pair(x)[0]
-    out = np.maximum(lam, pi2)
-    return _scalar_like(x, out)
+    return _scalar_like(x, np.maximum(lambda_lower(x), a_star_pair(x)[0]))
 
 
 def best_pair(x: float) -> SharpBounds:

@@ -566,8 +566,12 @@ class Claim:
     check: Callable[[Sequence[float], GridSpec | None], list[VerificationReport]]
     grid: GridSpec | None
     values: tuple[float, ...] = ()
-    # The only regime a parameterized run may name; None accepts every a.
-    regime: Regime | None = None
+
+    @property
+    def regime(self) -> Regime | None:
+        """The one regime of all ``values``, the only one a parameterized run may name; None accepts every a."""
+        regimes = {classify_regime(v) for v in self.values}
+        return regimes.pop() if len(regimes) == 1 else None
 
     def runner(self, grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
         own = self.grid
@@ -581,10 +585,10 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("family-bracket", "two-sided family bound holds with the regime's constants", _each_a(_bounds_report), DEFAULT_GRID, BRACKET_A_VALUES),
     Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _each_a(_floor_report), DEFAULT_GRID, FLOOR_A_VALUES),
     Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _each_a(_limits_report), replace(DEFAULT_GRID, n=200_000), BRACKET_A_VALUES),
-    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _each_a(_monotonicity_report), replace(DEFAULT_GRID, n=100_000), INCREASING_A_VALUES, Regime.INCREASING),
-    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _each_a(_monotonicity_report), replace(DEFAULT_GRID, n=100_000), DECREASING_A_VALUES, Regime.DECREASING),
-    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _each_a(_interior_report), replace(DEFAULT_GRID, n=100_000), INTERIOR_A_VALUES, Regime.INTERIOR_MINIMUM),
-    Claim("minimum-floor", "interior minimum satisfies its floor and brute-force cross-check", _claim_minimum_floor, None, MINIMUM_A_VALUES, Regime.INTERIOR_MINIMUM),
+    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _each_a(_monotonicity_report), replace(DEFAULT_GRID, n=100_000), INCREASING_A_VALUES),
+    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _each_a(_monotonicity_report), replace(DEFAULT_GRID, n=100_000), DECREASING_A_VALUES),
+    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _each_a(_interior_report), replace(DEFAULT_GRID, n=100_000), INTERIOR_A_VALUES),
+    Claim("minimum-floor", "interior minimum satisfies its floor and brute-force cross-check", _claim_minimum_floor, None, MINIMUM_A_VALUES),
     Claim("aux-slope-limits", "derivative-apparatus limits and threshold shape", _claim_aux_slope_limits, replace(DEFAULT_GRID, n=100_000)),
     # Near the endpoints of a refined grid neighbouring roots differ by less than an ulp, so this grid is uniform.
     Claim("aux-quadratic-roots", "slope-quadratic roots: limits, residuals, monotonicity", _claim_aux_roots, replace(DEFAULT_GRID, n=10_000, spacing="uniform")),

@@ -29,6 +29,13 @@ class TestSlopeFactor:
     def test_limit_vanishes_at_threshold(self):
         assert ab.slope_factor_limit0(ab.A_STAR) == pytest.approx(0.0, abs=1e-16)
 
+    def test_limit_keeps_its_bits_and_tends_to_its_value_at_huge_a(self):
+        # the documented form, evaluated as written, overflows 2*(a+2) above |a| = 9e307
+        for a in (-3.0, -1.0, 0.0, 1.0, ab.A_STAR, 2.7, 1e300):
+            assert ab.slope_factor_limit0(a) == ((math.pi - 4.0) * a + 2.0 * (math.pi - 2.0)) / (2.0 * (a + 2.0))
+        for a in (1e308, -1e308, 1.7e308):
+            assert ab.slope_factor_limit0(a) == pytest.approx((math.pi - 4.0) / 2.0, rel=1e-15)
+
     def test_sign_matches_ratio_differences(self):
         x = np.linspace(0.01, 0.98, 2_000)
         h = 1e-7

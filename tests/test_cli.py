@@ -419,6 +419,8 @@ BAD_INPUTS = [
     (("scan", "--alpha", "-1e308:1e308:3", "--beta", "0.5", "--gamma", "1"), "needs finite ends and a finite width"),
     (("verify", "--claims", "midregime-floor", "--a", "1e-154", "--n", "2001"), "overflows"),
     (("bounds", "--a", "6e307", "--n", "3"), "endpoint limit pi*(1+a)/2 overflows"),
+    # the grid point x = 0.5 makes a + sqrt(1+x) vanish: a is checked before the template is evaluated
+    (("bounds", "--a", "-1.2247448713915889", "--n", "5", "--grid", "uniform"), "a > -1"),
     (("verify", "--claims", "endpoint-constants", "--a", "6e307", "--n", "101"), "endpoint limit pi*(1+a)/2 overflows"),
     (("eval", "--a", "1.7e308", "--x", "0.5"), "endpoint limit pi*(1+a)/2 overflows"),
 ]

@@ -1,10 +1,15 @@
+import dataclasses
+import inspect
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcbounds as ab
+from arcbounds import analysis, family, sharp
 
 finite_a = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 bound_a = st.floats(min_value=-0.99, max_value=8.0, allow_nan=False, allow_infinity=False)
@@ -118,3 +123,53 @@ def test_refined_points_equal_the_sorted_build(lo, log_width, n):
 
 def test_default_grid_equals_the_sorted_build():
     np.testing.assert_array_equal(ab.DEFAULT_GRID.points(), _sorted_refined_points(ab.DEFAULT_GRID))
+
+
+# Special values: the edges of (0, 1) and of binary64, the regime boundaries, the poles of the
+# slope factor and of the bound template (a = -sqrt(1+x)), and points outside every domain.
+SPECIAL_X = (5e-324, 1e-17, 1e-9, 0.5, 1.0 - 2.0**-53, 0.0, 1.0, -0.5, 2.0, math.nan, math.inf, -math.inf)
+SPECIAL_A = (
+    0.0, 1.0, -1.0, -2.0, -ab.SQRT2, ab.A_STAR, ab.TWO_SQRT2, 2.7, 1e308, -1e308, 1e-160, math.nan, math.inf, -math.inf,
+    *(-math.sqrt(1.0 + x) for x in SPECIAL_X if 1.0 + x >= 0.0),
+)
+_A_X = [(a, x) for a in SPECIAL_A for x in SPECIAL_X]
+# Arguments by parameter names; min_floor_gap's u takes the x values, grid_argmin a 3-point grid.
+SWEEP_ARGS = {
+    ("x",): [(x,) for x in SPECIAL_X],
+    ("a",): [(a,) for a in SPECIAL_A],
+    ("a", "x"): _A_X,
+    ("a", "u"): _A_X,
+    ("a", "n"): [(a, 3) for a in SPECIAL_A],
+}
+SWEPT = [
+    (f"{module.__name__.rpartition('.')[2]}.{name}", getattr(module, name))
+    for module in (family, sharp, analysis)
+    for name in module.__all__
+    if inspect.isfunction(getattr(module, name)) and name != "bisect_sign_change"  # that one takes a callable
+]
+
+
+def _numbers(result) -> list:
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    if isinstance(result, tuple):
+        return [v for item in result for v in _numbers(item)]
+    return [] if isinstance(result, ab.Regime) else np.ravel(result).tolist()
+
+
+@pytest.mark.parametrize("fn", [fn for _, fn in SWEPT], ids=[name for name, _ in SWEPT])
+def test_special_values_give_finite_values_or_domain_error(fn):
+    failures = []
+    for args in SWEEP_ARGS[tuple(inspect.signature(fn).parameters)]:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = fn(*args)
+        except ab.DomainError:
+            continue
+        except Exception as exc:  # a warning turned error, or any other exception
+            failures.append(f"{args!r}: {type(exc).__name__}: {exc}")
+            continue
+        if not all(math.isfinite(v) for v in _numbers(result)):
+            failures.append(f"{args!r}: returned {result!r}")
+    assert not failures, f"{len(failures)} failures, first: {failures[:5]}"

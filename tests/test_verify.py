@@ -219,6 +219,17 @@ class TestRegistry:
         for claim in CLAIMS:
             assert claim.description
 
+    def test_regime_is_the_one_regime_of_the_values(self):
+        # a row whose values span several regimes, or that has none, accepts every a
+        regimes = {c.claim_id: c.regime for c in CLAIMS}
+        assert regimes == {
+            **{c.claim_id: None for c in CLAIMS},
+            "regime-increasing": ab.Regime.INCREASING,
+            "regime-decreasing": ab.Regime.DECREASING,
+            "regime-interior-minimum": ab.Regime.INTERIOR_MINIMUM,
+            "minimum-floor": ab.Regime.INTERIOR_MINIMUM,
+        }
+
     @pytest.mark.parametrize("spacing", ["refined", "uniform"])
     @pytest.mark.parametrize("claim", CLAIMS, ids=[c.claim_id for c in CLAIMS])
     def test_each_claim_samples_one_grid_by_the_override_rule(self, monkeypatch, claim, spacing):
