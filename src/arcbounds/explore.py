@@ -10,6 +10,8 @@ numerical evidence, not proof, and every serialized record says so.  A log
 difference is the relative difference of F to first order; it is compared
 against SIGN_THRESHOLD, and anything smaller is treated as
 indistinguishable from zero, with Undetermined as the honest fallback.
+The smallest and the largest difference alone decide the verdict, its
+witnesses and its margin.
 
 The (alpha, beta, gamma) = (1/2, 1/2, a) slice reproduces the bound
 family, so scanner verdicts there must agree with the regime map.
@@ -18,8 +20,9 @@ Cost model.  A scan evaluates its transcendentals once per grid (the
 points, log arccos(x) and log1p(x)), once per alpha (alpha*log1p(-x)) and
 once per (alpha, beta) pair ((1+x)**beta).  Each gamma then costs one log
 and arithmetic on those arrays, so only one array per factor is alive
-whatever the box shape.  classify_family runs the same per-gamma code on
-the terms of its single triple.
+whatever the box shape, plus a min and a max for the singularity test and
+an argmin and an argmax for the verdict.  classify_family runs the same
+per-gamma code on the terms of its single triple.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ class ScanClassification:
     each sign, and ``evidence_x`` is the strongest sample of the minority
     sign.  For monotone verdicts ``evidence_x`` marks the weakest
     difference and ``margin`` its size; for Undetermined ``margin`` is the
-    largest (sub-threshold) difference seen.
+    largest |difference|, above the threshold when only some differences
+    pass it.
     """
 
     alpha: float
@@ -98,7 +102,8 @@ def _check_finite(alpha: float, beta: float, gamma: float) -> None:
 def _checked_numerator(beta: float, gamma: float, power: np.ndarray) -> np.ndarray:
     """gamma + (1+x)**beta from power = (1+x)**beta; raises where it vanishes on x."""
     num = gamma + power
-    if np.any(num == 0.0) or (np.min(num) < 0.0 < np.max(num)):
+    # without a strict sign change, min <= 0 <= max leaves a zero at min or max
+    if num.min() <= 0.0 <= num.max():
         raise SingularFamilyError(
             f"family numerator gamma + (1+x)^beta vanishes on the sampled interval for beta={beta!r}, gamma={gamma!r}"
         )
@@ -151,42 +156,30 @@ def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, factor
     num = _checked_numerator(beta, gamma, power)
     x = terms.x
     dlog = np.diff(np.log(np.abs(num)) + terms.log_arccos - factor)
-    # a non-finite log|F| leaves a non-finite difference next to it
-    if not (math.isfinite(dlog.min()) and math.isfinite(dlog.max())):
-        raise _unrepresentable(alpha, beta, gamma)
     # num is one-signed, and where F < 0 its monotonicity is reversed
     if num[0] < 0.0:
         dlog = -dlog
-    pos = dlog > SIGN_THRESHOLD
-    neg = dlog < -SIGN_THRESHOLD
+    # argmin and argmax return the first NaN, so both extremes are finite or log|F| is not
+    i_down, i_up = int(np.argmin(dlog)), int(np.argmax(dlog))
+    low, high = float(dlog[i_down]), float(dlog[i_up])
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise _unrepresentable(alpha, beta, gamma)
     common = dict(alpha=float(alpha), beta=float(beta), gamma=float(gamma))
-    if pos.any() and neg.any():
-        i_up = int(np.argmax(dlog))
-        i_down = int(np.argmin(dlog))
-        up_count = int(np.count_nonzero(pos))
-        down_count = int(np.count_nonzero(neg))
-        minority_is_up = up_count < down_count
-        evidence = float(x[i_up]) if minority_is_up else float(x[i_down])
+    if high > SIGN_THRESHOLD and low < -SIGN_THRESHOLD:
+        minority_is_up = np.count_nonzero(dlog > SIGN_THRESHOLD) < np.count_nonzero(dlog < -SIGN_THRESHOLD)
         return ScanClassification(
             verdict=Verdict.NON_MONOTONE,
-            evidence_x=evidence,
-            margin=float(min(dlog[i_up], -dlog[i_down])),
+            evidence_x=float(x[i_up] if minority_is_up else x[i_down]),
+            margin=min(high, -low),
             witness_down=float(x[i_down]),
             witness_up=float(x[i_up]),
             **common,
         )
-    if pos.all():
-        i = int(np.argmin(dlog))
-        return ScanClassification(verdict=Verdict.INCREASING, evidence_x=float(x[i]), margin=float(dlog[i]), **common)
-    if neg.all():
-        i = int(np.argmax(dlog))
-        return ScanClassification(verdict=Verdict.DECREASING, evidence_x=float(x[i]), margin=float(-dlog[i]), **common)
-    return ScanClassification(
-        verdict=Verdict.UNDETERMINED,
-        evidence_x=math.nan,
-        margin=float(np.max(np.abs(dlog))),
-        **common,
-    )
+    if low > SIGN_THRESHOLD:
+        return ScanClassification(verdict=Verdict.INCREASING, evidence_x=float(x[i_down]), margin=low, **common)
+    if high < -SIGN_THRESHOLD:
+        return ScanClassification(verdict=Verdict.DECREASING, evidence_x=float(x[i_up]), margin=-high, **common)
+    return ScanClassification(verdict=Verdict.UNDETERMINED, evidence_x=math.nan, margin=max(abs(low), abs(high)), **common)
 
 
 def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SCAN_GRID) -> ScanClassification:

@@ -135,7 +135,6 @@ def _pair_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pointwise_report(claim_id: str, x: np.ndarray, margins: np.ndarray, tol: np.ndarray, notes: str = "") -> VerificationReport:
-    tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), margins.shape)
     i = int(np.argmin(margins))
     worst = float(margins[i])
     # a NaN or infinite margin is a violation: it says nothing about the bound

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from mpmath import mp
 import arcbounds as ab
 from arcbounds.errors import DomainError, SingularFamilyError
 from arcbounds.explore import (
+    _OVERFLOW_CHECKED,
     MAX_SCAN_TRIPLES,
+    SIGN_THRESHOLD,
     ScanClassification,
     Verdict,
+    _classify,
     classify_family,
     generalized_ratio,
     scan_grid,
@@ -109,6 +113,75 @@ class TestClassifyFamily:
         result = classify_family(0.5, 0.5, 0.0)
         assert "evidence" in result.note
         assert "evidence" in result.to_dict()["note"]
+
+
+T = SIGN_THRESHOLD
+
+
+def _mask_rule(x, dlog):
+    """The verdict rule written out with sign masks: (verdict, evidence_x, margin, witness_down, witness_up)."""
+    pos, neg = dlog > T, dlog < -T
+    i_up, i_down = int(np.argmax(dlog)), int(np.argmin(dlog))
+    if pos.any() and neg.any():
+        evidence = x[i_up] if np.count_nonzero(pos) < np.count_nonzero(neg) else x[i_down]
+        return Verdict.NON_MONOTONE, evidence, min(dlog[i_up], -dlog[i_down]), x[i_down], x[i_up]
+    if pos.all():
+        return Verdict.INCREASING, x[i_down], dlog[i_down], math.nan, math.nan
+    if neg.all():
+        return Verdict.DECREASING, x[i_up], -dlog[i_up], math.nan, math.nan
+    return Verdict.UNDETERMINED, math.nan, np.max(np.abs(dlog)), math.nan, math.nan
+
+
+def _classify_differences(gamma, diffs, power=None):
+    """_classify on a stand-in grid whose log arccos has the given forward differences.
+
+    With factor 0 and power 1, gamma = 0 or -2 gives |num| = 1, so the
+    differences of log|F| are those of the stand-in's log arccos.
+    """
+    log_arccos = np.concatenate(([0.0], np.cumsum(diffs)))
+    terms = SimpleNamespace(x=np.linspace(0.1, 0.9, log_arccos.size), log_arccos=log_arccos)
+    power = np.ones(log_arccos.size) if power is None else np.array(power)
+    with np.errstate(**_OVERFLOW_CHECKED):
+        return _classify(0.0, 1.0, gamma, terms, 0.0, power), terms.x, np.diff(log_arccos)
+
+
+class TestVerdictRule:
+    # the first difference is exact, so each threshold case puts +-T there
+    @pytest.mark.parametrize(
+        "gamma, diffs, verdict",
+        [
+            (0.0, [3 * T, 2 * T, 5 * T], Verdict.INCREASING),
+            (0.0, [-3 * T, -2 * T, -5 * T], Verdict.DECREASING),
+            (0.0, [T, 2 * T], Verdict.UNDETERMINED),
+            (0.0, [-T, -2 * T], Verdict.UNDETERMINED),
+            (0.0, [0.0, 0.0, 0.0], Verdict.UNDETERMINED),
+            (0.0, [-4.0, 0.5 * T], Verdict.UNDETERMINED),
+            (0.0, [3 * T, -2 * T, -4 * T], Verdict.NON_MONOTONE),
+            (0.0, [-3 * T, 2 * T, 4 * T], Verdict.NON_MONOTONE),
+            (0.0, [-2 * T, 3 * T, -4 * T, 5 * T], Verdict.NON_MONOTONE),
+            (-2.0, [3 * T, 2 * T, 5 * T], Verdict.DECREASING),
+            (-2.0, [-T, -2 * T], Verdict.UNDETERMINED),
+            (-2.0, [3 * T, -2 * T, -4 * T], Verdict.NON_MONOTONE),
+        ],
+    )
+    def test_extremes_agree_with_sign_masks(self, gamma, diffs, verdict):
+        result, x, dlog = _classify_differences(gamma, diffs)
+        assert dlog[0] == diffs[0]
+        expected = _mask_rule(x, -dlog if gamma < 0 else dlog)
+        got = (result.verdict, result.evidence_x, result.margin, result.witness_down, result.witness_up)
+        assert got[0] is expected[0] is verdict
+        assert [repr(float(v)) for v in got[1:]] == [repr(float(v)) for v in expected[1:]]
+
+    @pytest.mark.parametrize("diffs", [[-5 * T, math.nan, 5 * T], [2 * T, math.inf], [2 * T, -math.inf]])
+    def test_non_finite_difference_is_a_domain_error(self, diffs):
+        with pytest.raises(DomainError, match="overflow or underflow"):
+            _classify_differences(0.0, diffs)
+
+    # the numerator touches 0 at one end of the grid only, with no strict sign change
+    @pytest.mark.parametrize("power", [[0.0, 1.0, 2.0], [-2.0, -1.0, 0.0]])
+    def test_numerator_zero_at_an_end_is_singular(self, power):
+        with pytest.raises(SingularFamilyError, match="vanishes"):
+            _classify_differences(0.0, [T, T], power)
 
 
 class TestScanGrid:
