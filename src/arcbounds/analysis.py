@@ -51,6 +51,7 @@ from .family import (
     bound_ratio,
     classify_regime,
 )
+from . import grids
 from .grids import DEFAULT_GRID
 
 __all__ = [
@@ -257,15 +258,10 @@ def min_value_lower(a: float) -> float:
     return _floor(a)
 
 
-# Points per chunk of a brute-force argmin: small enough that the chunk's
-# terms and each parameter's values stay in cache.
-_ARGMIN_CHUNK = 1 << 16
-
-
 def grid_argmin(a: float, n: int) -> tuple[float, float]:
     """Brute-force argmin of the ratio on n uniform points over DEFAULT_GRID's interval.
 
-    Evaluates in chunks of _ARGMIN_CHUNK points to bound memory; ties
+    Evaluates in chunks of grids._BLOCK points to bound memory; ties
     resolve to the smallest abscissa, so the result is independent of the
     chunking.
     """
@@ -282,7 +278,7 @@ def _grid_argmins(a_values, n: int) -> list[tuple[float, float]]:
     for a in a_values:
         _check_finite_parameter(a)
     best = [(math.nan, math.inf)] * len(a_values)
-    lo, chunk = DEFAULT_GRID.lo, _ARGMIN_CHUNK
+    lo, chunk = DEFAULT_GRID.lo, grids._BLOCK
     step = (DEFAULT_GRID.hi - lo) / (n - 1)
     for start in range(0, n, chunk):
         x = _check_open_unit(lo + step * np.arange(start, min(start + chunk, n), dtype=np.float64))

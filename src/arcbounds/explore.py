@@ -190,9 +190,10 @@ def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SC
     everything else is Undetermined.  Prefer uniform grids: a refined grid
     makes near-endpoint differences legitimately sub-threshold, which
     degrades monotone verdicts to Undetermined.  Raises DomainError when
-    log|F| or its differences overflow binary64 on the grid.
+    log|F| or its differences overflow binary64 on the grid, and, before
+    any evaluation, when the grid leaves (0, 1).
     """
-    terms = _GridTerms(grid)
+    terms = _GridTerms(_check_open_unit(grid.points()))
     with np.errstate(**_OVERFLOW_CHECKED):
         return _classify(alpha, beta, gamma, terms, _alpha_factor(terms, alpha), _power(terms, beta))
 
@@ -214,11 +215,11 @@ def scan_grid(
     Per-triple domain, singularity and overflow errors are recorded in that
     triple's entry (verdict Error) and never abort the scan.  A box of more
     than MAX_SCAN_TRIPLES triples raises DomainError before the grid is
-    sampled.
+    sampled, and a grid that leaves (0, 1) before any triple.
     """
     alphas, betas, gammas = ([float(v) for v in axis] for axis in (alphas, betas, gammas))
     _check_box(len(alphas), len(betas), len(gammas))
-    terms = _GridTerms(grid)
+    terms = _GridTerms(_check_open_unit(grid.points()))
     results: list[ScanClassification] = []
     with np.errstate(**_OVERFLOW_CHECKED):
         for alpha in alphas:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -17,6 +18,9 @@ _EDGE_WIDTH = 1e-3
 # Largest grid a GridSpec accepts: ten times DEFAULT_GRID.  At 8 bytes a
 # sample, one array of it is 80 MB, and a verification holds several.
 MAX_GRID_POINTS = 10_000_000
+# Points per block of a blocked grid evaluation: 128 KB per float array, so a
+# block's terms and each parameter's arrays stay in a 2 MB L2 cache.  Not an option.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -80,34 +84,42 @@ DEFAULT_GRID = GridSpec(1e-9, 1.0 - 1e-9, 1_000_000, "refined")
 SCAN_GRID = GridSpec(1e-6, 1.0 - 1e-6, 20_001, "uniform")
 
 
-class _GridTerms:
-    """The terms of one grid that depend on x alone.
+def _blocks(grid: GridSpec, overlap: int = 0) -> Iterator[np.ndarray]:
+    """Consecutive slices of ``grid.points()``, each _BLOCK points and ``overlap`` more of the next.
 
-    Each is evaluated on first use and then shared by every shape
-    parameter of a verification sweep, or every triple of a scan.  The
-    object caches nothing beyond its own life, so a sweep's terms are freed
-    when its runner returns.  A term whose evaluation raises (a grid
-    outside its domain) is not stored, so every use raises the same
-    DomainError.  ``shape`` and ``ratio_at`` keep the operation order of
+    The whole grid is checked against (0, 1) once, before any block is
+    yielded.  With ``overlap`` = 1 the forward differences of the blocks are
+    those of the grid, each once.
+    """
+    x = _check_open_unit(grid.points())
+    for start in range(0, x.size - overlap, _BLOCK):
+        yield x[start : start + _BLOCK + overlap]
+
+
+class _GridTerms:
+    """The terms of points ``x`` in (0, 1) that depend on x alone.
+
+    ``x`` is a whole grid for the scanner and one block of it for a
+    verification sweep; its caller has checked it against (0, 1).  Each
+    term is evaluated on first use and then shared by every shape
+    parameter of the sweep, or every triple of a scan.  The object caches
+    nothing beyond its own life, so a block's terms are freed with the
+    block.  Elementwise kernels give the same bits on a slice as on the
+    whole array, and ``shape`` and ``ratio_at`` keep the operation order of
     ``family._shape`` and ``family.bound_ratio``, so their values are the
-    same bits.
+    same bits as a direct evaluation.
     """
 
-    def __init__(self, grid: GridSpec) -> None:
-        self.x = grid.points()
-
-    @cached_property
-    def _open_x(self) -> np.ndarray:
-        # the bound terms are defined on (0, 1) only, as in family
-        return _check_open_unit(self.x)
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = x
 
     @cached_property
     def sqrt_1px(self) -> np.ndarray:
-        return np.sqrt(1.0 + self._open_x)
+        return np.sqrt(1.0 + self.x)
 
     @cached_property
     def sqrt_1mx(self) -> np.ndarray:
-        return np.sqrt(1.0 - self._open_x)
+        return np.sqrt(1.0 - self.x)
 
     @cached_property
     def arccos(self) -> np.ndarray:

@@ -8,11 +8,17 @@ quantity; the margins of these bounds vanish only toward the interval
 endpoints, so a fixed absolute tolerance would mask genuine endpoint
 behavior while the ulp rule does not.
 
-Grid evaluation is vectorized and single-threaded; reductions tie-break
-by abscissa (first index on a sorted grid), so reports are bit-identical
-across runs.  A sweep over shape parameters evaluates the terms of its grid
-that depend on x alone once (``grids._GridTerms``); each ``a`` then costs
-only arithmetic on those arrays and its reductions.
+Grid evaluation is vectorized and single-threaded, and runs in blocks of
+``grids._BLOCK`` consecutive points of the one grid a claim builds; checks
+on forward differences take blocks that overlap by one point.  A sweep
+over shape parameters loops over the blocks outside and the parameters
+inside: each block's terms that depend on x alone (``grids._GridTerms``)
+are evaluated once, and each ``a`` then costs only arithmetic on those
+cache-sized arrays.  A check reduces each block to a small share (its
+first-index extreme, its violation count, its sign runs), and the shares
+merge in grid order.  Reductions tie-break by abscissa (first index on a
+sorted grid, the first NaN before any number, as np.argmin does), so
+reports are bit-identical across runs and equal to a whole-array pass.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .analysis import (
     _grid_argmins,
     bisect_sign_change,
     find_minimum,
-    grid_argmin,
     slope_factor,
     slope_factor_limit0,
     slope_quadratic,
@@ -52,7 +57,7 @@ from .family import (
     classify_regime,
     endpoint_limits,
 )
-from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec, _GridTerms
+from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec, _blocks, _GridTerms
 from .sharp import (
     a_star_pair,
     best_upper,
@@ -134,28 +139,34 @@ def _pair_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return tol
 
 
-def _pointwise_report(claim_id: str, x: np.ndarray, margins: np.ndarray, tol: np.ndarray, notes: str = "") -> VerificationReport:
-    i = int(np.argmin(margins))
-    worst = float(margins[i])
+def _extreme(values: np.ndarray, x: np.ndarray, pick: Callable[[np.ndarray], np.intp]) -> tuple[float, float]:
+    """(values[i], x[i]) at i = pick(values), for np.argmin or np.argmax: the first NaN, else the first extreme."""
+    i = int(pick(values))
+    return float(values[i]), float(x[i])
+
+
+def _margin_block(x: np.ndarray, margins: np.ndarray, tol: np.ndarray) -> tuple[float, float, int, int]:
+    """One block's share of a pointwise check: its first-index smallest margin and where, its violations, its size."""
     # a NaN or infinite margin is a violation: it says nothing about the bound
     violations = int(np.count_nonzero(~(np.isfinite(margins) & (margins >= -tol))))
-    passed = violations == 0
+    return *_extreme(margins, x, np.argmin), violations, int(margins.size)
+
+
+def _pointwise_report(claim_id: str, shares: Sequence[tuple[float, float, int, int]], notes: str = "") -> VerificationReport:
+    """The report of a pointwise check from its blocks' ``_margin_block`` shares, in grid order."""
+    worsts, where, violations, sizes = zip(*shares)
+    # each share holds its block's first NaN or first smallest margin, so np.argmin over the shares
+    # picks the sample np.argmin picks on the whole grid
+    i = int(np.argmin(worsts))
+    violations = sum(violations)
     if violations:
         notes = (notes + "; " if notes else "") + f"{violations} samples beyond tolerance"
-    return VerificationReport(
-        claim_id=claim_id,
-        passed=passed,
-        samples=int(margins.size),
-        worst_margin=worst,
-        worst_x=float(x[i]),
-        notes=notes,
-    )
+    return VerificationReport(claim_id, violations == 0, sum(sizes), worsts[i], where[i], notes)
 
 
 def _tightest(slack: np.ndarray, x: np.ndarray, label: str) -> tuple[float, float, str]:
     """The (slack, location, label) sub-check of an array of slacks: its first-index minimum."""
-    i = int(np.argmin(slack))
-    return float(slack[i]), float(x[i]), label
+    return *_extreme(slack, x, np.argmin), label
 
 
 def _composite_report(claim_id: str, checks: list[tuple[float, float, str]], samples: int, notes: str = "") -> VerificationReport:
@@ -166,32 +177,77 @@ def _composite_report(claim_id: str, checks: list[tuple[float, float, str]], sam
     return VerificationReport(claim_id, passed, samples, float(worst), float(worst_x), note)
 
 
-def _bounds_report(a: float, terms: _GridTerms) -> VerificationReport:
+# A check of one shape parameter: ``block(terms)`` reduces one block's _GridTerms to a small share,
+# and ``report(shares)`` writes the report from the shares of every block, in grid order.
+_Check = tuple[Callable[[_GridTerms], tuple], Callable[[list], VerificationReport]]
+
+
+def _bounds_check(a: float) -> _Check:
     """Check the two-sided family bound at every grid point.
 
     The constants come from the regime of ``a``, so for a >= 2*sqrt(2)
     this is the reversed orientation of the generic bracket.
     """
-    acx = terms.arccos
-    template = terms.shape(a)
     c_lower, c_upper = _constants(a)
-    margins = np.minimum(acx - c_lower * template, c_upper * template - acx)
-    regime = classify_regime(a).value
-    return _pointwise_report(
-        f"family-bracket[a={a:.17g}]", terms.x, margins, terms.arccos_tol,
-        notes=f"regime={regime}; constants=({c_lower:.9g}, {c_upper:.9g})",
-    )
+    notes = f"regime={classify_regime(a).value}; constants=({c_lower:.9g}, {c_upper:.9g})"
+
+    def block(terms: _GridTerms) -> tuple:
+        acx, template = terms.arccos, terms.shape(a)
+        return _margin_block(terms.x, np.minimum(acx - c_lower * template, c_upper * template - acx), terms.arccos_tol)
+
+    return block, lambda shares: _pointwise_report(f"family-bracket[a={a:.17g}]", shares, notes)
 
 
-def _floor_report(a: float, terms: _GridTerms) -> VerificationReport:
+def _floor_check(a: float) -> _Check:
     """Check the floor-constant lower bound 8*(1 - 2/a**2) pointwise (a**2 > 0)."""
     _check_bound_parameter(a)
-    margins = terms.arccos - _floor(a) * terms.shape(a)
-    return _pointwise_report(f"midregime-floor[a={a:.17g}]", terms.x, margins, terms.arccos_tol)
+    floor = _floor(a)
+
+    def block(terms: _GridTerms) -> tuple:
+        return _margin_block(terms.x, terms.arccos - floor * terms.shape(a), terms.arccos_tol)
+
+    return block, lambda shares: _pointwise_report(f"midregime-floor[a={a:.17g}]", shares)
 
 
-def _monotonicity_report(a: float, terms: _GridTerms) -> VerificationReport:
-    """Check the regime's monotonicity pattern of forward differences.
+def _differences(a: float, terms: _GridTerms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The left points, the forward differences of the ratio and their pair tolerances on one block."""
+    v = terms.ratio_at(a)
+    return terms.x[:-1], np.diff(v), _pair_tol(v[:-1], v[1:])
+
+
+def _sign_runs(x: np.ndarray, d: np.ndarray, tol: np.ndarray) -> tuple:
+    """One block's share of the sign-pattern check.
+
+    The sign and the first point of each run of significant differences
+    (|d| beyond the pair tolerance), the largest fall and rise, the number
+    of differences and the block's first point.
+    """
+    idx = np.flatnonzero(np.abs(d) > tol)
+    signs = np.sign(d[idx])
+    starts = np.flatnonzero(np.diff(signs, prepend=0.0))  # where the sign differs from the one before
+    return signs[starts], x[idx[starts]], float(np.max(-d)), float(np.max(d)), int(d.size), float(x[0])
+
+
+def _sign_pattern_report(claim_id: str, shares: list[tuple]) -> VerificationReport:
+    """Exactly one sign change beyond the pair tolerance, from negative to positive, from the blocks' ``_sign_runs``."""
+    signs, starts, downs, ups, sizes, firsts = zip(*shares)
+    signs, starts = np.concatenate(signs), np.concatenate(starts)
+    # a run that crosses a block boundary starts in one block and continues in the next
+    runs = np.flatnonzero(np.diff(signs, prepend=0.0))
+    pattern, cells = signs[runs], starts[runs]
+    if pattern.size == 0:
+        return VerificationReport(claim_id, False, sum(sizes), 0.0, firsts[0], "no significant differences")
+    ok = pattern.tolist() == [-1.0, 1.0]
+    # np.max over the blocks' maxima is the grid's, a NaN included
+    down, up = float(np.max(downs)), float(np.max(ups))
+    margin = min(down, up) if ok else -max(down, up)
+    change_cell = float(cells[-1] if ok else cells[0])
+    notes = f"difference sign pattern {pattern.astype(int).tolist()}; sign change near x={change_cell:.9g}"
+    return VerificationReport(claim_id, ok, sum(sizes), margin, change_cell, notes)
+
+
+def _monotonicity_check(a: float) -> _Check:
+    """Check the regime's monotonicity pattern of forward differences; its blocks overlap by one point.
 
     Monotone regimes require every difference on the regime's side of
     minus the pair tolerance (4 ulp of each of its two values); the
@@ -199,33 +255,20 @@ def _monotonicity_report(a: float, terms: _GridTerms) -> VerificationReport:
     tolerance, from negative to positive.
     """
     regime = classify_regime(a)
-    x = terms.x
-    v = terms.ratio_at(a)
-    d = np.diff(v)
-    tol = _pair_tol(v[:-1], v[1:])
     claim_id = f"regime-{regime.value}[a={a:.17g}]"
-    if regime is Regime.INCREASING:
-        return _pointwise_report(claim_id, x[:-1], d, tol, notes="all forward differences nonnegative")
-    if regime is Regime.DECREASING:
-        return _pointwise_report(claim_id, x[:-1], -d, tol, notes="all forward differences nonpositive")
+    if regime is Regime.INTERIOR_MINIMUM:
+        return lambda terms: _sign_runs(*_differences(a, terms)), lambda shares: _sign_pattern_report(claim_id, shares)
+    increasing = regime is Regime.INCREASING
 
-    significant = np.abs(d) > tol
-    idx = np.nonzero(significant)[0]
-    if idx.size == 0:
-        return VerificationReport(claim_id, False, int(d.size), 0.0, float(x[0]), "no significant differences")
-    signs = np.sign(d[idx])
-    run_starts = np.concatenate(([0], np.nonzero(signs[1:] != signs[:-1])[0] + 1))
-    pattern = signs[run_starts]
-    ok = pattern.tolist() == [-1.0, 1.0]
-    down = float(np.max(-d))
-    up = float(np.max(d))
-    margin = min(down, up) if ok else -max(down, up)
-    change_cell = float(x[idx[run_starts[-1]]]) if ok else float(x[idx[0]])
-    notes = f"difference sign pattern {pattern.astype(int).tolist()}; sign change near x={change_cell:.9g}"
-    return VerificationReport(claim_id, ok, int(d.size), margin, change_cell, notes)
+    def block(terms: _GridTerms) -> tuple:
+        x, d, tol = _differences(a, terms)
+        return _margin_block(x, d if increasing else -d, tol)
+
+    notes = "all forward differences " + ("nonnegative" if increasing else "nonpositive")
+    return block, lambda shares: _pointwise_report(claim_id, shares, notes)
 
 
-def _limits_report(a: float, terms: _GridTerms) -> VerificationReport:
+def _limits_check(a: float) -> _Check:
     """Confirm the endpoint limits and that grid extrema attain the constants.
 
     The ratio must approach pi*(1+a)/2 at x -> 0+ and 2 + sqrt(2)*a at
@@ -250,35 +293,44 @@ def _limits_report(a: float, terms: _GridTerms) -> VerificationReport:
             checks.append((res[k - 1] - res[k] + noise, probes[k], f"{label} residual monotone at eps={eps[k]:g}"))
         checks.append((final_tol - res[-1], probes[-1], f"{label} final residual"))
 
-    x = terms.x
-    v = terms.ratio_at(a)
-    vmin_i = int(np.argmin(v))
-    vmax_i = int(np.argmax(v))
-    vmin, vmax = float(v[vmin_i]), float(v[vmax_i])
-    regime = classify_regime(a)
-    if regime is Regime.INTERIOR_MINIMUM:
-        f_min = find_minimum(a).f_min
-        checks.append((attained_tol - abs(vmax - c_upper), float(x[vmax_i]), "supremum attains larger endpoint constant"))
-        checks.append((attained_tol - abs(vmin - f_min), float(x[vmin_i]), "infimum attains interior minimum"))
-        checks.append((vmin - f_min + 4.0 * float(np.spacing(abs(f_min))), float(x[vmin_i]), "grid infimum above true minimum"))
-    else:
-        # an increasing ratio attains its lower constant on the left, a decreasing one on the right
-        low_side, high_side = ("left", "right") if regime is Regime.INCREASING else ("right", "left")
-        checks.append((attained_tol - abs(vmin - c_lower), float(x[vmin_i]), f"infimum attains {low_side} constant"))
-        checks.append((attained_tol - abs(vmax - c_upper), float(x[vmax_i]), f"supremum attains {high_side} constant"))
-    samples = len(eps) * 2 + x.size
-    return _composite_report(
-        f"endpoint-constants[a={a:.17g}]", checks, samples,
-        notes=f"limits=({at0:.9g}, {at1:.9g}); regime={regime.value}",
-    )
+    def block(terms: _GridTerms) -> tuple:
+        v = terms.ratio_at(a)
+        return *_extreme(v, terms.x, np.argmin), *_extreme(v, terms.x, np.argmax), int(v.size)
+
+    def report(shares: list[tuple]) -> VerificationReport:
+        vmins, xmins, vmaxs, xmaxs, sizes = zip(*shares)
+        # np.argmin and np.argmax over the blocks' extremes pick the grid's first-index extremes
+        i, j = int(np.argmin(vmins)), int(np.argmax(vmaxs))
+        vmin, vmax = vmins[i], vmaxs[j]
+        regime = classify_regime(a)
+        if regime is Regime.INTERIOR_MINIMUM:
+            f_min = find_minimum(a).f_min
+            extrema = [
+                (attained_tol - abs(vmax - c_upper), xmaxs[j], "supremum attains larger endpoint constant"),
+                (attained_tol - abs(vmin - f_min), xmins[i], "infimum attains interior minimum"),
+                (vmin - f_min + 4.0 * float(np.spacing(abs(f_min))), xmins[i], "grid infimum above true minimum"),
+            ]
+        else:
+            # an increasing ratio attains its lower constant on the left, a decreasing one on the right
+            low_side, high_side = ("left", "right") if regime is Regime.INCREASING else ("right", "left")
+            extrema = [
+                (attained_tol - abs(vmin - c_lower), xmins[i], f"infimum attains {low_side} constant"),
+                (attained_tol - abs(vmax - c_upper), xmaxs[j], f"supremum attains {high_side} constant"),
+            ]
+        return _composite_report(
+            f"endpoint-constants[a={a:.17g}]", checks + extrema, len(eps) * 2 + sum(sizes),
+            notes=f"limits=({at0:.9g}, {at1:.9g}); regime={regime.value}",
+        )
+
+    return block, report
 
 
-def _dominance_report(claim_id: str, x: np.ndarray, first: tuple, second: tuple, notes: str) -> VerificationReport:
-    """Report ``hi >= lo`` for two (hi, lo) pairs: the tighter margin decides, under its own tolerance."""
+def _dominance_block(x: np.ndarray, first: tuple, second: tuple) -> tuple[float, float, int, int]:
+    """Share of ``hi >= lo`` for two (hi, lo) pairs: the tighter margin decides, under its own tolerance."""
     (hi1, lo1), (hi2, lo2) = first, second
     first_smaller = hi1 - lo1 <= hi2 - lo2
     hi, lo = np.where(first_smaller, hi1, hi2), np.where(first_smaller, lo1, lo2)
-    return _pointwise_report(claim_id, x, hi - lo, _pair_tol(hi, lo), notes=notes)
+    return _margin_block(x, hi - lo, _pair_tol(hi, lo))
 
 
 def _first_winner_counts(arrays: Sequence[np.ndarray], wins: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[int]:
@@ -304,70 +356,63 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     2*sqrt(2)) and the 1+sqrt(3) lower bounds, that the doubly-sharp upper
     bound dominates both instance upper bounds, and that the lambda and
     pi**2 lower bounds are not comparable (each wins somewhere); their
-    crossovers are located by bisection to 1e-10.
+    crossovers are located by bisection to 1e-10.  The grid is evaluated
+    in blocks: winner counts add, and the margins, the witnesses and the
+    crossover cells (one of which may straddle two blocks) merge in grid
+    order.
     """
-    x = grid.points()
-    (a_star_lo, a_star_up), (carlson_lo, carlson_up) = a_star_pair(x), carlson_pair(x)
-    lowers = {
-        "a-star": a_star_lo,
-        "carlson": carlson_lo,
-        "one-plus-sqrt3": sqrt3_lower(x),
-        "lambda": lambda_lower(x),
-    }
-    uppers = {
-        "a-star": a_star_up,
-        "carlson": carlson_up,
-        "best": best_upper(x),
-    }
-    lower_counts = dict(zip(lowers, _first_winner_counts(list(lowers.values()), np.greater)))
-    upper_counts = dict(zip(uppers, _first_winner_counts(list(uppers.values()), np.less)))
+    lower_counts, upper_counts = np.zeros(4, dtype=np.int64), np.zeros(3, dtype=np.int64)
+    lower_shares, upper_shares, highs, lows, cells = [], [], [], [], []
+    samples, last_sign, last_x = 0, math.nan, math.nan
+    for x in _blocks(grid):
+        (a_star_lo, a_star_up), (carlson_lo, carlson_up) = a_star_pair(x), carlson_pair(x)
+        sqrt3, lam, best = sqrt3_lower(x), lambda_lower(x), best_upper(x)
+        lower_counts += _first_winner_counts([a_star_lo, carlson_lo, sqrt3, lam], np.greater)
+        upper_counts += _first_winner_counts([a_star_up, carlson_up, best], np.less)
+        lower_shares.append(_dominance_block(x, (lam, carlson_lo), (lam, sqrt3)))
+        upper_shares.append(_dominance_block(x, (a_star_up, best), (carlson_up, best)))
 
-    rep_lower = _dominance_report(
-        "sharp-lower-dominance", x,
-        (lowers["lambda"], lowers["carlson"]), (lowers["lambda"], lowers["one-plus-sqrt3"]),
-        notes="lambda bound >= classical and 1+sqrt(3) lower bounds",
-    )
-    rep_upper = _dominance_report(
-        "sharp-upper-dominance", x,
-        (uppers["a-star"], uppers["best"]), (uppers["carlson"], uppers["best"]),
-        notes="doubly-sharp upper bound <= both instance upper bounds",
-    )
+        diff = lam - a_star_lo
+        i_max, i_min = int(np.argmax(diff)), int(np.argmin(diff))
+        highs.append((float(diff[i_max]), float(x[i_max]), lam[i_max], a_star_lo[i_max]))
+        lows.append((float(diff[i_min]), float(x[i_min]), lam[i_min], a_star_lo[i_min]))
+        signs = np.sign(diff)
+        if last_sign * signs[0] < 0.0:
+            cells.append((last_x, float(x[0])))
+        cells += [(float(x[c]), float(x[c + 1])) for c in np.flatnonzero(signs[:-1] * signs[1:] < 0.0)]
+        samples, last_sign, last_x = samples + x.size, signs[-1], float(x[-1])
 
-    diff = lowers["lambda"] - lowers["a-star"]
-    i_max = int(np.argmax(diff))
-    i_min = int(np.argmin(diff))
-    up_witness = float(diff[i_max])
-    down_witness = float(-diff[i_min])
-    tol_max, tol_min = _pair_tol(lowers["lambda"][[i_max, i_min]], lowers["a-star"][[i_max, i_min]])
+    rep_lower = _pointwise_report("sharp-lower-dominance", lower_shares, notes="lambda bound >= classical and 1+sqrt(3) lower bounds")
+    rep_upper = _pointwise_report("sharp-upper-dominance", upper_shares, notes="doubly-sharp upper bound <= both instance upper bounds")
+
+    # np.argmax and np.argmin over the blocks' witnesses pick the grid's first-index extremes
+    up_witness, x_up, lam_up, pi2_up = highs[int(np.argmax([w[0] for w in highs]))]
+    down, x_down, lam_down, pi2_down = lows[int(np.argmin([w[0] for w in lows]))]
+    down_witness = -down
+    tol_max, tol_min = _pair_tol(np.array([lam_up, lam_down]), np.array([pi2_up, pi2_down]))
     witnessed = up_witness > float(tol_max) and down_witness > float(tol_min)
-    signs = np.sign(diff)
-    cells = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-    crossovers = []
-    for c in cells:
-        fn = lambda t: float(lambda_lower(t) - a_star_pair(t)[0])
-        root, _ = bisect_sign_change(fn, float(x[c]), float(x[c + 1]), xtol=1e-10)
-        crossovers.append(root)
+    fn = lambda t: float(lambda_lower(t) - a_star_pair(t)[0])
+    crossovers = [bisect_sign_change(fn, lo, hi, xtol=1e-10)[0] for lo, hi in cells]
     passed = witnessed and len(crossovers) >= 1
     margin = min(up_witness, down_witness)
-    worst_x = crossovers[0] if crossovers else float(x[i_max])
     rep_cross = VerificationReport(
         "sharp-noninclusion",
         passed,
-        int(x.size),
+        samples,
         margin if witnessed else -margin,
-        worst_x,
+        crossovers[0] if crossovers else x_up,
         notes=(
-            f"lambda wins by {up_witness:.6g} at x={x[i_max]:.9g}; "
-            f"pi^2 bound wins by {down_witness:.6g} at x={x[i_min]:.9g}; "
+            f"lambda wins by {up_witness:.6g} at x={x_up:.9g}; "
+            f"pi^2 bound wins by {down_witness:.6g} at x={x_down:.9g}; "
             f"crossovers at {[f'{c:.12g}' for c in crossovers]}"
         ),
     )
     return ComparisonResult(
-        samples=int(x.size),
+        samples=samples,
         reports=(rep_lower, rep_upper, rep_cross),
         crossovers=tuple(crossovers),
-        lower_argmax_counts=lower_counts,
-        upper_argmin_counts=upper_counts,
+        lower_argmax_counts=dict(zip(("a-star", "carlson", "one-plus-sqrt3", "lambda"), lower_counts.tolist())),
+        upper_argmin_counts=dict(zip(("a-star", "carlson", "best"), upper_counts.tolist())),
     )
 
 
@@ -375,22 +420,35 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
 # Claim registry
 
 
-def _each_a(report: Callable[[float, _GridTerms], VerificationReport]) -> Callable[..., list[VerificationReport]]:
-    """Check calling ``report(a, terms)`` for each value; the grid's terms are evaluated once and shared."""
-    def check(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-        terms = _GridTerms(grid)
-        return [report(a, terms) for a in values]
+def _each_a(check: Callable[[float], _Check], overlap: int = 0) -> Callable[..., list[VerificationReport]]:
+    """Check running ``check(a)`` for each value: the grid's blocks in the outer loop, the values in the inner.
 
-    return check
+    Each block's terms are evaluated once and shared by every value; ``overlap`` is 1 for checks on
+    forward differences.  Every ``check(a)`` runs, and so checks its a, before the grid is sampled.
+    """
+    def run(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+        checks = [check(a) for a in values]
+        shares: list[list] = [[] for _ in checks]
+        for x in _blocks(grid, overlap):
+            terms = _GridTerms(x)
+            for (block, _), out in zip(checks, shares):
+                out.append(block(terms))
+        return [report(out) for (_, report), out in zip(checks, shares)]
+
+    return run
 
 
 def _claim_classic(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    terms = _GridTerms(grid)
-    x, acx, tol = terms.x, terms.arccos, terms.arccos_tol
-    lower, upper = carlson_pair(x)
+    lower, upper = [], []
+    for x in _blocks(grid):
+        terms = _GridTerms(x)
+        acx, tol = terms.arccos, terms.arccos_tol
+        c_lower, c_upper = carlson_pair(x)
+        lower.append(_margin_block(x, acx - c_lower, tol))
+        upper.append(_margin_block(x, c_upper - acx, tol))
     return [
-        _pointwise_report("classic-lower", x, acx - lower, tol, notes="classical lower constant 6"),
-        _pointwise_report("classic-upper", x, upper - acx, tol, notes="classical upper constant (1/2+sqrt(2))*pi"),
+        _pointwise_report("classic-lower", lower, notes="classical lower constant 6"),
+        _pointwise_report("classic-upper", upper, notes="classical upper constant (1/2+sqrt(2))*pi"),
     ]
 
 
@@ -419,20 +477,26 @@ def _minimum_slacks(a: float, brute: tuple[float, float]) -> tuple[MinimumResult
     return res, slacks
 
 
-def _interior_report(a: float, terms: _GridTerms) -> VerificationReport:
-    mono = _monotonicity_report(a, terms)
-    bx, bval = grid_argmin(a, BRUTE_FORCE_N)
-    res, slacks = _minimum_slacks(a, (bx, bval))
+def _interior_report(a: float, mono: VerificationReport, brute: tuple[float, float]) -> VerificationReport:
+    """The interior-minimum composite from the sign-pattern report ``mono`` and the brute-force argmin ``brute``."""
+    res, slacks = _minimum_slacks(a, brute)
     labels = ("implicit-equation residual", "minimum above floor", "minimum below endpoint limits",
               "argmin agrees with brute force", "minimum value agrees with brute force")
     checks = [
         (mono.worst_margin if mono.passed else -abs(mono.worst_margin), mono.worst_x, "one sign change"),
-        *zip(slacks, (res.x0, res.x0, res.x0, bx, bx), labels),
+        *zip(slacks, (res.x0, res.x0, res.x0, brute[0], brute[0]), labels),
     ]
     return _composite_report(
         f"regime-InteriorMinimum[a={a:.17g}]", checks, mono.samples + BRUTE_FORCE_N,
         notes=f"x0={res.x0:.12g}; f_min={res.f_min:.12g}; iterations={res.iterations}",
     )
+
+
+def _claim_interior_minimum(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+    monos = _each_a(_monotonicity_check, overlap=1)(values, grid)
+    # one batched brute force for all the values: each chunk's terms are shared
+    brutes = _grid_argmins(values, BRUTE_FORCE_N)
+    return [_interior_report(a, mono, brute) for a, mono, brute in zip(values, monos, brutes)]
 
 
 def _claim_minimum_floor(values: Sequence[float], grid: None) -> list[VerificationReport]:
@@ -581,12 +645,12 @@ class Claim:
 
 CLAIMS: tuple[Claim, ...] = (
     Claim("classic-lower", "classical lower bound (constant 6) is strict on (0,1)", _claim_classic, DEFAULT_GRID),
-    Claim("family-bracket", "two-sided family bound holds with the regime's constants", _each_a(_bounds_report), DEFAULT_GRID, BRACKET_A_VALUES),
-    Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _each_a(_floor_report), DEFAULT_GRID, FLOOR_A_VALUES),
-    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _each_a(_limits_report), replace(DEFAULT_GRID, n=200_000), BRACKET_A_VALUES),
-    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _each_a(_monotonicity_report), replace(DEFAULT_GRID, n=100_000), INCREASING_A_VALUES),
-    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _each_a(_monotonicity_report), replace(DEFAULT_GRID, n=100_000), DECREASING_A_VALUES),
-    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _each_a(_interior_report), replace(DEFAULT_GRID, n=100_000), INTERIOR_A_VALUES),
+    Claim("family-bracket", "two-sided family bound holds with the regime's constants", _each_a(_bounds_check), DEFAULT_GRID, BRACKET_A_VALUES),
+    Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _each_a(_floor_check), DEFAULT_GRID, FLOOR_A_VALUES),
+    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _each_a(_limits_check), replace(DEFAULT_GRID, n=200_000), BRACKET_A_VALUES),
+    Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _each_a(_monotonicity_check, overlap=1), replace(DEFAULT_GRID, n=100_000), INCREASING_A_VALUES),
+    Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _each_a(_monotonicity_check, overlap=1), replace(DEFAULT_GRID, n=100_000), DECREASING_A_VALUES),
+    Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _claim_interior_minimum, replace(DEFAULT_GRID, n=100_000), INTERIOR_A_VALUES),
     Claim("minimum-floor", "interior minimum satisfies its floor and brute-force cross-check", _claim_minimum_floor, None, MINIMUM_A_VALUES),
     Claim("aux-slope-limits", "derivative-apparatus limits and threshold shape", _claim_aux_slope_limits, replace(DEFAULT_GRID, n=100_000)),
     # Near the endpoints of a refined grid neighbouring roots differ by less than an ulp, so this grid is uniform.

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 import arcbounds as ab
-from arcbounds import analysis
+from arcbounds import analysis, grids
 from arcbounds.analysis import _q, bisect_sign_change
 from arcbounds.errors import ConvergenceError, DomainError, RegimeError
 from arcbounds.family import _floor
@@ -370,7 +370,7 @@ class TestGridArgmin:
     def test_chunking_invariant(self, monkeypatch):
         a = 2.7
         ref = ab.grid_argmin(a, 100_001)
-        monkeypatch.setattr(analysis, "_ARGMIN_CHUNK", 7_777)
+        monkeypatch.setattr(grids, "_BLOCK", 7_777)
         alt = ab.grid_argmin(a, 100_001)
         assert ref == alt
 

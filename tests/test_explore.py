@@ -326,3 +326,21 @@ def test_verdict_stability_under_density_doubling():
         v2 = classify_family(0.5, 0.5, gamma, fine).verdict
         if v1 in (Verdict.INCREASING, Verdict.DECREASING, Verdict.NON_MONOTONE):
             assert v2 is v1, gamma
+
+
+@pytest.mark.parametrize("grid", [GridSpec(-3.0, 0.5, 8, "uniform"), GridSpec(0.0, 1.0, 8, "uniform"), GridSpec(0.5, 1.5, 8, "uniform")])
+def test_grid_outside_the_unit_interval_raises_before_any_term(monkeypatch, grid):
+    # the grid is checked once, so log1p(-x) and log never see x = -1 or x = 1 and no warning is printed
+    counts = {"log1p": 0}
+    log1p = np.log1p
+
+    def counting_log1p(*args, **kwargs):
+        counts["log1p"] += 1
+        return log1p(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log1p", counting_log1p)
+    with pytest.raises(DomainError, match=r"open interval \(0, 1\)"):
+        classify_family(0.0, 1.0, 5.0, grid)
+    with pytest.raises(DomainError, match=r"open interval \(0, 1\)"):
+        scan_grid([0.0], [1.0], [5.0, -1.0], grid)
+    assert counts == {"log1p": 0}

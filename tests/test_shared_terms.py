@@ -1,11 +1,13 @@
-"""Shared grid terms: the same bits as a direct evaluation, each term evaluated once.
+"""Shared grid terms in blocks: the same bits as a direct evaluation, each term evaluated once.
 
-A verification sweep evaluates the terms of its grid that depend on x alone
-(the points, arccos, the square roots, the arccos ratio) once and shares
-them across its shape parameters.  These tests recompute the reports one
-shape parameter at a time with the family's public functions on
-``grid.points()``, count how often the grid and arccos are evaluated, and
-bound the memory of ``compare_bounds``.
+A verification sweep evaluates its grid in blocks of ``grids._BLOCK``
+points.  Each block's terms that depend on x alone (arccos, the square
+roots, the arccos ratio) are evaluated once and shared across the shape
+parameters, and each check reduces a block to a small share that merges
+in grid order.  These tests recompute the reports one shape parameter at
+a time with the family's public functions on the whole of
+``grid.points()``, run the sweeps at other block sizes, count how often
+the grid and arccos are evaluated, and bound the memory of the sweeps.
 """
 
 import math
@@ -20,8 +22,8 @@ from conftest import worst_ulp
 from mpmath import mp
 
 import arcbounds as ab
-from arcbounds import analysis, verify
-from arcbounds.grids import GridSpec, _GridTerms
+from arcbounds import analysis, grids, verify
+from arcbounds.grids import GridSpec, _blocks, _GridTerms
 from arcbounds.verify import (
     BRACKET_A_VALUES,
     BRUTE_FORCE_N,
@@ -29,6 +31,7 @@ from arcbounds.verify import (
     FLOOR_A_VALUES,
     INCREASING_A_VALUES,
     INTERIOR_A_VALUES,
+    _margin_block,
     _pointwise_report,
     run_claims,
 )
@@ -39,6 +42,19 @@ GRID = GridSpec(1e-9, 1.0 - 1e-9, 20_001, "refined")
 def _bits(report):
     """A report's identity and figures, floats as exact hex."""
     return (report.claim_id, report.passed, report.samples, report.worst_margin.hex(), report.worst_x.hex())
+
+
+def _direct_report(claim_id, x, margins, tol):
+    """A pointwise report from whole arrays: the first-index argmin and the violation count."""
+    i = int(np.argmin(margins))
+    violations = int(np.count_nonzero(~(np.isfinite(margins) & (margins >= -tol))))
+    return ab.VerificationReport(claim_id, violations == 0, int(margins.size), float(margins[i]), float(x[i]))
+
+
+def _one_block(check, a, terms):
+    """``check(a)``'s report with ``terms`` as its one block."""
+    block, report = check(a)
+    return report([block(terms)])
 
 
 class _DirectTerms:
@@ -57,20 +73,20 @@ def test_pointwise_reports_equal_direct_evaluation():
     tol = 4.0 * np.spacing(acx)
     lower, upper = ab.carlson_pair(x)
     expected = [
-        _pointwise_report("classic-lower", x, acx - lower, tol),
-        _pointwise_report("classic-upper", x, upper - acx, tol),
+        _direct_report("classic-lower", x, acx - lower, tol),
+        _direct_report("classic-upper", x, upper - acx, tol),
     ]
     for a in BRACKET_A_VALUES:
         lower, upper = ab.bound_arrays(a, x)
-        expected.append(_pointwise_report(f"family-bracket[a={a:.17g}]", x, np.minimum(acx - lower, upper - acx), tol))
+        expected.append(_direct_report(f"family-bracket[a={a:.17g}]", x, np.minimum(acx - lower, upper - acx), tol))
     for a in FLOOR_A_VALUES:
         floor_lower = 8 * (1 - 2 / (a * a)) * (np.sqrt(1.0 - x) / (a + np.sqrt(1.0 + x)))
-        expected.append(_pointwise_report(f"midregime-floor[a={a:.17g}]", x, acx - floor_lower, tol))
+        expected.append(_direct_report(f"midregime-floor[a={a:.17g}]", x, acx - floor_lower, tol))
     for regime, sign, values in (("Increasing", 1.0, INCREASING_A_VALUES), ("Decreasing", -1.0, DECREASING_A_VALUES)):
         for a in values:
             v = ab.bound_ratio(a, x)
             d_tol = 4.0 * (np.spacing(np.abs(v[:-1])) + np.spacing(np.abs(v[1:])))
-            expected.append(_pointwise_report(f"regime-{regime}[a={a:.17g}]", x[:-1], sign * np.diff(v), d_tol))
+            expected.append(_direct_report(f"regime-{regime}[a={a:.17g}]", x[:-1], sign * np.diff(v), d_tol))
 
     ids = ["classic-lower", "family-bracket", "midregime-floor", "regime-increasing", "regime-decreasing"]
     got = run_claims(ids, grid=GRID)
@@ -80,18 +96,21 @@ def test_pointwise_reports_equal_direct_evaluation():
 
 def test_composite_reports_equal_direct_evaluation():
     got = run_claims(["endpoint-constants", "regime-interior-minimum"], grid=GRID)
-    expected = [verify._limits_report(a, _DirectTerms(GRID)) for a in BRACKET_A_VALUES]
-    expected += [verify._interior_report(a, _DirectTerms(GRID)) for a in INTERIOR_A_VALUES]
+    expected = [_one_block(verify._limits_check, a, _DirectTerms(GRID)) for a in BRACKET_A_VALUES]
+    expected += [
+        verify._interior_report(a, _one_block(verify._monotonicity_check, a, _DirectTerms(GRID)), ab.grid_argmin(a, BRUTE_FORCE_N))
+        for a in INTERIOR_A_VALUES
+    ]
     assert [_bits(r) + (r.notes,) for r in got] == [_bits(r) + (r.notes,) for r in expected]
 
 
 def test_fresh_terms_equal_the_sweep_reports():
-    # each report from a fresh _GridTerms equals the one from the sweep's shared terms
+    # each report from fresh terms of the whole grid equals the one from the sweep's shared block terms
     sweep = run_claims(["family-bracket", "midregime-floor", "endpoint-constants", "regime-increasing"], grid=GRID)
-    direct = [verify._bounds_report(a, _GridTerms(GRID)) for a in BRACKET_A_VALUES]
-    direct += [verify._floor_report(a, _GridTerms(GRID)) for a in FLOOR_A_VALUES]
-    direct += [verify._limits_report(a, _GridTerms(GRID)) for a in BRACKET_A_VALUES]
-    direct += [verify._monotonicity_report(a, _GridTerms(GRID)) for a in INCREASING_A_VALUES]
+    direct = [_one_block(verify._bounds_check, a, _GridTerms(GRID.points())) for a in BRACKET_A_VALUES]
+    direct += [_one_block(verify._floor_check, a, _GridTerms(GRID.points())) for a in FLOOR_A_VALUES]
+    direct += [_one_block(verify._limits_check, a, _GridTerms(GRID.points())) for a in BRACKET_A_VALUES]
+    direct += [_one_block(verify._monotonicity_check, a, _GridTerms(GRID.points())) for a in INCREASING_A_VALUES]
     assert sweep == direct
 
 
@@ -106,7 +125,7 @@ def test_minimum_floor_batch_equals_per_parameter_argmins(monkeypatch):
     monkeypatch.setattr(analysis, "arccos_ratio", counting_ratio)
     batched = run_claims(["minimum-floor"])
     # one arccos ratio per chunk for all 20 parameters, not one per parameter
-    assert calls["ratio"] == math.ceil(BRUTE_FORCE_N / analysis._ARGMIN_CHUNK)
+    assert calls["ratio"] == math.ceil(BRUTE_FORCE_N / grids._BLOCK)
     monkeypatch.setattr(verify, "_grid_argmins", lambda values, n: [ab.grid_argmin(a, n) for a in values])
     single = run_claims(["minimum-floor"])
     assert [_bits(r) + (r.notes,) for r in batched] == [_bits(r) + (r.notes,) for r in single]
@@ -118,7 +137,7 @@ def test_batched_argmin_equals_single_calls_and_direct_numpy(monkeypatch):
     n = 20_001
     batch = analysis._grid_argmins(values, n)
     assert batch == [ab.grid_argmin(a, n) for a in values]
-    monkeypatch.setattr(analysis, "_ARGMIN_CHUNK", 7)
+    monkeypatch.setattr(grids, "_BLOCK", 7)
     assert analysis._grid_argmins(values, n) == batch
     x = np.linspace(1e-9, 1.0 - 1e-9, n)
     for a, (bx, bval) in zip(values, batch):
@@ -168,6 +187,113 @@ def test_sweep_takes_its_grid_and_arccos_once(evaluations, claim_id, values):
     assert evaluations == {"points": 1, "arccos": 1}
 
 
+@pytest.fixture
+def arccos_points(monkeypatch):
+    """The number of points np.arccos evaluates, summed over its calls."""
+    seen = Counter()
+    arccos = np.arccos
+
+    def counting_arccos(x, *args, **kwargs):
+        seen["points"] += np.size(x)
+        return arccos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arccos", counting_arccos)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "claim_id, overlap",
+    [("classic-lower", 0), ("family-bracket", 0), ("midregime-floor", 0), ("regime-increasing", 1), ("regime-decreasing", 1)],
+)
+def test_blocked_sweep_takes_arccos_once_per_point(arccos_points, claim_id, overlap):
+    grid = GridSpec(1e-9, 1.0 - 1e-9, 50_001)
+    size = grid.points().size
+    blocks = math.ceil((size - overlap) / grids._BLOCK)
+    assert blocks > 1
+    run_claims([claim_id], grid=grid)
+    # blocks of a difference check share their boundary points, which are evaluated in both
+    assert arccos_points["points"] == size + overlap * (blocks - 1)
+
+
+def _claim_bits(reports):
+    return [_bits(r) + (r.notes,) for r in reports]
+
+
+def _comparison_bits(result):
+    return [_bits(r) + (r.notes,) for r in result.reports], result.crossovers, result.lower_argmax_counts, result.upper_argmin_counts
+
+
+BLOCKED_CLAIMS = [
+    "classic-lower", "family-bracket", "midregime-floor", "endpoint-constants",
+    "regime-increasing", "regime-decreasing", "regime-interior-minimum",
+]
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_block_size_keeps_every_report(monkeypatch, block):
+    # the brute-force argmin's chunking has its own test; a smaller one keeps 7-point blocks quick
+    monkeypatch.setattr(verify, "BRUTE_FORCE_N", 20_001)
+    reports, comparison = run_claims(BLOCKED_CLAIMS, grid=GRID), verify.compare_bounds(GRID)
+    monkeypatch.setattr(grids, "_BLOCK", block)
+    assert _claim_bits(run_claims(BLOCKED_CLAIMS, grid=GRID)) == _claim_bits(reports)
+    assert _comparison_bits(verify.compare_bounds(GRID)) == _comparison_bits(comparison)
+    assert comparison.crossovers and all(r.passed for r in comparison.reports)
+
+
+def _first_block_end(grid, overlap=0):
+    return float(next(_blocks(grid, overlap))[-1])
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_block_boundary_on_the_crossover_cell(monkeypatch, shift):
+    x = GRID.points()
+    signs = np.sign(ab.lambda_lower(x) - ab.a_star_pair(x)[0])
+    [c] = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    expected = verify.compare_bounds(GRID)
+    monkeypatch.setattr(grids, "_BLOCK", int(c) + shift)
+    # shift 1 puts x[c] last in the first block and x[c + 1] first in the second
+    assert _first_block_end(GRID) == x[c + shift - 1]
+    assert _comparison_bits(verify.compare_bounds(GRID)) == _comparison_bits(expected)
+    assert len(expected.crossovers) == 1
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_block_boundary_on_the_interior_sign_change(monkeypatch, shift):
+    a = INTERIOR_A_VALUES[0]
+    x = GRID.points()
+    v = ab.bound_ratio(a, x)
+    d = np.diff(v)
+    tol = 4.0 * (np.spacing(np.abs(v[:-1])) + np.spacing(np.abs(v[1:])))
+    # the first significant rise: the differences from k on are the second block's
+    k = int(np.flatnonzero(d > tol)[0])
+    assert np.all(d[:k] <= tol[:k]) and np.any(d[:k] < -tol[:k])
+    expected = run_claims(["regime-interior-minimum"], grid=GRID, a=a)
+    monkeypatch.setattr(grids, "_BLOCK", k + shift)
+    assert _first_block_end(GRID, overlap=1) == x[k + shift]
+    got = run_claims(["regime-interior-minimum"], grid=GRID, a=a)
+    assert _claim_bits(got) == _claim_bits(expected)
+    assert got[0].passed
+
+
+def test_margin_shares_merge_to_the_first_nan_and_the_first_minimum():
+    x = np.linspace(0.1, 0.9, 12)
+    tol = np.zeros_like(x)
+    cases = [
+        [3.0, 1.0, 2.0, -1.0, 5.0, np.nan, 4.0, -2.0, np.nan, 0.5, 1.0, 2.0],  # NaN after a smaller value
+        [3.0, np.nan, 2.0, np.nan, 5.0, -7.0, 4.0, -7.0, 1.0, 0.5, 1.0, 2.0],  # a NaN in the first block
+        [3.0, -1.0, 2.0, -1.0, 5.0, 0.0, -1.0, 2.0, 3.0, -1.0, 1.0, 2.0],  # ties in several blocks
+        [0.0, 1.0, -0.0, 1.0, 0.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # signed zeros tie
+    ]
+    for margins in map(np.array, cases):
+        whole = _direct_report("m", x, margins, tol)
+        for bounds in ([0, 12], [0, 4, 8, 12], [0, 1, 5, 6, 12], [0, 3, 7, 11, 12]):
+            shares = [_margin_block(x[lo:hi], margins[lo:hi], tol[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            got = _pointwise_report("m", shares)
+            assert (got.worst_x, got.samples, got.passed) == (whole.worst_x, whole.samples, whole.passed)
+            assert got.worst_margin == whole.worst_margin or math.isnan(got.worst_margin) and math.isnan(whole.worst_margin)
+            assert got.worst_x == float(x[int(np.argmin(margins))])
+
+
 class TestFreshGridPerCall:
     def test_each_call_returns_a_new_array(self):
         first = GridSpec(0.1, 0.9, 11, "uniform").points()
@@ -213,26 +339,44 @@ def test_first_winner_counts_match_stacked_argmax():
         assert verify._first_winner_counts(arrays, wins) == expected
 
 
-def test_compare_bounds_peak_memory_per_point():
-    n = 200_000
-    grid = GridSpec(1e-9, 1.0 - 1e-9, n)
-    first = verify.compare_bounds(grid)  # warm-up: one-time first-call allocations are not counted below
+def _peak_bytes_per_point(run, n):
+    first = run()  # warm-up: one-time first-call allocations are not counted below
     tracemalloc.start()
     try:
-        again = verify.compare_bounds(grid)
+        again = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert again == first
-    # 136 bytes a point with the stacked argmax/argmin and five full-array tolerances; the count
-    # includes the 8-byte-a-point grid, which compare_bounds builds on each call
-    assert peak / n <= 115.0
+    return peak / n
+
+
+# Building a refined grid alone peaks at 23 bytes a point; the count includes it, because each
+# check builds its grid on each call.  Evaluated in blocks, the checks add no full-size array
+# beyond the grid and its (0, 1) check, so they peak at the grid build: 23.0 bytes a point.  The
+# bound leaves 7 bytes a point (1.4 MB at n = 200 000) for the blocks' temporaries.
+PEAK_BYTES_PER_POINT = 30.0
+
+
+def test_compare_bounds_peak_memory_per_point():
+    n = 200_000
+    grid = GridSpec(1e-9, 1.0 - 1e-9, n)
+    # whole-array evaluation peaked at 136 bytes a point with the stacked argmax/argmin, then 107
+    assert _peak_bytes_per_point(lambda: verify.compare_bounds(grid), n) <= PEAK_BYTES_PER_POINT
+
+
+def test_pointwise_claims_peak_memory_per_point():
+    n = 200_000
+    grid = GridSpec(1e-9, 1.0 - 1e-9, n)
+    # whole-array evaluation peaked at 58, 72 and 58 bytes a point
+    for claim_id in ("classic-lower", "family-bracket", "midregime-floor"):
+        assert _peak_bytes_per_point(lambda: run_claims([claim_id], grid=grid), n) <= PEAK_BYTES_PER_POINT, claim_id
 
 
 def test_ratio_at_within_4_ulp_for_the_regime_claims():
     # the regime claims compare neighbouring ratio values under 4 ulp of each; near both ends
     # of a 200,001-point refined grid the values are the ones a false failure turned on
-    terms = _GridTerms(GridSpec(1e-9, 1.0 - 1e-9, 200_001))
+    terms = _GridTerms(GridSpec(1e-9, 1.0 - 1e-9, 200_001).points())
     idx = np.unique(np.r_[0:150, terms.x.size - 150 : terms.x.size, np.linspace(0, terms.x.size - 1, 150).astype(int)])
     x = terms.x[idx]
     for a in INCREASING_A_VALUES + DECREASING_A_VALUES + INTERIOR_A_VALUES:

@@ -15,13 +15,21 @@ from arcbounds.grids import GridSpec, _GridTerms
 from arcbounds.verify import (
     CLAIMS,
     REPORT_HEADER,
-    _monotonicity_report,
+    _margin_block,
+    _monotonicity_check,
+    _pointwise_report,
     compare_bounds,
     run_claims,
 )
 
 SMALL = GridSpec(1e-9, 1.0 - 1e-9, 20_001, "refined")
 SMALL_UNIFORM = GridSpec(1e-9, 1.0 - 1e-9, 20_001, "uniform")
+
+
+def whole_array(check, a, grid):
+    """``check(a)``'s report with the whole grid as its one block."""
+    block, report = check(a)
+    return report([block(_GridTerms(grid.points()))])
 
 
 def write_reports(reports, fmt: str) -> str:
@@ -116,7 +124,7 @@ class TestVerifyMonotonicity:
 
     def test_interior_minimum_sign_change(self):
         # the bare sign-pattern report: the registry runs it inside the regime-interior-minimum composite
-        rep = _monotonicity_report(2.7, _GridTerms(GridSpec(1e-9, 1.0 - 1e-9, 100_000, "refined")))
+        rep = whole_array(_monotonicity_check, 2.7, GridSpec(1e-9, 1.0 - 1e-9, 100_000, "refined"))
         assert rep.passed
         # the sign-change cell must straddle the located minimum
         x0 = ab.find_minimum(2.7).x0
@@ -126,7 +134,7 @@ class TestVerifyMonotonicity:
         # an increasing parameter checked on points only left of any
         # minimum still passes; a middle-regime one on a slice missing the
         # minimum has no sign change and must fail
-        rep = _monotonicity_report(2.7, _GridTerms(GridSpec(0.5, 0.9, 5_000, "uniform")))
+        rep = whole_array(_monotonicity_check, 2.7, GridSpec(0.5, 0.9, 5_000, "uniform"))
         assert not rep.passed
 
 
@@ -322,9 +330,7 @@ def test_failing_claim_reports_reproducible_point():
     acx = ab.arccos_stable(x)
     lower, upper = ab.bound_arrays(0.0, x)
     margins = upper - acx - 0.2  # deliberately broken claim
-    from arcbounds.verify import _pointwise_report
-
-    rep = _pointwise_report("synthetic-broken", x, margins, 4.0 * np.spacing(acx))
+    rep = _pointwise_report("synthetic-broken", [_margin_block(x, margins, 4.0 * np.spacing(acx))])
     assert not rep.passed
     i = int(np.argmin(margins))
     assert rep.worst_x == float(x[i])
@@ -336,9 +342,7 @@ def test_failing_claim_reports_reproducible_point():
 def test_nan_margin_fails_the_report():
     x = np.linspace(0.1, 0.9, 5)
     margins = np.array([1.0, 1.0, np.nan, 1.0, 1.0])
-    from arcbounds.verify import _pointwise_report
-
-    rep = _pointwise_report("synthetic-nan", x, margins, np.zeros_like(x))
+    rep = _pointwise_report("synthetic-nan", [_margin_block(x, margins, np.zeros_like(x))])
     assert not rep.passed
     assert "1 samples beyond tolerance" in rep.notes
 
@@ -346,8 +350,6 @@ def test_nan_margin_fails_the_report():
 def test_infinite_margin_fails_the_report():
     x = np.linspace(0.1, 0.9, 5)
     margins = np.array([1.0, 1.0, np.inf, 1.0, 1.0])
-    from arcbounds.verify import _pointwise_report
-
-    rep = _pointwise_report("synthetic-inf", x, margins, np.zeros_like(x))
+    rep = _pointwise_report("synthetic-inf", [_margin_block(x, margins, np.zeros_like(x))])
     assert not rep.passed
     assert "1 samples beyond tolerance" in rep.notes
