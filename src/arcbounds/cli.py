@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -31,7 +32,18 @@ from .sharp import a_star_pair, best_upper, carlson_pair, lambda_lower
 
 __all__ = ["main", "emit_curve"]
 
-_CSV_BLOCK_ROWS = 4096  # rows per `%` in CSV output: bounds the Python floats and text alive at once
+# Rows of CSV text built at once.  The kernel's temporaries take about 380 bytes a value, so an
+# 11-column block of 512 rows peaks near 2 MB, under the curve array's own peak: the tracemalloc
+# peak of `bounds --full` stays at the 153 bytes a row of the % path.  1024 rows ran no faster and
+# raised it to 187.
+_CSV_BLOCK_ROWS = 512
+
+# Text buffer of one value before compaction, by byte column:
+#   0 sign | 1-5 "0.000" | 7 d0, 8-23 d1..d16 | 24 "." | 27 d0, 28-43 d1..d16 | 44-47 "e-XX" | 48 separator.
+# The first digit run gives the digits before the point, the second those after it (all 17 below 1).
+# Columns 6, 25, 26 and 49-51 are never kept: they align the 4-digit chunks for uint32 stores.
+_G17_WIDTH = 52
+_G17_E_MIN = -11  # the kernel's decimal exponents e run from here to 16: 0 <= 16 - e <= 27, so 5**(16 - e) < 2**63
 
 CURVE_HEADER = (
     "x",
@@ -94,10 +106,120 @@ def _emit_rows(header: Sequence[str], rows: Iterable[Sequence], fmt: str, out) -
         out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _emit_array(header: Sequence[str], cols: np.ndarray, fmt: str, out) -> None:
-    """Rows of a 2-D float array; CSV is one ``%`` per block of rows, byte for byte ``_emit_rows``'s.
+@functools.cache
+def _g17_tables():
+    """Constant tables of the ``%.17g`` kernel, built on first use so that importing the CLI does no work."""
+    pow5 = np.uint64(5) ** np.arange(28, dtype=np.uint64)
+    chunk = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    chunk_text = (chunk + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    chunk_zeros = (chunk == 0)[:, ::-1].cumprod(axis=1).sum(axis=1)  # trailing zeros of each 4-digit chunk
+    exponents = np.arange(_G17_E_MIN, 17)
+    exp_text = np.frombuffer("".join(f"e{e:+03d}" for e in exponents).encode(), np.uint32)
+    template = np.zeros(_G17_WIDTH, np.uint8)
+    template[0:6] = np.frombuffer(b"-0.000", np.uint8)
+    template[24] = ord(".")
+    # Which columns a value keeps, by (exponent, trailing zeros among d1..d16, sign).
+    e = exponents[:, None, None, None]
+    zeros = np.arange(17)[:, None, None]
+    j = np.arange(17)  # digit index
+    sci = e < -4  # %g's rule: scientific below 1e-4 (and from 1e17, which the kernel never takes)
+    point = np.where(sci, 0, e)  # last digit before the point; negative below 1
+    last = np.maximum(16 - zeros, point)  # last digit kept: %g strips trailing zeros after the point
+    keep = np.zeros((len(exponents), 17, 2, _G17_WIDTH), bool)
+    keep[..., 0] = [False, True]
+    keep[..., 1:6] = ~sci & (e < 0) & (np.arange(5) < 1 - e)  # "0." and the zeros after it, below 1
+    keep[..., 7:24] = j <= point
+    keep[..., 24:25] = (point >= 0) & (point < last)  # the point goes when no digit follows it
+    keep[..., 27:44] = (j > point) & (j <= last)
+    keep[..., 44:48] = sci
+    keep[..., 48] = True
+    return pow5, chunk_text, chunk_zeros, exp_text, template, keep.reshape(-1, _G17_WIDTH)
 
-    ``"%.17g" % v`` and ``f"{v:.17g}"`` share one float formatter, and a number needs no quoting.
+
+def _g17_quotient(m: np.ndarray, p: np.ndarray, s: np.ndarray):
+    """floor(m * p / 2**s), its remainder and 2**(s - 1), exactly: m < 2**53, p < 2**63, 1 <= s <= 63.
+
+    The 128-bit product is two uint64 words summed from 32-bit limbs; numpy's uint64 arithmetic wraps.
+    """
+    m0, m1, p0, p1 = m & 0xFFFFFFFF, m >> 32, p & 0xFFFFFFFF, p >> 32
+    mid = m1 * p0 + m0 * p1  # < 2**53 + 2**63
+    low = m0 * p0
+    lo = low + (mid << 32)
+    hi = m1 * p1 + (mid >> 32) + (lo < low)  # lo < low: the low word wrapped
+    return (hi << (64 - s)) | (lo >> s), lo & ((1 << s) - 1), 1 << (s - 1)
+
+
+def _g17_decimal(a: np.ndarray):
+    """Exponent e and 17-digit integer n with n * 10**(e - 16) the nearest to each a > 0, ties to even.
+
+    Exact: a = m * 2**(exp2 - 53) with integer m, so a * 10**(16 - e) = m * 5**(16 - e) / 2**s.  None
+    when a value needs 16 - e outside 0..27 or s outside 1..63.
+    """
+    pow5 = _g17_tables()[0]
+    frac, exp2 = np.frexp(a)
+    m = (frac * 2.0**53).astype(np.uint64)
+    e = np.floor(np.log10(a)).astype(np.int64)  # off by at most one next to a power of ten
+    for _ in range(2):
+        k = 16 - e
+        s = 53 - exp2 - k
+        if np.any((k < 0) | (k > 27) | (s < 1) | (s > 63)):
+            return None
+        t, rem, half = _g17_quotient(m, pow5[k], s.astype(np.uint64))
+        # Correct e from the truncated quotient, never the rounded one: 1e-07 is 9.99999999999999954e-08,
+        # whose quotient at e = -7 rounds up to 10**16 but truncates below it, so e = -8 and the text
+        # is 9.9999999999999995e-08.
+        off = (t >= 10**17).astype(np.int64) - (t < 10**16)
+        if not off.any():
+            n = t + (rem + (t & 1) > half)  # round half to even
+            # n = 10**17 would carry into the next exponent.  No double in range gets there: 17 digits
+            # tell the doubles next to a power of ten from it.  A block that did would keep the % path.
+            return None if np.any(n == 10**17) else (e, n)
+        e += off
+    return None
+
+
+def _csv_block_text(block: np.ndarray) -> str | None:
+    """``"%.17g"`` text of a 2-D float block, with "," between values and a newline after each row.
+
+    None when a value is not finite and nonzero or ``_g17_decimal`` does not take it.
+    """
+    v = block.ravel()
+    a = np.abs(v)
+    if not np.all((a > 0) & (a < np.inf)):
+        return None
+    decimal = _g17_decimal(a)
+    if decimal is None:
+        return None
+    e, n = decimal
+    _, chunk_text, chunk_zeros, exp_text, template, keep_table = _g17_tables()
+    lead, rest = np.divmod(n, 10**16)
+    high, low = np.divmod(rest.astype(np.int64), 10**8)
+    chunks = np.stack([*np.divmod(high, 10**4), *np.divmod(low, 10**4)], axis=1)  # d1..d16 in fours
+    zeros = chunk_zeros[chunks[:, 3]]
+    for j in (2, 1, 0):
+        zeros = np.where(zeros == 12 - 4 * j, zeros + chunk_zeros[chunks[:, j]], zeros)
+    buf = np.empty((*block.shape, _G17_WIDTH), np.uint8)
+    buf[:] = template
+    buf[:, :, 48] = np.frombuffer(b"," * (block.shape[1] - 1) + b"\n", np.uint8)
+    buf = buf.reshape(-1, _G17_WIDTH)
+    buf[:, 7] = buf[:, 27] = lead + ord("0")
+    words = buf.view(np.uint32)
+    words[:, 2:6] = words[:, 7:11] = chunk_text[chunks]
+    words[:, 11] = exp_text[e - _G17_E_MIN]
+    key = ((e - _G17_E_MIN) * 17 + zeros) * 2 + np.signbit(v)
+    keep = np.take(keep_table, key, axis=0)
+    return str(np.compress(keep.ravel(), buf.ravel()), "ascii")
+
+
+def _emit_array(header: Sequence[str], cols: np.ndarray, fmt: str, out) -> None:
+    """Rows of a 2-D float array, byte for byte ``_emit_rows``'s.
+
+    CSV goes out in blocks of ``_CSV_BLOCK_ROWS`` rows.  A block is formatted in numpy by an exact
+    ``%.17g`` kernel (``_csv_block_text``) when every value is a normal double whose 17 digits it
+    can reach with 64-bit words: from 1e-11 to below 2**51, which covers every `bounds` column.
+    Any other block (a nan, an inf, a zero, a subnormal, a larger or smaller magnitude) is one
+    ``%`` of the row template ``"%.17g,...,%.17g"`` plus a newline; ``"%.17g" % v`` and
+    ``f"{v:.17g}"`` share one float formatter, and a number needs no quoting.
     """
     if fmt != "csv":
         _emit_rows(header, cols.tolist(), fmt, out)
@@ -106,7 +228,8 @@ def _emit_array(header: Sequence[str], cols: np.ndarray, fmt: str, out) -> None:
     row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
     for start in range(0, len(cols), _CSV_BLOCK_ROWS):
         block = cols[start : start + _CSV_BLOCK_ROWS]
-        out.write((row * len(block)) % tuple(block.ravel().tolist()))
+        text = _csv_block_text(block)
+        out.write((row * len(block)) % tuple(block.ravel().tolist()) if text is None else text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -213,8 +336,11 @@ def _run(args, out) -> int:
             _emit_array(*emit_curve(args.a, args.n, args.grid), fmt, out)
             return 0
         x = replace(DEFAULT_GRID, n=args.n, spacing=args.grid).points()
-        lower, upper = bound_arrays(args.a, x)
-        _emit_array(("x", "lower", "arccos", "upper"), np.column_stack([x, lower, arccos_stable(x), upper]), fmt, out)
+        cols = np.empty((x.size, 4))  # filled column by column, as in emit_curve
+        cols[:, 0] = x
+        cols[:, 1], cols[:, 3] = bound_arrays(args.a, x)
+        cols[:, 2] = arccos_stable(x)
+        _emit_array(("x", "lower", "arccos", "upper"), cols, fmt, out)
         return 0
 
     if args.verb == "classify":

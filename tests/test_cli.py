@@ -115,6 +115,14 @@ def row_writer_csv(header, cols):
     return out.getvalue()
 
 
+def percent_csv(block):
+    return ((",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)) % tuple(block.ravel().tolist())
+
+
+def csv_blocks(cols):
+    return [cols[start : start + cli._CSV_BLOCK_ROWS] for start in range(0, len(cols), cli._CSV_BLOCK_ROWS)]
+
+
 def block_writer_csv(header, cols):
     out = io.StringIO()
     cli._emit_array(header, cols, "csv", out)
@@ -137,9 +145,10 @@ class TestBlockCsv:
         assert "nan,nan,nan\ninf,-inf,0\n-0," in text
 
     @pytest.mark.parametrize("rows", [1, 2, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1])
-    def test_row_counts_around_the_block_size(self, rows):
+    @pytest.mark.parametrize("decades", [(-300, 300), (-10, 14)])  # the % fallback, the numpy kernel
+    def test_row_counts_around_the_block_size(self, rows, decades):
         rng = np.random.default_rng(rows)
-        cols = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
+        cols = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(*decades, (rows, 4))
         text = block_writer_csv(("a", "b", "c", "d"), cols)
         assert text == row_writer_csv(("a", "b", "c", "d"), cols)
         assert text.count("\n") == rows + 1
@@ -155,9 +164,57 @@ class TestBlockCsv:
         assert (code, err) == (0, "")
         assert out == row_writer_csv(header, cols)
 
+    def test_kernel_matches_percent(self):
+        """The numpy %.17g kernel against `%` on 1.15M values, block by block."""
+        rng = np.random.default_rng(20)
+        tens = 10.0 ** np.arange(-11, 18)
+        edges = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), [1e-7, 1e-6]])
+        edges = np.concatenate([edges, 0.99999999999999 * edges, 1.00000000000001 * edges])  # %g's switches at 1e-4, 1e17
+        # sorted, so each block holds one band of magnitudes and the kernel takes all but the top ones
+        loguniform = np.sort(np.exp(rng.uniform(math.log(1e-11), math.log(1e17), 1_100_000)))
+        loguniform *= rng.choice([-1.0, 1.0], loguniform.size)
+        ties = (2 * rng.integers(2**51, 2**52, 50_000) + 1) / 4.0  # n/4 for odd n in [2**52, 2**53): ties at 17 digits
+        specials = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308]
+        blocks = [np.array([[v]]) for v in np.concatenate([edges, -edges])]  # one edge value a block
+        blocks += csv_blocks(loguniform.reshape(-1, 10)) + csv_blocks(ties.reshape(-1, 10))
+        taken = 0
+        for block in blocks:
+            text = cli._csv_block_text(block)
+            assert text is None or text == percent_csv(block)
+            taken += 0 if text is None else block.size
+        for v in specials:
+            assert cli._csv_block_text(np.array([[v]])) is None
+        assert all(cli._csv_block_text(np.array([[v]])) is not None for v in edges[(edges > 1e-11) & (edges < 1e15)])
+        assert cli._csv_block_text(ties.reshape(-1, 10)) is not None
+        assert cli._csv_block_text(np.array([[1e-7, -1e-6]])) == "9.9999999999999995e-08,-9.9999999999999995e-07\n"
+        assert taken >= 1_000_000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(-1e15, 1e15)), min_size=1, max_size=12))
+    def test_kernel_property(self, values):
+        # pytest turns a RuntimeWarning into an error: the kernel must raise none, in range or out
+        cols = np.array(values)
+        for block in (cols.reshape(-1, 1), cols.reshape(1, -1)):
+            text = cli._csv_block_text(block)
+            assert text is None or text == percent_csv(block)
+
+    @pytest.mark.parametrize("grid", ["uniform", "refined"])
+    @pytest.mark.parametrize("a", [1.3, 2.7, 4.0])
+    def test_curve_takes_no_fallback_block(self, a, grid):
+        # 20,001 rows span the same magnitudes as the benchmark's 100,000: the extremes sit at the grid's ends
+        _, cols = emit_curve(a, 20_001, grid)
+        assert all(cli._csv_block_text(block) is not None for block in csv_blocks(cols))
+
+    def test_fallback_block_mid_array(self):
+        header, cols = emit_curve(2.7, 3 * cli._CSV_BLOCK_ROWS, "refined")
+        cols[cli._CSV_BLOCK_ROWS + 5, 4] = math.nan
+        assert [cli._csv_block_text(block) is None for block in csv_blocks(cols)] == [False, True, False]
+        assert block_writer_csv(header, cols) == row_writer_csv(header, cols)
+
     def test_peak_memory_per_row(self):
-        # The per-row peak is flat in n (169 bytes at 50,000 rows, 168 at 200,000); tracemalloc
-        # tracing every float the formatter makes costs about 3 s here and 12 s at 200,000.
+        # The per-row peak is flat in n (153 bytes at 50,000 rows, 152 at 200,000): the grid, the
+        # curve array and emit_curve's temporaries.  A 512-row block of kernel buffers, about 2 MB,
+        # stays below that peak; 1024-row blocks raised it to 187 bytes at 50,000 rows.
         n = 50_000
         argv = ["bounds", "--a", "1", "--n", str(n), "--full", "--format", "csv", "--out", os.devnull]
         assert main(argv) == 0  # warm-up: one-time first-call allocations are not counted below
