@@ -4,8 +4,9 @@ Verbs: eval, bounds, classify, minimize, verify, compare, scan.  Output is
 a human table on a terminal and CSV when piped (override with --format).
 CSV and JSON carry full binary64 round-trip precision; tables show six
 significant digits.  Exit status: 0 success, 1 verification failure,
-2 usage error, 3 domain error, 141 (128 + SIGPIPE) when the reader of
-stdout closes the pipe early, as in ``arcbounds bounds ... | head``.
+2 usage error or output that cannot be written, 3 domain error, 141
+(128 + SIGPIPE) when the reader of stdout closes the pipe early, as in
+``arcbounds bounds ... | head``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .sharp import a_star_pair, best_upper, carlson_pair, lambda_lower
 
 __all__ = ["main", "emit_curve"]
 
-# Rows of CSV text built at once.  The kernel's temporaries take about 380 bytes a value, so an
-# 11-column block of 512 rows peaks near 2 MB, under the curve array's own peak: the tracemalloc
+# Rows of CSV or JSON text built at once.  The kernel's temporaries take about 380 bytes a value, so
+# an 11-column block of 512 rows peaks near 2 MB, under the curve array's own peak: the tracemalloc
 # peak of `bounds --full` stays at the 153 bytes a row of the % path.  1024 rows ran no faster and
 # raised it to 187.
 _CSV_BLOCK_ROWS = 512
@@ -214,15 +215,24 @@ def _csv_block_text(block: np.ndarray) -> str | None:
 def _emit_array(header: Sequence[str], cols: np.ndarray, fmt: str, out) -> None:
     """Rows of a 2-D float array, byte for byte ``_emit_rows``'s.
 
-    CSV goes out in blocks of ``_CSV_BLOCK_ROWS`` rows.  A block is formatted in numpy by an exact
+    CSV and JSON go out in blocks of ``_CSV_BLOCK_ROWS`` rows; a table is built whole, because it
+    needs every column's width first.  A JSON block is one ``json.dumps`` of its rows without the
+    brackets, and the blocks are joined by ``",\\n"``.  A CSV block is formatted in numpy by an exact
     ``%.17g`` kernel (``_csv_block_text``) when every value is a normal double whose 17 digits it
     can reach with 64-bit words: from 1e-11 to below 2**51, which covers every `bounds` column.
     Any other block (a nan, an inf, a zero, a subnormal, a larger or smaller magnitude) is one
     ``%`` of the row template ``"%.17g,...,%.17g"`` plus a newline; ``"%.17g" % v`` and
     ``f"{v:.17g}"`` share one float formatter, and a number needs no quoting.
     """
-    if fmt != "csv":
+    if fmt == "table":
         _emit_rows(header, cols.tolist(), fmt, out)
+        return
+    if fmt == "json":
+        out.write("[\n")
+        for start in range(0, len(cols), _CSV_BLOCK_ROWS):
+            rows = [dict(zip(header, row)) for row in cols[start : start + _CSV_BLOCK_ROWS].tolist()]
+            out.write((",\n" if start else "") + json.dumps(rows, indent=2)[2:-2])
+        out.write("\n]\n")
         return
     csv.writer(out, lineterminator="\n").writerow(header)
     row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
@@ -407,13 +417,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                 code = _run(args, sys.stdout)
                 sys.stdout.flush()
                 return code
-            except BrokenPipeError:
-                # The reader closed stdout early (`| head`): exit silently, as a shell reports
-                # SIGPIPE.  fd 1 goes to devnull so the interpreter's final flush cannot raise again.
+            except OSError as exc:
+                # fd 1 goes to devnull so the interpreter's final flush of stdout cannot raise again
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
-                return 141
+                if isinstance(exc, BrokenPipeError):
+                    return 141  # the reader closed stdout early (`| head`): exit silently, as a shell reports SIGPIPE
+                raise
         try:
             fh = open(args.out, "w", encoding="utf-8", newline="\n")
         except OSError as exc:
@@ -424,6 +435,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a failed write, flush or close: exit 1 would read as a failed verification
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

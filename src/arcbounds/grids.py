@@ -96,6 +96,11 @@ def _blocks(grid: GridSpec, overlap: int = 0) -> Iterator[np.ndarray]:
         yield x[start : start + _BLOCK + overlap]
 
 
+def _ulps(v):
+    """4 ulp of ``v``: the slack that every strict inequality of the verifier grants one rounded quantity."""
+    return 4.0 * np.spacing(np.abs(v))
+
+
 class _GridTerms:
     """The terms of points ``x`` in (0, 1) that depend on x alone.
 
@@ -128,7 +133,7 @@ class _GridTerms:
     @cached_property
     def arccos_tol(self) -> np.ndarray:
         """4 ulp of arccos(x): the tolerance of a strict bound on arccos."""
-        return 4.0 * np.spacing(self.arccos)
+        return _ulps(self.arccos)
 
     @cached_property
     def ratio(self) -> np.ndarray:

@@ -53,6 +53,8 @@ __all__ = [
 ONE_PLUS_SQRT3 = 1.0 + math.sqrt(3.0)
 # Parameter where the two endpoint constants agree: 2 + sqrt(2)*a = pi*(1+a)/2.
 A_CROSS = (4.0 - PI) / (PI - TWO_SQRT2)
+# The classical constants at a = 2*sqrt(2) as literals: lower_constant(2*sqrt(2)) rounds to 6.000000000000001.
+_CARLSON_CONSTANTS = (6.0, PI * (1.0 + TWO_SQRT2) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,9 @@ def a_star_pair(x):
 
 def carlson_pair(x):
     """(lower, upper) at a = 2*sqrt(2): constants 6 and pi*(1 + 2*sqrt(2))/2."""
-    # not bound_arrays: lower_constant(2*sqrt(2)) rounds to 6.000000000000001
+    c_lower, c_upper = _CARLSON_CONSTANTS
     template = _shape(TWO_SQRT2, _check_open_unit(x))
-    return _scalar_like(x, 6.0 * template), _scalar_like(x, PI * (1.0 + TWO_SQRT2) / 2.0 * template)
+    return _scalar_like(x, c_lower * template), _scalar_like(x, c_upper * template)
 
 
 def sqrt3_lower(x):

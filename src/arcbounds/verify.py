@@ -4,21 +4,31 @@ Each claim in the registry turns one mathematical statement (containment,
 monotonicity, sharpness of a constant, dominance between bound families)
 into a pass/fail report carrying the worst signed margin and where it
 occurred.  Strict inequalities are accepted up to 4 ulp of the compared
-quantity; the margins of these bounds vanish only toward the interval
-endpoints, so a fixed absolute tolerance would mask genuine endpoint
-behavior while the ulp rule does not.
+quantity, a rule written once as ``grids._ulps`` (``_pair_tol`` grants it
+to each side of a comparison of two rounded quantities); the margins of
+these bounds vanish only toward the interval endpoints, so a fixed
+absolute tolerance would mask genuine endpoint behavior while the ulp
+rule does not.
+
+The four containment claims, ``classic-lower``, ``classic-upper``,
+``family-bracket`` and ``midregime-floor``, are one check,
+``_arccos_check``: arccos against constants times the template
+sqrt(1-x)/(a + sqrt(1+x)), under 4 ulp of arccos.  The classic pair is
+its a = 2*sqrt(2) case, with the constants ``sharp.carlson_pair`` uses.
 
 Grid evaluation is vectorized and single-threaded, and runs in blocks of
 ``grids._BLOCK`` consecutive points of the one grid a claim builds; checks
-on forward differences take blocks that overlap by one point.  A sweep
-over shape parameters loops over the blocks outside and the parameters
-inside: each block's terms that depend on x alone (``grids._GridTerms``)
-are evaluated once, and each ``a`` then costs only arithmetic on those
+on forward differences take blocks that overlap by one point.  One loop,
+``_sweep``, runs every check on ``grids._GridTerms``: the blocks outside
+and the checks inside, so each block's terms that depend on x alone are
+evaluated once, and each check then costs only arithmetic on those
 cache-sized arrays.  A check reduces each block to a small share (its
 first-index extreme, its violation count, its sign runs), and the shares
-merge in grid order.  Reductions tie-break by abscissa (first index on a
-sorted grid, the first NaN before any number, as np.argmin does), so
-reports are bit-identical across runs and equal to a whole-array pass.
+merge in grid order.  ``compare_bounds`` keeps its own loop, because its
+crossover cells carry the last sign of one block into the next.
+Reductions tie-break by abscissa (first index on a sorted grid, the first
+NaN before any number, as np.argmin does), so reports are bit-identical
+across runs and equal to a whole-array pass.
 """
 
 from __future__ import annotations
@@ -57,8 +67,9 @@ from .family import (
     classify_regime,
     endpoint_limits,
 )
-from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec, _blocks, _GridTerms
+from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec, _blocks, _GridTerms, _ulps
 from .sharp import (
+    _CARLSON_CONSTANTS,
     a_star_pair,
     best_upper,
     carlson_pair,
@@ -132,11 +143,7 @@ def _pair_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inequality between them is only resolvable outside the sum of their
     spacings (4 ulp each side).
     """
-    tol = np.spacing(np.abs(a))
-    b_ulp = np.abs(b)
-    tol += np.spacing(b_ulp, out=b_ulp)
-    tol *= 4.0  # in place: the bits of 4.0 * (...) with fewer full-size temporaries
-    return tol
+    return _ulps(a) + _ulps(b)
 
 
 def _extreme(values: np.ndarray, x: np.ndarray, pick: Callable[[np.ndarray], np.intp]) -> tuple[float, float]:
@@ -182,6 +189,15 @@ def _composite_report(claim_id: str, checks: list[tuple[float, float, str]], sam
 _Check = tuple[Callable[[_GridTerms], tuple], Callable[[list], VerificationReport]]
 
 
+def _arccos_check(claim_id: str, a: float, margin: Callable[[np.ndarray, np.ndarray], np.ndarray], notes: str = "") -> _Check:
+    """Check pointwise a bound on arccos built from the template at ``a``: ``margin(arccos, template)`` >= -4 ulp of arccos."""
+
+    def block(terms: _GridTerms) -> tuple:
+        return _margin_block(terms.x, margin(terms.arccos, terms.shape(a)), terms.arccos_tol)
+
+    return block, lambda shares: _pointwise_report(claim_id, shares, notes)
+
+
 def _bounds_check(a: float) -> _Check:
     """Check the two-sided family bound at every grid point.
 
@@ -190,23 +206,15 @@ def _bounds_check(a: float) -> _Check:
     """
     c_lower, c_upper = _constants(a)
     notes = f"regime={classify_regime(a).value}; constants=({c_lower:.9g}, {c_upper:.9g})"
-
-    def block(terms: _GridTerms) -> tuple:
-        acx, template = terms.arccos, terms.shape(a)
-        return _margin_block(terms.x, np.minimum(acx - c_lower * template, c_upper * template - acx), terms.arccos_tol)
-
-    return block, lambda shares: _pointwise_report(f"family-bracket[a={a:.17g}]", shares, notes)
+    margin = lambda acx, template: np.minimum(acx - c_lower * template, c_upper * template - acx)
+    return _arccos_check(f"family-bracket[a={a:.17g}]", a, margin, notes)
 
 
 def _floor_check(a: float) -> _Check:
     """Check the floor-constant lower bound 8*(1 - 2/a**2) pointwise (a**2 > 0)."""
     _check_bound_parameter(a)
     floor = _floor(a)
-
-    def block(terms: _GridTerms) -> tuple:
-        return _margin_block(terms.x, terms.arccos - floor * terms.shape(a), terms.arccos_tol)
-
-    return block, lambda shares: _pointwise_report(f"midregime-floor[a={a:.17g}]", shares)
+    return _arccos_check(f"midregime-floor[a={a:.17g}]", a, lambda acx, template: acx - floor * template)
 
 
 def _differences(a: float, terms: _GridTerms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,7 +316,7 @@ def _limits_check(a: float) -> _Check:
             extrema = [
                 (attained_tol - abs(vmax - c_upper), xmaxs[j], "supremum attains larger endpoint constant"),
                 (attained_tol - abs(vmin - f_min), xmins[i], "infimum attains interior minimum"),
-                (vmin - f_min + 4.0 * float(np.spacing(abs(f_min))), xmins[i], "grid infimum above true minimum"),
+                (vmin - f_min + float(_ulps(f_min)), xmins[i], "grid infimum above true minimum"),
             ]
         else:
             # an increasing ratio attains its lower constant on the left, a decreasing one on the right
@@ -359,7 +367,7 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     crossovers are located by bisection to 1e-10.  The grid is evaluated
     in blocks: winner counts add, and the margins, the witnesses and the
     crossover cells (one of which may straddle two blocks) merge in grid
-    order.
+    order.  A crossover cell carries one block's last sign into the next, so this loop is not ``_sweep``.
     """
     lower_counts, upper_counts = np.zeros(4, dtype=np.int64), np.zeros(3, dtype=np.int64)
     lower_shares, upper_shares, highs, lows, cells = [], [], [], [], []
@@ -420,36 +428,29 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
 # Claim registry
 
 
-def _each_a(check: Callable[[float], _Check], overlap: int = 0) -> Callable[..., list[VerificationReport]]:
-    """Check running ``check(a)`` for each value: the grid's blocks in the outer loop, the values in the inner.
+def _sweep(checks: Sequence[_Check], grid: GridSpec, overlap: int = 0) -> list[VerificationReport]:
+    """The reports of ``checks`` on one grid: its blocks outside, the checks inside, sharing each block's terms.
 
-    Each block's terms are evaluated once and shared by every value; ``overlap`` is 1 for checks on
-    forward differences.  Every ``check(a)`` runs, and so checks its a, before the grid is sampled.
+    ``overlap`` is 1 for checks on forward differences.
     """
-    def run(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-        checks = [check(a) for a in values]
-        shares: list[list] = [[] for _ in checks]
-        for x in _blocks(grid, overlap):
-            terms = _GridTerms(x)
-            for (block, _), out in zip(checks, shares):
-                out.append(block(terms))
-        return [report(out) for (_, report), out in zip(checks, shares)]
+    shares: list[list] = [[] for _ in checks]
+    for x in _blocks(grid, overlap):
+        terms = _GridTerms(x)
+        for (block, _), out in zip(checks, shares):
+            out.append(block(terms))
+    return [report(out) for (_, report), out in zip(checks, shares)]
 
-    return run
+
+def _each_a(check: Callable[[float], _Check], overlap: int = 0) -> Callable[..., list[VerificationReport]]:
+    """Check sweeping ``check(a)`` for each value; every ``check(a)`` runs, and so checks its a, before the grid is sampled."""
+    return lambda values, grid: _sweep([check(a) for a in values], grid, overlap)
 
 
 def _claim_classic(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    lower, upper = [], []
-    for x in _blocks(grid):
-        terms = _GridTerms(x)
-        acx, tol = terms.arccos, terms.arccos_tol
-        c_lower, c_upper = carlson_pair(x)
-        lower.append(_margin_block(x, acx - c_lower, tol))
-        upper.append(_margin_block(x, c_upper - acx, tol))
-    return [
-        _pointwise_report("classic-lower", lower, notes="classical lower constant 6"),
-        _pointwise_report("classic-upper", upper, notes="classical upper constant (1/2+sqrt(2))*pi"),
-    ]
+    c_lower, c_upper = _CARLSON_CONSTANTS
+    lower = _arccos_check("classic-lower", TWO_SQRT2, lambda acx, template: acx - c_lower * template, "classical lower constant 6")
+    upper = _arccos_check("classic-upper", TWO_SQRT2, lambda acx, template: c_upper * template - acx, "classical upper constant (1/2+sqrt(2))*pi")
+    return _sweep([lower, upper], grid)
 
 
 # Size of the uniform grid of the brute-force argmin cross-check.
@@ -469,7 +470,7 @@ def _minimum_slacks(a: float, brute: tuple[float, float]) -> tuple[MinimumResult
     bx, bval = brute
     slacks = (
         1e-12 - res.residual,
-        res.f_min - floor + 4.0 * float(np.spacing(floor)),
+        res.f_min - floor + float(_ulps(floor)),
         min(at0, at1) - res.f_min,
         1e-6 - abs(bx - res.x0),
         1e-10 - abs(bval - res.f_min),
@@ -493,7 +494,7 @@ def _interior_report(a: float, mono: VerificationReport, brute: tuple[float, flo
 
 
 def _claim_interior_minimum(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    monos = _each_a(_monotonicity_check, overlap=1)(values, grid)
+    monos = _sweep([_monotonicity_check(a) for a in values], grid, overlap=1)
     # one batched brute force for all the values: each chunk's terms are shared
     brutes = _grid_argmins(values, BRUTE_FORCE_N)
     return [_interior_report(a, mono, brute) for a, mono, brute in zip(values, monos, brutes)]
@@ -521,8 +522,8 @@ def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> list[Ver
     x = grid.points()
     p = slope_threshold(x)
     r = threshold_gap(x)
-    tol_p = 4.0 * float(np.max(np.spacing(p)))
-    tol_r = 4.0 * float(np.max(np.spacing(np.abs(r) + 1.0)))
+    tol_p = float(_ulps(np.max(p)))
+    tol_r = float(_ulps(np.max(np.abs(r) + 1.0)))
     checks += [
         (1e-5 - abs(slope_threshold(1e-10) - 8.0 / PI), 1e-10, "threshold left endpoint 8/pi"),
         (1e-5 - abs(slope_threshold(1.0 - 1e-10) - TWO_SQRT2), 1.0 - 1e-10, "threshold right endpoint 2*sqrt(2)"),
@@ -565,12 +566,12 @@ def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> list[Ver
     # sign * value must stay above -tol
     for sign, what, avals in ((1.0, "positive", QUADRATIC_POSITIVE_A_VALUES), (-1.0, "negative", QUADRATIC_NEGATIVE_A_VALUES)):
         for av in avals:
-            tol = 4.0 * float(np.spacing(av * av * SQRT2 + 4.0 * SQRT2))
+            tol = float(_ulps(av * av * SQRT2 + 4.0 * SQRT2))
             checks.append(_tightest(sign * slope_quadratic(av, x) + tol, x, f"quadratic {what} at a={av:.6g}"))
     for sign, what, avals in ((1.0, "positive", (0.0, 2.0, 8.0 / PI)), (-1.0, "negative", (TWO_SQRT2, 4.0))):
         for av in avals:
             scale = (abs(av) * s + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + s)
-            checks.append(_tightest(sign * slope_term(av, x) + 4.0 * np.spacing(scale), x, f"slope term {what} at a={av:.6g}"))
+            checks.append(_tightest(sign * slope_term(av, x) + _ulps(scale), x, f"slope term {what} at a={av:.6g}"))
     return [_composite_report("aux-sign-regimes", checks, 11 * x.size, notes="one-signedness of the quadratic and the slope term")]
 
 

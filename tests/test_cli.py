@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -119,6 +120,18 @@ def percent_csv(block):
     return ((",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)) % tuple(block.ravel().tolist())
 
 
+def bounds_full_peak(fmt, n):
+    """The tracemalloc peak of `bounds --full` to devnull, after a warm-up run."""
+    argv = ["bounds", "--a", "1", "--n", str(n), "--full", "--format", fmt, "--out", os.devnull]
+    assert main(argv) == 0  # warm-up: one-time first-call allocations are not counted below
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def csv_blocks(cols):
     return [cols[start : start + cli._CSV_BLOCK_ROWS] for start in range(0, len(cols), cli._CSV_BLOCK_ROWS)]
 
@@ -216,23 +229,70 @@ class TestBlockCsv:
         # curve array and emit_curve's temporaries.  A 512-row block of kernel buffers, about 2 MB,
         # stays below that peak; 1024-row blocks raised it to 187 bytes at 50,000 rows.
         n = 50_000
-        argv = ["bounds", "--a", "1", "--n", str(n), "--full", "--format", "csv", "--out", os.devnull]
-        assert main(argv) == 0  # warm-up: one-time first-call allocations are not counted below
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # about 1450 bytes a row with a Python float and a string alive per value
-        assert peak / n <= 200.0
+        assert bounds_full_peak("csv", n) / n <= 200.0
+
+    def test_json_peak_memory(self):
+        # One 512-row block of dicts and its text add about 1 MB to the CSV path's 153 bytes a row
+        # (429 bytes a row at 5,000 rows, 260 at 10,000).  The encoder is pure Python, so a small n
+        # keeps the traced run under a second.
+        n = 5_000
+        # one json.dumps of every row took 3410 bytes a row
+        assert bounds_full_peak("json", n) <= 200.0 * n + 2**21
+
+
+@pytest.mark.parametrize("rows", [cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1])
+def test_block_json_equals_one_dump(rows):
+    header, cols = emit_curve(2.7, rows, "uniform")
+    cols[rows // 2, 3], cols[rows // 2 + 1, 5], cols[rows // 2 + 2, 7] = math.nan, math.inf, -0.0
+    blocked, whole = io.StringIO(), io.StringIO()
+    cli._emit_array(header, cols, "json", blocked)
+    cli._emit_rows(header, cols.tolist(), "json", whole)
+    assert blocked.getvalue() == whole.getvalue()
+    assert ": NaN," in whole.getvalue() and ": Infinity," in whole.getvalue() and ": -0.0," in whole.getvalue()
+
+
+def _cli_subprocess_env():
+    src = str(Path(ab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestWriteFailure:
+    """A failed write exits 2 with one line, never 1 ("verification failed") with a traceback."""
+
+    def test_out_file(self, capsys):
+        for argv in (["bounds", "--a", "1", "--n", "10"], ["verify", "--claims", "gain-maximizer"]):
+            code, out, err = run_cli(capsys, *argv, "--out", "/dev/full")
+            assert (code, out) == (2, "")
+            assert err == "error: cannot write output: No space left on device\n"
+
+    @pytest.mark.parametrize("n", ["10", "100000"])  # written at the final flush, or while running
+    def test_stdout(self, n):
+        argv = [sys.executable, "-m", "arcbounds.cli", "bounds", "--a", "1", "--n", n, "--full", "--format", "csv"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=_cli_subprocess_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: cannot write output: No space left on device\n"
+
+
+def _readme_commands():
+    """The commands of README's "Command line" block, each as an argv without `arcbounds` and redirection."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1 : argv.index(">") if ">" in argv else None] for argv in argvs if argv]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv, tmp_path):
+    # the documented examples cannot rot silently
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_closed_stdout_pipe_exits_141_silently():
-    src = str(Path(ab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "arcbounds.cli", "bounds", "--a", "1", "--n", "200000", "--full", "--format", "csv"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_subprocess_env())
     try:
         assert proc.stdout.readline().startswith(b"x,family_lower,")
         proc.stdout.close()

@@ -179,6 +179,7 @@ def evaluations(monkeypatch):
         ("midregime-floor", FLOOR_A_VALUES),
         ("regime-increasing", INCREASING_A_VALUES),
         ("regime-decreasing", DECREASING_A_VALUES),
+        ("classic-lower", (ab.TWO_SQRT2, ab.TWO_SQRT2)),  # classic-lower and classic-upper, both at a = 2*sqrt(2)
     ],
 )
 def test_sweep_takes_its_grid_and_arccos_once(evaluations, claim_id, values):

@@ -6,6 +6,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import arcbounds as ab
 from arcbounds import verify
@@ -111,6 +113,16 @@ class TestVerifyBounds:
         g = GridSpec(0.1, 0.9, 1_000, "uniform")
         [rep] = run_claims(["family-bracket"], grid=g, a=1.0)
         assert g.lo <= rep.worst_x <= g.hi
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=8))
+@example([(0.0, -0.0), (5e-324, -5e-324), (math.inf, -math.inf), (math.nan, 1.0), (-1.7976931348623157e308, 2.2250738585072014e-308), (math.nan, -math.nan)])
+def test_pair_tol_is_4_ulp_of_each_side(pairs):
+    # the sum of the two sides' 4 ulp equals 4 times the sum of their spacings, bit for bit
+    a, b = np.array(pairs).T
+    with np.errstate(over="ignore"):  # the spacing of the largest double is inf in both forms
+        got, want = verify._pair_tol(a, b), 4.0 * (np.spacing(np.abs(a)) + np.spacing(np.abs(b)))
+    assert got.tobytes() == want.tobytes()
 
 
 class TestVerifyMonotonicity:
