@@ -153,9 +153,14 @@ def lower_gain_max(x):
     (4*lam**2 - 1)/(4*lam**2) at a = 2*sqrt(2)*lam.
     """
     arr = _check_open_unit(x)
+    return _scalar_like(x, _gain_max(arr, np.sqrt(1.0 + arr)))
+
+
+def _gain_max(arr: np.ndarray, sqrt_1px: np.ndarray) -> np.ndarray:
+    """``lower_gain_max`` of checked points ``arr``, given sqrt(1 + arr)."""
     lam = _lambda(arr)
     lam2 = lam * lam
-    return _scalar_like(x, (4.0 * lam2 - 1.0) / (4.0 * lam2 * (TWO_SQRT2 * lam + np.sqrt(1.0 + arr))))
+    return (4.0 * lam2 - 1.0) / (4.0 * lam2 * (TWO_SQRT2 * lam + sqrt_1px))
 
 
 def best_lower(x):

@@ -17,15 +17,20 @@ sqrt(1-x)/(a + sqrt(1+x)), under 4 ulp of arccos.  The classic pair is
 its a = 2*sqrt(2) case, with the constants ``sharp.carlson_pair`` uses.
 
 Grid evaluation is vectorized and single-threaded, and runs in blocks of
-``grids._BLOCK`` consecutive points of the one grid a claim builds; checks
-on forward differences take blocks that overlap by one point.  One loop,
+``grids._BLOCK`` consecutive points of the one grid a claim samples; checks
+on forward differences take blocks that overlap by one point.  The blocks
+are cut from the grid's stream of runs, so a claim that only walks its
+grid never builds the whole of it, and its peak memory does not grow with
+n; ``gain-maximizer`` reads its 100 points from the runs.  The aux claims
+and ``scan-slice`` still take ``grid.points()``.  One loop,
 ``_sweep``, runs every check on ``grids._GridTerms``: the blocks outside
 and the checks inside, so each block's terms that depend on x alone are
 evaluated once, and each check then costs only arithmetic on those
 cache-sized arrays.  A check reduces each block to a small share (its
 first-index extreme, its violation count, its sign runs), and the shares
 merge in grid order.  ``compare_bounds`` keeps its own loop, because its
-crossover cells carry the last sign of one block into the next.
+crossover cells carry the last sign of one block into the next; it reads
+its named bounds from one ``_GridTerms`` per block too.
 Reductions tie-break by abscissa (first index on a sorted grid, the first
 NaN before any number, as np.argmin does), so reports are bit-identical
 across runs and equal to a whole-array pass.
@@ -70,14 +75,14 @@ from .family import (
 from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec, _blocks, _GridTerms, _ulps
 from .sharp import (
     _CARLSON_CONSTANTS,
+    A_CROSS,
+    ONE_PLUS_SQRT3,
+    _gain_max,
     a_star_pair,
-    best_upper,
-    carlson_pair,
     lambda_lower,
     lower_gain,
     lower_gain_argmax,
     lower_gain_max,
-    sqrt3_lower,
 )
 
 __all__ = [
@@ -357,6 +362,24 @@ def _first_winner_counts(arrays: Sequence[np.ndarray], wins: Callable[[np.ndarra
     return np.bincount(winner, minlength=len(arrays)).tolist()
 
 
+def _sharp_bounds(terms: _GridTerms) -> tuple[np.ndarray, ...]:
+    """The bounds ``compare_bounds`` compares, on one block's shared terms.
+
+    (a-star lower, a-star upper, carlson lower, carlson upper, 1+sqrt(3)
+    lower, lambda lower, best upper): the bits of ``sharp.a_star_pair``,
+    ``carlson_pair``, ``sqrt3_lower``, ``lambda_lower`` and ``best_upper``,
+    each of which checks x and takes its square roots again.
+    """
+    a_star, carlson = terms.shape(A_STAR), terms.shape(TWO_SQRT2)
+    (a_star_lo, a_star_up), (carlson_lo, carlson_up) = _constants(A_STAR), _CARLSON_CONSTANTS
+    return (
+        a_star_lo * a_star, a_star_up * a_star, carlson_lo * carlson, carlson_up * carlson,
+        _constants(ONE_PLUS_SQRT3)[0] * terms.shape(ONE_PLUS_SQRT3),
+        _gain_max(terms.x, terms.sqrt_1px) * 8.0 * terms.sqrt_1mx,
+        _constants(A_CROSS)[1] * terms.shape(A_CROSS),
+    )
+
+
 def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     """Dominance table for the sharp bound candidates on one grid.
 
@@ -373,8 +396,7 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     lower_shares, upper_shares, highs, lows, cells = [], [], [], [], []
     samples, last_sign, last_x = 0, math.nan, math.nan
     for x in _blocks(grid):
-        (a_star_lo, a_star_up), (carlson_lo, carlson_up) = a_star_pair(x), carlson_pair(x)
-        sqrt3, lam, best = sqrt3_lower(x), lambda_lower(x), best_upper(x)
+        a_star_lo, a_star_up, carlson_lo, carlson_up, sqrt3, lam, best = _sharp_bounds(_GridTerms(x))
         lower_counts += _first_winner_counts([a_star_lo, carlson_lo, sqrt3, lam], np.greater)
         upper_counts += _first_winner_counts([a_star_up, carlson_up, best], np.less)
         lower_shares.append(_dominance_block(x, (lam, carlson_lo), (lam, sqrt3)))
@@ -576,11 +598,16 @@ def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> list[Ver
 
 
 def _claim_gain_maximizer(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    pts = grid.points()
-    xs = pts[:: max(1, pts.size // 100)][:100]  # the 100-point default is its own subsample
+    # every k-th point of the grid, read from its runs: one pass counts the points, one picks
+    k = max(1, sum(run.size for run in grid._runs()) // 100)
+    picks, start = [], 0
+    for run in grid._runs():
+        picks.append(run[-start % k :: k].copy())  # a view would keep the whole run
+        start += run.size
+    xs = np.concatenate(picks)[:100]  # the 100-point default is its own subsample
     avals = np.linspace(A_STAR, TWO_SQRT2, 10_002)[1:-1]
-    gains = lower_gain(avals[None, :], xs[:, None])
-    grid_max = np.max(gains, axis=1)
+    # the gain table one row at a time: each row's np.max is the whole table's row maximum
+    grid_max = np.array([np.max(lower_gain(avals, x)) for x in xs])
     attained = lower_gain(lower_gain_argmax(xs), xs)
     closed = lower_gain_max(xs)
     tol = _pair_tol(attained, grid_max)
@@ -590,7 +617,7 @@ def _claim_gain_maximizer(values: Sequence[float], grid: GridSpec) -> list[Verif
         _tightest(tol - np.abs(closed - attained), xs, "closed-form maximum matches composition"),
         (1e-8 - dev, 1e-12, "maximizer tends to 1+sqrt(3) at the left endpoint"),
     ]
-    return [_composite_report("gain-maximizer", checks, int(gains.size), notes="pointwise optimality of the gain maximizer")]
+    return [_composite_report("gain-maximizer", checks, xs.size * avals.size, notes="pointwise optimality of the gain maximizer")]
 
 
 def _claim_scan_slice(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:

@@ -276,6 +276,32 @@ class TestWriteFailure:
         assert proc.stderr == b"error: cannot write output: No space left on device\n"
 
 
+# One `compare` run in a fresh process, which then prints its exit code and its own peak RSS in
+# KiB.  It reads VmHWM, the high-water mark of its own address space: Linux carries ru_maxrss
+# across fork and exec, so that figure would start at the test process's own peak.
+_COMPARE_PEAK_RSS = """
+import os, re, sys
+from arcbounds.cli import main
+code = main(["compare", "--n", sys.argv[1], "--out", os.devnull])
+with open("/proc/self/status") as status:
+    print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_compare_peak_rss_is_flat_in_n():
+    # the grid streams in blocks, so ten times the points costs no memory: 34.2 and 34.4 MB on
+    # x86-64 Linux, where building the grid whole took 34.7 and 75.8 MB
+    peaks = []
+    for n in ("200000", "2000000"):
+        argv = [sys.executable, "-c", _COMPARE_PEAK_RSS, n]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=_cli_subprocess_env(), timeout=120, check=True)
+        code, kib = map(int, proc.stdout.split())
+        assert code == 0
+        peaks.append(kib / 1024)
+    assert abs(peaks[1] - peaks[0]) < 8.0, peaks
+
+
 def _readme_commands():
     """The commands of README's "Command line" block, each as an argv without `arcbounds` and redirection."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

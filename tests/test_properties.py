@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcbounds as ab
-from arcbounds import analysis, family, sharp
+from arcbounds import analysis, family, grids, sharp
 
 finite_a = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 bound_a = st.floats(min_value=-0.99, max_value=8.0, allow_nan=False, allow_infinity=False)
@@ -100,13 +100,18 @@ def test_grid_points_sorted_and_bounded(lo, width, n, spacing):
     assert np.all((pts >= g.lo) & (pts <= g.hi))
 
 
-def _sorted_refined_points(g):
-    """The refined grid as np.unique builds it: the three zones sorted and deduplicated."""
+def _refined_zones(g):
+    """The three zones of a refined grid from np.geomspace and np.linspace, in grid order, repeats kept."""
     n_edge = g.n // 4
     edge = min(1e-3, 0.25 * (g.hi - g.lo))
     offsets = np.concatenate(([0.0], np.geomspace(edge * 1e-9, edge, n_edge - 1)))
     mid = np.linspace(g.lo + edge, g.hi - edge, g.n - 2 * n_edge + 2)[1:-1]
-    return np.unique(np.concatenate([g.lo + offsets, mid, g.hi - offsets]))
+    return g.lo + offsets, mid, (g.hi - offsets)[::-1]
+
+
+def _sorted_refined_points(g):
+    """The refined grid as np.unique builds it: the three zones sorted and deduplicated."""
+    return np.unique(np.concatenate(_refined_zones(g)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,6 +128,49 @@ def test_refined_points_equal_the_sorted_build(lo, log_width, n):
 
 def test_default_grid_equals_the_sorted_build():
     np.testing.assert_array_equal(ab.DEFAULT_GRID.points(), _sorted_refined_points(ab.DEFAULT_GRID))
+
+
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("block", [7, 1000])
+@given(
+    lo=st.floats(min_value=1e-9, max_value=0.4),
+    width=st.floats(min_value=1e-6, max_value=0.59),
+    n=st.integers(min_value=2, max_value=5_000),
+    spacing=st.sampled_from(["uniform", "refined"]),
+)
+def test_blocks_concatenate_to_the_points(block, lo, width, n, spacing):
+    g = ab.GridSpec(lo, lo + width, n, spacing)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grids, "_BLOCK", block)
+        pts, runs = g.points(), list(g._runs())
+        cuts = {overlap: list(grids._blocks(g, overlap)) for overlap in (0, 1)}
+    assert all(0 < run.size <= block for run in runs)
+    if spacing == "uniform":
+        assert pts.tobytes() == np.linspace(g.lo, g.hi, g.n).tobytes()
+    for overlap, blocks in cuts.items():
+        # every block but the last holds _BLOCK points and the overlap, and starts where points() says
+        assert [x.size for x in blocks[:-1]] == [block + overlap] * (len(blocks) - 1) and blocks[-1].size > overlap
+        assert [x[0] for x in blocks] == pts[::block][: len(blocks)].tolist()
+        # the blocks without their overlap concatenate to points()
+        assert np.concatenate([x[:block] for x in blocks[:-1]] + [blocks[-1]]).tobytes() == pts.tobytes()
+
+
+@pytest.mark.parametrize("block", [1000, 1 << 14])
+def test_runs_drop_repeats_across_their_seams(monkeypatch, block):
+    # at 2M points the smallest offsets near hi repeat; runs are cut from each zone by index range,
+    # so some seam between two runs falls between two equal points, and the carried point drops it
+    g = ab.GridSpec(1e-9, 1.0 - 1e-9, 2_000_000)
+    monkeypatch.setattr(grids, "_BLOCK", block)
+    zones = _refined_zones(g)
+    raw = np.concatenate(zones)
+    starts = np.cumsum([0, zones[0].size, zones[1].size])
+    seams = np.concatenate([np.arange(0, zone.size, block) + start for zone, start in zip(zones, starts)])[1:]
+    assert np.any(raw[seams] == raw[seams - 1])
+    runs = list(g._runs())
+    pts = np.concatenate(runs)
+    assert all(0 < run.size <= block for run in runs)
+    assert pts.size < g.n and np.all(np.diff(pts) > 0.0)
+    assert pts.tobytes() == np.unique(raw).tobytes()
 
 
 # Special values: the edges of (0, 1) and of binary64, the regime boundaries, the poles of the

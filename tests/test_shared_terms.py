@@ -155,19 +155,19 @@ def test_batched_argmin_checks_every_parameter():
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts of GridSpec.points calls and of np.arccos evaluations."""
+    """Counts of grid builds (GridSpec._runs calls, which points() and _blocks both make) and of np.arccos evaluations."""
     counts = Counter()
-    points, arccos = GridSpec.points, np.arccos
+    runs, arccos = GridSpec._runs, np.arccos
 
-    def counting_points(self):
-        counts["points"] += 1
-        return points(self)
+    def counting_runs(self):
+        counts["grid"] += 1
+        return runs(self)
 
     def counting_arccos(*args, **kwargs):
         counts["arccos"] += 1
         return arccos(*args, **kwargs)
 
-    monkeypatch.setattr(GridSpec, "points", counting_points)
+    monkeypatch.setattr(GridSpec, "_runs", counting_runs)
     monkeypatch.setattr(np, "arccos", counting_arccos)
     return counts
 
@@ -185,7 +185,7 @@ def evaluations(monkeypatch):
 def test_sweep_takes_its_grid_and_arccos_once(evaluations, claim_id, values):
     reports = run_claims([claim_id], grid=GridSpec(1e-9, 1.0 - 1e-9, 2001))
     assert len(reports) == len(values) > 1
-    assert evaluations == {"points": 1, "arccos": 1}
+    assert evaluations == {"grid": 1, "arccos": 1}
 
 
 @pytest.fixture
@@ -214,6 +214,25 @@ def test_blocked_sweep_takes_arccos_once_per_point(arccos_points, claim_id, over
     run_claims([claim_id], grid=grid)
     # blocks of a difference check share their boundary points, which are evaluated in both
     assert arccos_points["points"] == size + overlap * (blocks - 1)
+
+
+def test_sharp_block_bounds_equal_the_public_functions():
+    # compare_bounds reads its seven bounds from one block's terms: the bits of the five public functions
+    for x in _blocks(ab.DEFAULT_GRID):
+        got = verify._sharp_bounds(_GridTerms(x))
+        want = (*ab.a_star_pair(x), *ab.carlson_pair(x), ab.sqrt3_lower(x), ab.lambda_lower(x), ab.best_upper(x))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.5), (0.5, 1.0), (-1.0, 2.0)])
+def test_off_domain_grid_raises_before_its_first_block(evaluations, lo, hi):
+    grid = GridSpec(lo, hi, 50_001)
+    with pytest.raises(ab.DomainError, match=r"open interval \(0, 1\)"):
+        next(_blocks(grid))
+    for run in (lambda: run_claims(["family-bracket"], grid=grid), lambda: verify.compare_bounds(grid)):
+        with pytest.raises(ab.DomainError):
+            run()
+    assert evaluations == {}  # neither a grid point nor a term was evaluated
 
 
 def _claim_bits(reports):
@@ -340,7 +359,7 @@ def test_first_winner_counts_match_stacked_argmax():
         assert verify._first_winner_counts(arrays, wins) == expected
 
 
-def _peak_bytes_per_point(run, n):
+def _peak_bytes(run):
     first = run()  # warm-up: one-time first-call allocations are not counted below
     tracemalloc.start()
     try:
@@ -349,29 +368,42 @@ def _peak_bytes_per_point(run, n):
     finally:
         tracemalloc.stop()
     assert again == first
-    return peak / n
+    return peak
 
 
-# Building a refined grid alone peaks at 23 bytes a point; the count includes it, because each
-# check builds its grid on each call.  Evaluated in blocks, the checks add no full-size array
-# beyond the grid and its (0, 1) check, so they peak at the grid build: 23.0 bytes a point.  The
-# bound leaves 7 bytes a point (1.4 MB at n = 200 000) for the blocks' temporaries.
-PEAK_BYTES_PER_POINT = 30.0
+# The grid streams in runs and is cut into blocks, so no array of the whole grid is built and a
+# check's peak does not grow with n: it is its blocks' temporaries, at most 32 float arrays of
+# one block (4 MiB).  compare_bounds peaks at 3.6 MB and the pointwise claims at 1.4-1.6 MB, at
+# both sizes.  With the grid built whole they peaked at 23 bytes a point (4.6 and 46 MB).
+PEAK_BYTES = 32 * 8 * grids._BLOCK
+LARGE_N = (200_000, 2_000_000)
 
 
-def test_compare_bounds_peak_memory_per_point():
-    n = 200_000
+@pytest.mark.parametrize("n", LARGE_N)
+def test_compare_bounds_peak_memory(n):
     grid = GridSpec(1e-9, 1.0 - 1e-9, n)
-    # whole-array evaluation peaked at 136 bytes a point with the stacked argmax/argmin, then 107
-    assert _peak_bytes_per_point(lambda: verify.compare_bounds(grid), n) <= PEAK_BYTES_PER_POINT
+    assert _peak_bytes(lambda: verify.compare_bounds(grid)) <= PEAK_BYTES
 
 
-def test_pointwise_claims_peak_memory_per_point():
-    n = 200_000
+@pytest.mark.parametrize("n", LARGE_N)
+@pytest.mark.parametrize("claim_id", ["classic-lower", "family-bracket", "midregime-floor"])
+def test_pointwise_claims_peak_memory(claim_id, n):
     grid = GridSpec(1e-9, 1.0 - 1e-9, n)
-    # whole-array evaluation peaked at 58, 72 and 58 bytes a point
-    for claim_id in ("classic-lower", "family-bracket", "midregime-floor"):
-        assert _peak_bytes_per_point(lambda: run_claims([claim_id], grid=grid), n) <= PEAK_BYTES_PER_POINT, claim_id
+    assert _peak_bytes(lambda: run_claims([claim_id], grid=grid)) <= PEAK_BYTES
+
+
+def test_gain_maximizer_peak_memory_at_the_grid_cap():
+    # it reads its 100 points from the grid's runs and its gain table one row at a time;
+    # it built the whole grid and the whole table before (256 MB RSS at this n)
+    grid = GridSpec(1e-9, 1.0 - 1e-9, grids.MAX_GRID_POINTS)
+    assert _peak_bytes(lambda: run_claims(["gain-maximizer"], grid=grid)) <= PEAK_BYTES
+
+
+@pytest.mark.parametrize("overlap", [0, 1])
+def test_blocks_of_the_largest_grid_peak_under_1_mb(overlap):
+    # runs of at most _BLOCK points and one pending block: 0.82 MB at 10M points, 80 MB whole
+    grid = GridSpec(1e-9, 1.0 - 1e-9, grids.MAX_GRID_POINTS)
+    assert _peak_bytes(lambda: sum(x.size for x in _blocks(grid, overlap))) <= 1 << 20
 
 
 def test_ratio_at_within_4_ulp_for_the_regime_claims():

@@ -62,6 +62,11 @@ class TestGridSpec:
         pts = GridSpec(0.1, 0.9, 5, "uniform").points()
         assert np.allclose(pts, np.linspace(0.1, 0.9, 5))
 
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 5e-324, 3), (0.0, 1e-322, 1_000), (-5e-324, 5e-324, 40_000)])
+    def test_uniform_points_with_a_step_that_underflows_to_zero(self, lo, hi, n):
+        # np.linspace divides by n - 1 before it scales by the width there; the grid takes the same path
+        assert GridSpec(lo, hi, n, "uniform").points().tobytes() == np.linspace(lo, hi, n).tobytes()
+
     def test_refined_points_shape(self):
         g = GridSpec(1e-9, 1.0 - 1e-9, 10_000, "refined")
         pts = g.points()
@@ -117,12 +122,18 @@ class TestVerifyBounds:
 
 @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=8))
 @example([(0.0, -0.0), (5e-324, -5e-324), (math.inf, -math.inf), (math.nan, 1.0), (-1.7976931348623157e308, 2.2250738585072014e-308), (math.nan, -math.nan)])
+@example([(2.0**1023, 1.0), (1.7976931348623157e308, -(2.0**1023))])  # the top binade, whose largest double has an infinite spacing
+@example([(1.0, -3.5), (2.2250738585072014e-308, 2.0**1022), (-math.nextafter(2.0**1023, 0.0), 0.1)])  # normal, from both ends of the bit path
 def test_pair_tol_is_4_ulp_of_each_side(pairs):
-    # the sum of the two sides' 4 ulp equals 4 times the sum of their spacings, bit for bit
+    # the sum of the two sides' 4 ulp equals 4 times the sum of their spacings, bit for bit, on
+    # arrays and on the 0-d arrays and Python floats of the scalar slacks
     a, b = np.array(pairs).T
     with np.errstate(over="ignore"):  # the spacing of the largest double is inf in both forms
         got, want = verify._pair_tol(a, b), 4.0 * (np.spacing(np.abs(a)) + np.spacing(np.abs(b)))
+        zero_d = [verify._pair_tol(np.array(u), np.array(v)) for u, v in zip(a, b)]
+        scalars = [verify._pair_tol(float(u), float(v)) for u, v in zip(a, b)]
     assert got.tobytes() == want.tobytes()
+    assert np.array(zero_d).tobytes() == np.array(scalars).tobytes() == want.tobytes()
 
 
 class TestVerifyMonotonicity:
@@ -254,14 +265,15 @@ class TestRegistry:
     @pytest.mark.parametrize("claim", CLAIMS, ids=[c.claim_id for c in CLAIMS])
     def test_each_claim_samples_one_grid_by_the_override_rule(self, monkeypatch, claim, spacing):
         # a uniform registry grid keeps its spacing and takes only the override's n;
-        # minimum-floor's brute force samples no GridSpec
-        sampled, points = set(), GridSpec.points
+        # minimum-floor's brute force samples no GridSpec.  GridSpec._runs builds every grid,
+        # for points() and for the blocks of a sweep alike.
+        sampled, runs = set(), GridSpec._runs
 
-        def recording_points(grid):
+        def recording_runs(grid):
             sampled.add(grid)
-            return points(grid)
+            return runs(grid)
 
-        monkeypatch.setattr(GridSpec, "points", recording_points)
+        monkeypatch.setattr(GridSpec, "_runs", recording_runs)
         override = GridSpec(1e-9, 1.0 - 1e-9, 2001, spacing)
         run_claims([claim.claim_id], grid=override)
         if claim.claim_id == "minimum-floor":
