@@ -259,7 +259,7 @@ def min_value_lower(a: float) -> float:
 
 
 def grid_argmin(a: float, n: int) -> tuple[float, float]:
-    """Brute-force argmin of the ratio on n uniform points over DEFAULT_GRID's interval.
+    """Brute-force argmin of the ratio on np.linspace(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n).
 
     Evaluates in chunks of grids._BLOCK points to bound memory; ties
     resolve to the smallest abscissa, so the result is independent of the
@@ -278,10 +278,8 @@ def _grid_argmins(a_values, n: int) -> list[tuple[float, float]]:
     for a in a_values:
         _check_finite_parameter(a)
     best = [(math.nan, math.inf)] * len(a_values)
-    lo, chunk = DEFAULT_GRID.lo, grids._BLOCK
-    step = (DEFAULT_GRID.hi - lo) / (n - 1)
-    for start in range(0, n, chunk):
-        x = _check_open_unit(lo + step * np.arange(start, min(start + chunk, n), dtype=np.float64))
+    for start, stop in grids._spans(n):
+        x = _check_open_unit(grids._linspace(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n, start, stop))
         s = np.sqrt(1.0 + x)
         r = arccos_ratio(x)
         for k, a in enumerate(a_values):

@@ -27,16 +27,15 @@ import numpy as np
 from . import explore, verify
 from .analysis import MinimumResult, find_minimum
 from .errors import DomainError
-from .family import arccos_stable, bound_arrays, bound_ratio, classify_regime
-from .grids import DEFAULT_GRID, SCAN_GRID
-from .sharp import a_star_pair, best_upper, carlson_pair, lambda_lower
+from .family import _constants, bound_ratio, classify_regime
+from .grids import DEFAULT_GRID, SCAN_GRID, _blocks, _GridTerms
+from .sharp import _block_bounds
 
 __all__ = ["main", "emit_curve"]
 
 # Rows of CSV or JSON text built at once.  The kernel's temporaries take about 380 bytes a value, so
-# an 11-column block of 512 rows peaks near 2 MB, under the curve array's own peak: the tracemalloc
-# peak of `bounds --full` stays at the 153 bytes a row of the % path.  1024 rows ran no faster and
-# raised it to 187.
+# an 11-column piece of 512 rows peaks near 2 MB, and `bounds --full` at 5.2 MB of tracemalloc at any
+# n with a grid block's rows and terms.  1024 rows ran no faster and raised it to 6.7 MB.
 _CSV_BLOCK_ROWS = 512
 
 # Text buffer of one value before compaction, by byte column:
@@ -67,17 +66,26 @@ def emit_curve(a: float, n: int, grid: str = "refined") -> tuple[tuple[str, ...]
     Returns the column header and a float array with 11 columns and one row per
     grid sample, in strictly increasing x.
     """
-    x = replace(DEFAULT_GRID, n=n, spacing=grid).points()
-    cols = np.empty((x.size, len(CURVE_HEADER)))  # filled column by column: no second copy of the table
-    cols[:, 0] = x
-    cols[:, 1], cols[:, 10] = bound_arrays(a, x)
-    cols[:, 3], cols[:, 7] = a_star_pair(x)
-    cols[:, 4], cols[:, 8] = carlson_pair(x)
-    cols[:, 5] = lambda_lower(x)
-    np.maximum(cols[:, 5], cols[:, 3], out=cols[:, 2])  # best_lower without evaluating both bounds again
-    cols[:, 6] = arccos_stable(x)
-    cols[:, 9] = best_upper(x)
-    return CURVE_HEADER, cols
+    header, blocks = _curve_blocks(a, n, grid, full=True)
+    return header, np.concatenate(list(blocks))
+
+
+def _curve_blocks(a: float, n: int, grid: str, full: bool) -> tuple[tuple[str, ...], Iterable[np.ndarray]]:
+    """The header and the row blocks of `bounds`, one per ``grids._blocks`` block, after checking the grid and ``a``."""
+    spec = replace(DEFAULT_GRID, n=n, spacing=grid)
+    c_lower, c_upper = _constants(a)
+
+    def block(x: np.ndarray) -> np.ndarray:
+        terms = _GridTerms(x)
+        template = terms.shape(a)
+        lower, upper = c_lower * template, c_upper * template
+        if not full:
+            return np.column_stack((x, lower, terms.arccos, upper))
+        a_star_lo, a_star_up, carlson_lo, carlson_up, _, lam, best = _block_bounds(terms)
+        best_lower = np.maximum(lam, a_star_lo)  # without evaluating either bound again
+        return np.column_stack((x, lower, best_lower, a_star_lo, carlson_lo, lam, terms.arccos, a_star_up, carlson_up, best, upper))
+
+    return (CURVE_HEADER if full else ("x", "lower", "arccos", "upper")), map(block, _blocks(spec))
 
 
 def _fmt(value, digits: int) -> str:
@@ -212,34 +220,34 @@ def _csv_block_text(block: np.ndarray) -> str | None:
     return str(np.compress(keep.ravel(), buf.ravel()), "ascii")
 
 
-def _emit_array(header: Sequence[str], cols: np.ndarray, fmt: str, out) -> None:
-    """Rows of a 2-D float array, byte for byte ``_emit_rows``'s.
+def _emit_array(header: Sequence[str], blocks: Iterable[np.ndarray], fmt: str, out) -> None:
+    """Rows of a stream of 2-D float blocks, byte for byte ``_emit_rows``'s of the blocks stacked.
 
-    CSV and JSON go out in blocks of ``_CSV_BLOCK_ROWS`` rows; a table is built whole, because it
-    needs every column's width first.  A JSON block is one ``json.dumps`` of its rows without the
-    brackets, and the blocks are joined by ``",\\n"``.  A CSV block is formatted in numpy by an exact
-    ``%.17g`` kernel (``_csv_block_text``) when every value is a normal double whose 17 digits it
-    can reach with 64-bit words: from 1e-11 to below 2**51, which covers every `bounds` column.
-    Any other block (a nan, an inf, a zero, a subnormal, a larger or smaller magnitude) is one
-    ``%`` of the row template ``"%.17g,...,%.17g"`` plus a newline; ``"%.17g" % v`` and
-    ``f"{v:.17g}"`` share one float formatter, and a number needs no quoting.
+    CSV and JSON write each block as it comes, in pieces of ``_CSV_BLOCK_ROWS`` rows; a table is
+    built whole, because it needs every column's width first.  A JSON piece is one ``json.dumps`` of
+    its rows without the brackets, and the pieces are joined by ``",\\n"``.  A CSV piece is formatted
+    by an exact ``%.17g`` kernel (``_csv_block_text``) when every value is a normal double from
+    1e-11 to below 2**51, which covers every `bounds` column.  Any other piece (a nan, an inf, a
+    zero, a subnormal, a larger or smaller magnitude) is one ``%`` of the row template
+    ``"%.17g,...,%.17g"`` plus a newline; ``"%.17g" % v`` and ``f"{v:.17g}"`` share one float
+    formatter, and a number needs no quoting.
     """
     if fmt == "table":
-        _emit_rows(header, cols.tolist(), fmt, out)
+        _emit_rows(header, np.concatenate(list(blocks)).tolist(), fmt, out)
         return
+    pieces = (block[start : start + _CSV_BLOCK_ROWS] for block in blocks for start in range(0, len(block), _CSV_BLOCK_ROWS))
     if fmt == "json":
         out.write("[\n")
-        for start in range(0, len(cols), _CSV_BLOCK_ROWS):
-            rows = [dict(zip(header, row)) for row in cols[start : start + _CSV_BLOCK_ROWS].tolist()]
-            out.write((",\n" if start else "") + json.dumps(rows, indent=2)[2:-2])
+        for i, piece in enumerate(pieces):
+            rows = [dict(zip(header, row)) for row in piece.tolist()]
+            out.write((",\n" if i else "") + json.dumps(rows, indent=2)[2:-2])
         out.write("\n]\n")
         return
     csv.writer(out, lineterminator="\n").writerow(header)
-    row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
-    for start in range(0, len(cols), _CSV_BLOCK_ROWS):
-        block = cols[start : start + _CSV_BLOCK_ROWS]
-        text = _csv_block_text(block)
-        out.write((row * len(block)) % tuple(block.ravel().tolist()) if text is None else text)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    for piece in pieces:
+        text = _csv_block_text(piece)
+        out.write((row * len(piece)) % tuple(piece.ravel().tolist()) if text is None else text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -342,15 +350,7 @@ def _run(args, out) -> int:
         return 0
 
     if args.verb == "bounds":
-        if args.full:
-            _emit_array(*emit_curve(args.a, args.n, args.grid), fmt, out)
-            return 0
-        x = replace(DEFAULT_GRID, n=args.n, spacing=args.grid).points()
-        cols = np.empty((x.size, 4))  # filled column by column, as in emit_curve
-        cols[:, 0] = x
-        cols[:, 1], cols[:, 3] = bound_arrays(args.a, x)
-        cols[:, 2] = arccos_stable(x)
-        _emit_array(("x", "lower", "arccos", "upper"), cols, fmt, out)
+        _emit_array(*_curve_blocks(args.a, args.n, args.grid, args.full), fmt, out)
         return 0
 
     if args.verb == "classify":

@@ -21,6 +21,10 @@ distinguished shape parameter, evaluated through ``family.bound_arrays``
 
 ``best_lower`` takes the pointwise max of the lambda bound and the A_STAR
 lower bound; the two cross once inside (0, 1), so neither dominates.
+
+``_block_bounds`` is the one table of every named bound on a grid block's
+``grids._GridTerms``, read by ``compare_bounds`` and ``bounds``.  The public
+functions keep their own kernels: a scalar request would pay for lazy caching.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeError
-from .family import A_STAR, PI, TWO_SQRT2, _check_open_unit, _scalar_like, _shape, bound_arrays
+from .family import A_STAR, PI, TWO_SQRT2, _check_open_unit, _constants, _scalar_like, _shape, bound_arrays
+from .grids import _GridTerms
 
 __all__ = [
     "ONE_PLUS_SQRT3",
@@ -161,6 +166,21 @@ def _gain_max(arr: np.ndarray, sqrt_1px: np.ndarray) -> np.ndarray:
     lam = _lambda(arr)
     lam2 = lam * lam
     return (4.0 * lam2 - 1.0) / (4.0 * lam2 * (TWO_SQRT2 * lam + sqrt_1px))
+
+
+def _block_bounds(terms: _GridTerms) -> tuple[np.ndarray, ...]:
+    """(a-star lower, a-star upper, carlson lower, carlson upper, 1+sqrt(3) lower, lambda lower, best upper)
+    on one block's terms: the bits of ``a_star_pair``, ``carlson_pair``, ``sqrt3_lower``, ``lambda_lower``
+    and ``best_upper``, in ``family._shape``'s operation order.
+    """
+    a_star, carlson = terms.shape(A_STAR), terms.shape(TWO_SQRT2)
+    (a_star_lo, a_star_up), (carlson_lo, carlson_up) = _constants(A_STAR), _CARLSON_CONSTANTS
+    return (
+        a_star_lo * a_star, a_star_up * a_star, carlson_lo * carlson, carlson_up * carlson,
+        _constants(ONE_PLUS_SQRT3)[0] * terms.shape(ONE_PLUS_SQRT3),
+        _gain_max(terms.x, terms.sqrt_1px) * 8.0 * terms.sqrt_1mx,
+        _constants(A_CROSS)[1] * terms.shape(A_CROSS),
+    )
 
 
 def best_lower(x):

@@ -30,7 +30,7 @@ cache-sized arrays.  A check reduces each block to a small share (its
 first-index extreme, its violation count, its sign runs), and the shares
 merge in grid order.  ``compare_bounds`` keeps its own loop, because its
 crossover cells carry the last sign of one block into the next; it reads
-its named bounds from one ``_GridTerms`` per block too.
+its named bounds from ``sharp._block_bounds`` on each block's ``_GridTerms``.
 Reductions tie-break by abscissa (first index on a sorted grid, the first
 NaN before any number, as np.argmin does), so reports are bit-identical
 across runs and equal to a whole-array pass.
@@ -75,9 +75,7 @@ from .family import (
 from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec, _blocks, _GridTerms, _ulps
 from .sharp import (
     _CARLSON_CONSTANTS,
-    A_CROSS,
-    ONE_PLUS_SQRT3,
-    _gain_max,
+    _block_bounds,
     a_star_pair,
     lambda_lower,
     lower_gain,
@@ -148,7 +146,8 @@ def _pair_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inequality between them is only resolvable outside the sum of their
     spacings (4 ulp each side).
     """
-    return _ulps(a) + _ulps(b)
+    # np.add, not +: numpy's scalar + keeps the second NaN where its ufunc keeps the first
+    return np.add(_ulps(a), _ulps(b))
 
 
 def _extreme(values: np.ndarray, x: np.ndarray, pick: Callable[[np.ndarray], np.intp]) -> tuple[float, float]:
@@ -362,24 +361,6 @@ def _first_winner_counts(arrays: Sequence[np.ndarray], wins: Callable[[np.ndarra
     return np.bincount(winner, minlength=len(arrays)).tolist()
 
 
-def _sharp_bounds(terms: _GridTerms) -> tuple[np.ndarray, ...]:
-    """The bounds ``compare_bounds`` compares, on one block's shared terms.
-
-    (a-star lower, a-star upper, carlson lower, carlson upper, 1+sqrt(3)
-    lower, lambda lower, best upper): the bits of ``sharp.a_star_pair``,
-    ``carlson_pair``, ``sqrt3_lower``, ``lambda_lower`` and ``best_upper``,
-    each of which checks x and takes its square roots again.
-    """
-    a_star, carlson = terms.shape(A_STAR), terms.shape(TWO_SQRT2)
-    (a_star_lo, a_star_up), (carlson_lo, carlson_up) = _constants(A_STAR), _CARLSON_CONSTANTS
-    return (
-        a_star_lo * a_star, a_star_up * a_star, carlson_lo * carlson, carlson_up * carlson,
-        _constants(ONE_PLUS_SQRT3)[0] * terms.shape(ONE_PLUS_SQRT3),
-        _gain_max(terms.x, terms.sqrt_1px) * 8.0 * terms.sqrt_1mx,
-        _constants(A_CROSS)[1] * terms.shape(A_CROSS),
-    )
-
-
 def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     """Dominance table for the sharp bound candidates on one grid.
 
@@ -396,7 +377,7 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     lower_shares, upper_shares, highs, lows, cells = [], [], [], [], []
     samples, last_sign, last_x = 0, math.nan, math.nan
     for x in _blocks(grid):
-        a_star_lo, a_star_up, carlson_lo, carlson_up, sqrt3, lam, best = _sharp_bounds(_GridTerms(x))
+        a_star_lo, a_star_up, carlson_lo, carlson_up, sqrt3, lam, best = _block_bounds(_GridTerms(x))
         lower_counts += _first_winner_counts([a_star_lo, carlson_lo, sqrt3, lam], np.greater)
         upper_counts += _first_winner_counts([a_star_up, carlson_up, best], np.less)
         lower_shares.append(_dominance_block(x, (lam, carlson_lo), (lam, sqrt3)))

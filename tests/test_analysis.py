@@ -374,10 +374,11 @@ class TestGridArgmin:
         alt = ab.grid_argmin(a, 100_001)
         assert ref == alt
 
-    def test_matches_direct_numpy(self):
-        a = 2.75
-        bx, bval = ab.grid_argmin(a, 50_001)
-        x = np.linspace(1e-9, 1.0 - 1e-9, 50_001)
+    @pytest.mark.parametrize("a, n", [(2.75, 50_001), (3.0, 100_001), (4.0, 100_001)])
+    def test_matches_direct_numpy(self, a, n):
+        # a = 3 and 4 take their minimum at the grid's last point, which is hi itself
+        bx, bval = ab.grid_argmin(a, n)
+        x = np.linspace(1e-9, 1.0 - 1e-9, n)
         vals = ab.bound_ratio(a, x)
         i = int(np.argmin(vals))
         assert bx == float(x[i])

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcbounds as ab
-from arcbounds import cli
+from arcbounds import cli, grids
 from arcbounds.cli import emit_curve, main
 from arcbounds.explore import MAX_SCAN_TRIPLES
 from arcbounds.grids import MAX_GRID_POINTS, GridSpec
@@ -138,7 +138,7 @@ def csv_blocks(cols):
 
 def block_writer_csv(header, cols):
     out = io.StringIO()
-    cli._emit_array(header, cols, "csv", out)
+    cli._emit_array(header, [cols], "csv", out)
     return out.getvalue()
 
 
@@ -168,7 +168,9 @@ class TestBlockCsv:
 
     @pytest.mark.parametrize("grid", ["uniform", "refined"])
     @pytest.mark.parametrize("full", [False, True])
-    def test_bounds_output(self, capsys, grid, full):
+    @pytest.mark.parametrize("block", [grids._BLOCK, 200])  # one grid block, or three that cut the 512-row pieces
+    def test_bounds_output(self, capsys, monkeypatch, grid, full, block):
+        monkeypatch.setattr(grids, "_BLOCK", block)
         n = cli._CSV_BLOCK_ROWS + 1
         header, cols = emit_curve(2.7, n, grid)
         if not full:
@@ -225,17 +227,17 @@ class TestBlockCsv:
         assert block_writer_csv(header, cols) == row_writer_csv(header, cols)
 
     def test_peak_memory_per_row(self):
-        # The per-row peak is flat in n (153 bytes at 50,000 rows, 152 at 200,000): the grid, the
-        # curve array and emit_curve's temporaries.  A 512-row block of kernel buffers, about 2 MB,
-        # stays below that peak; 1024-row blocks raised it to 187 bytes at 50,000 rows.
+        # The peak is flat in n, 5.2 MB at 50,000 rows and at 200,000 (105 and 27 bytes a row): one
+        # grid block's rows and terms and a 512-row piece of kernel buffers.  The whole grid, the
+        # curve array and emit_curve's temporaries took 153 bytes a row.
         n = 50_000
         # about 1450 bytes a row with a Python float and a string alive per value
         assert bounds_full_peak("csv", n) / n <= 200.0
 
     def test_json_peak_memory(self):
-        # One 512-row block of dicts and its text add about 1 MB to the CSV path's 153 bytes a row
-        # (429 bytes a row at 5,000 rows, 260 at 10,000).  The encoder is pure Python, so a small n
-        # keeps the traced run under a second.
+        # One 512-row piece of dicts and its text add about 1 MB to the rows and terms of the grid
+        # block (439 bytes a row at 5,000 rows, 269 at 10,000).  The encoder is pure Python, so a
+        # small n keeps the traced run under a second.
         n = 5_000
         # one json.dumps of every row took 3410 bytes a row
         assert bounds_full_peak("json", n) <= 200.0 * n + 2**21
@@ -246,7 +248,7 @@ def test_block_json_equals_one_dump(rows):
     header, cols = emit_curve(2.7, rows, "uniform")
     cols[rows // 2, 3], cols[rows // 2 + 1, 5], cols[rows // 2 + 2, 7] = math.nan, math.inf, -0.0
     blocked, whole = io.StringIO(), io.StringIO()
-    cli._emit_array(header, cols, "json", blocked)
+    cli._emit_array(header, [cols], "json", blocked)
     cli._emit_rows(header, cols.tolist(), "json", whole)
     assert blocked.getvalue() == whole.getvalue()
     assert ": NaN," in whole.getvalue() and ": Infinity," in whole.getvalue() and ": -0.0," in whole.getvalue()
@@ -276,29 +278,38 @@ class TestWriteFailure:
         assert proc.stderr == b"error: cannot write output: No space left on device\n"
 
 
-# One `compare` run in a fresh process, which then prints its exit code and its own peak RSS in
-# KiB.  It reads VmHWM, the high-water mark of its own address space: Linux carries ru_maxrss
-# across fork and exec, so that figure would start at the test process's own peak.
-_COMPARE_PEAK_RSS = """
+# One CLI run in a fresh process, which then prints its exit code and its own peak RSS in KiB.
+# It reads VmHWM, the high-water mark of its own address space: Linux carries ru_maxrss across
+# fork and exec, so that figure would start at the test process's own peak.
+_PEAK_RSS = """
 import os, re, sys
 from arcbounds.cli import main
-code = main(["compare", "--n", sys.argv[1], "--out", os.devnull])
+code = main([*sys.argv[1:], "--out", os.devnull])
 with open("/proc/self/status") as status:
     print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1))
 """
+
+
+def _peak_rss_mb(*argv):
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True, env=_cli_subprocess_env(), timeout=120, check=True)
+    code, kib = map(int, proc.stdout.split())
+    assert code == 0
+    return kib / 1024
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_compare_peak_rss_is_flat_in_n():
     # the grid streams in blocks, so ten times the points costs no memory: 34.2 and 34.4 MB on
     # x86-64 Linux, where building the grid whole took 34.7 and 75.8 MB
-    peaks = []
-    for n in ("200000", "2000000"):
-        argv = [sys.executable, "-c", _COMPARE_PEAK_RSS, n]
-        proc = subprocess.run(argv, capture_output=True, text=True, env=_cli_subprocess_env(), timeout=120, check=True)
-        code, kib = map(int, proc.stdout.split())
-        assert code == 0
-        peaks.append(kib / 1024)
+    peaks = [_peak_rss_mb("compare", "--n", n) for n in ("200000", "2000000")]
+    assert abs(peaks[1] - peaks[0]) < 8.0, peaks
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_bounds_peak_rss_is_flat_in_n():
+    # the rows stream in grid blocks, so ten times the rows costs about 1 MB: 36.6 and 37.6 MB on
+    # x86-64 Linux, where the whole 11-column array took 38.8 and 99.7 MB
+    peaks = [_peak_rss_mb("bounds", "--a", "1", "--full", "--format", "csv", "--n", n) for n in ("50000", "500000")]
     assert abs(peaks[1] - peaks[0]) < 8.0, peaks
 
 
@@ -572,6 +583,8 @@ BAD_INPUTS = [
 OVERSIZE = [
     (("verify", "--n", str(MAX_GRID_POINTS + 1)), "MAX_GRID_POINTS"),
     (("compare", "--n", str(MAX_GRID_POINTS + 1)), "MAX_GRID_POINTS"),
+    (("bounds", "--a", "1", "--n", str(MAX_GRID_POINTS + 1)), "MAX_GRID_POINTS"),
+    (("bounds", "--a", "1", "--n", str(MAX_GRID_POINTS + 1), "--full"), "MAX_GRID_POINTS"),
     (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", "1", "--n", str(MAX_GRID_POINTS + 1)), "MAX_GRID_POINTS"),
     (("scan", "--alpha", "0.5", "--beta", "0.5", "--gamma", f"0:1:{MAX_SCAN_TRIPLES + 1}"), "MAX_SCAN_TRIPLES"),
     (("scan", "--alpha", "0:1:101", "--beta", "0:1:9901", "--gamma", "1"), "MAX_SCAN_TRIPLES"),
@@ -597,6 +610,7 @@ def test_size_caps_reject_before_allocating(capsys, monkeypatch):
 
     monkeypatch.setattr(np, "linspace", refuse)
     monkeypatch.setattr(GridSpec, "points", refuse)
+    monkeypatch.setattr(GridSpec, "_runs", refuse)  # the one construction path, under points() and grids._blocks
     for argv, fragment in OVERSIZE:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "") and fragment in err, argv

@@ -22,7 +22,7 @@ from conftest import worst_ulp
 from mpmath import mp
 
 import arcbounds as ab
-from arcbounds import analysis, grids, verify
+from arcbounds import analysis, grids, sharp, verify
 from arcbounds.grids import GridSpec, _blocks, _GridTerms
 from arcbounds.verify import (
     BRACKET_A_VALUES,
@@ -217,9 +217,9 @@ def test_blocked_sweep_takes_arccos_once_per_point(arccos_points, claim_id, over
 
 
 def test_sharp_block_bounds_equal_the_public_functions():
-    # compare_bounds reads its seven bounds from one block's terms: the bits of the five public functions
+    # compare_bounds and `bounds` read the seven bounds from one block's terms: the bits of the five public functions
     for x in _blocks(ab.DEFAULT_GRID):
-        got = verify._sharp_bounds(_GridTerms(x))
+        got = sharp._block_bounds(_GridTerms(x))
         want = (*ab.a_star_pair(x), *ab.carlson_pair(x), ab.sqrt3_lower(x), ab.lambda_lower(x), ab.best_upper(x))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 

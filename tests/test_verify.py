@@ -124,6 +124,7 @@ class TestVerifyBounds:
 @example([(0.0, -0.0), (5e-324, -5e-324), (math.inf, -math.inf), (math.nan, 1.0), (-1.7976931348623157e308, 2.2250738585072014e-308), (math.nan, -math.nan)])
 @example([(2.0**1023, 1.0), (1.7976931348623157e308, -(2.0**1023))])  # the top binade, whose largest double has an infinite spacing
 @example([(1.0, -3.5), (2.2250738585072014e-308, 2.0**1022), (-math.nextafter(2.0**1023, 0.0), 0.1)])  # normal, from both ends of the bit path
+@example([(math.inf, float(np.uint64(0x7FF8_0000_0000_0001).view(np.float64)))])  # numpy's scalar + and its ufunc keep different NaNs
 def test_pair_tol_is_4_ulp_of_each_side(pairs):
     # the sum of the two sides' 4 ulp equals 4 times the sum of their spacings, bit for bit, on
     # arrays and on the 0-d arrays and Python floats of the scalar slacks
