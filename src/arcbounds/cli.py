@@ -67,7 +67,11 @@ def emit_curve(a: float, n: int, grid: str = "refined") -> tuple[tuple[str, ...]
     grid sample, in strictly increasing x.
     """
     header, blocks = _curve_blocks(a, n, grid, full=True)
-    return header, np.concatenate(list(blocks))
+    cols, size = np.empty((n, len(header))), 0  # filled block by block: no second copy of the table
+    for block in blocks:
+        cols[size : size + len(block)] = block
+        size += len(block)
+    return header, cols[:size]
 
 
 def _curve_blocks(a: float, n: int, grid: str, full: bool) -> tuple[tuple[str, ...], Iterable[np.ndarray]]:
@@ -233,7 +237,7 @@ def _emit_array(header: Sequence[str], blocks: Iterable[np.ndarray], fmt: str, o
     formatter, and a number needs no quoting.
     """
     if fmt == "table":
-        _emit_rows(header, np.concatenate(list(blocks)).tolist(), fmt, out)
+        _emit_rows(header, (row for block in blocks for row in block.tolist()), fmt, out)
         return
     pieces = (block[start : start + _CSV_BLOCK_ROWS] for block in blocks for start in range(0, len(block), _CSV_BLOCK_ROWS))
     if fmt == "json":

@@ -170,9 +170,9 @@ class TestBlockCsv:
     @pytest.mark.parametrize("full", [False, True])
     @pytest.mark.parametrize("block", [grids._BLOCK, 200])  # one grid block, or three that cut the 512-row pieces
     def test_bounds_output(self, capsys, monkeypatch, grid, full, block):
-        monkeypatch.setattr(grids, "_BLOCK", block)
         n = cli._CSV_BLOCK_ROWS + 1
-        header, cols = emit_curve(2.7, n, grid)
+        header, cols = emit_curve(2.7, n, grid)  # the oracle: one grid block
+        monkeypatch.setattr(grids, "_BLOCK", block)
         if not full:
             header, cols = ("x", "lower", "arccos", "upper"), cols[:, [0, 1, 6, 10]]
         code, out, err = run_cli(capsys, "bounds", "--a", "2.7", "--n", str(n), "--grid", grid, *(["--full"] if full else []), "--format", "csv")
