@@ -85,9 +85,8 @@ def _curve_blocks(a: float, n: int, grid: str, full: bool) -> tuple[tuple[str, .
         lower, upper = c_lower * template, c_upper * template
         if not full:
             return np.column_stack((x, lower, terms.arccos, upper))
-        a_star_lo, a_star_up, carlson_lo, carlson_up, _, lam, best = _block_bounds(terms)
-        best_lower = np.maximum(lam, a_star_lo)  # without evaluating either bound again
-        return np.column_stack((x, lower, best_lower, a_star_lo, carlson_lo, lam, terms.arccos, a_star_up, carlson_up, best, upper))
+        a_star_lo, a_star_up, carlson_lo, carlson_up, _, lam, best = _block_bounds(terms)  # best_lower from two of them
+        return np.column_stack((x, lower, np.maximum(lam, a_star_lo), a_star_lo, carlson_lo, lam, terms.arccos, a_star_up, carlson_up, best, upper))
 
     return (CURVE_HEADER if full else ("x", "lower", "arccos", "upper")), map(block, _blocks(spec))
 
@@ -227,14 +226,12 @@ def _csv_block_text(block: np.ndarray) -> str | None:
 def _emit_array(header: Sequence[str], blocks: Iterable[np.ndarray], fmt: str, out) -> None:
     """Rows of a stream of 2-D float blocks, byte for byte ``_emit_rows``'s of the blocks stacked.
 
-    CSV and JSON write each block as it comes, in pieces of ``_CSV_BLOCK_ROWS`` rows; a table is
-    built whole, because it needs every column's width first.  A JSON piece is one ``json.dumps`` of
-    its rows without the brackets, and the pieces are joined by ``",\\n"``.  A CSV piece is formatted
-    by an exact ``%.17g`` kernel (``_csv_block_text``) when every value is a normal double from
-    1e-11 to below 2**51, which covers every `bounds` column.  Any other piece (a nan, an inf, a
-    zero, a subnormal, a larger or smaller magnitude) is one ``%`` of the row template
-    ``"%.17g,...,%.17g"`` plus a newline; ``"%.17g" % v`` and ``f"{v:.17g}"`` share one float
-    formatter, and a number needs no quoting.
+    CSV and JSON write each block as it comes, in pieces of ``_CSV_BLOCK_ROWS`` rows; a table's text
+    is built whole from the blocks' rows, because it needs every column's width first.  A JSON piece
+    is one ``json.dumps`` of its rows without the brackets, joined to the next by ``",\\n"``.  A CSV
+    piece goes through the exact ``%.17g`` kernel ``_csv_block_text`` when every value is a normal
+    double from 1e-11 to below 2**51 (every `bounds` column), and is otherwise one ``%`` of the row
+    template ``"%.17g,...,%.17g\\n"``: ``f"{v:.17g}"`` shares its formatter, and a number needs no quoting.
     """
     if fmt == "table":
         _emit_rows(header, (row for block in blocks for row in block.tolist()), fmt, out)
