@@ -29,7 +29,7 @@ from .analysis import MinimumResult, find_minimum
 from .errors import DomainError
 from .family import _constants, bound_ratio, classify_regime
 from .grids import DEFAULT_GRID, SCAN_GRID, _blocks, _GridTerms
-from .sharp import _block_bounds
+from .sharp import _block_lower_bounds, _block_upper_bounds
 
 __all__ = ["main", "emit_curve"]
 
@@ -85,7 +85,8 @@ def _curve_blocks(a: float, n: int, grid: str, full: bool) -> tuple[tuple[str, .
         lower, upper = c_lower * template, c_upper * template
         if not full:
             return np.column_stack((x, lower, terms.arccos, upper))
-        a_star_lo, a_star_up, carlson_lo, carlson_up, _, lam, best = _block_bounds(terms)  # best_lower from two of them
+        a_star_lo, carlson_lo, _, lam = _block_lower_bounds(terms)  # best_lower from two of them
+        a_star_up, carlson_up, best = _block_upper_bounds(terms)
         return np.column_stack((x, lower, np.maximum(lam, a_star_lo), a_star_lo, carlson_lo, lam, terms.arccos, a_star_up, carlson_up, best, upper))
 
     return (CURVE_HEADER if full else ("x", "lower", "arccos", "upper")), map(block, _blocks(spec))

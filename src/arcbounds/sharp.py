@@ -22,9 +22,11 @@ distinguished shape parameter, evaluated through ``family.bound_arrays``
 ``best_lower`` takes the pointwise max of the lambda bound and the A_STAR
 lower bound; the two cross once inside (0, 1), so neither dominates.
 
-``_block_bounds`` is the one table of every named bound on a grid block's
-``grids._GridTerms``, read by ``compare_bounds`` and ``bounds``.  The public
-functions keep their own kernels: a scalar request would pay for lazy caching.
+``_block_lower_bounds`` and ``_block_upper_bounds`` are the one table of every
+named bound on a grid block's ``grids._GridTerms``, in two halves, so that
+``compare_bounds`` can reduce and drop one half before it evaluates the other;
+``bounds`` reads both.  The public functions keep their own kernels: a scalar
+request would pay for lazy caching.
 """
 
 from __future__ import annotations
@@ -168,17 +170,26 @@ def _gain_max(arr: np.ndarray, sqrt_1px: np.ndarray) -> np.ndarray:
     return (4.0 * lam2 - 1.0) / (4.0 * lam2 * (TWO_SQRT2 * lam + sqrt_1px))
 
 
-def _block_bounds(terms: _GridTerms) -> tuple[np.ndarray, ...]:
-    """(a-star lower, a-star upper, carlson lower, carlson upper, 1+sqrt(3) lower, lambda lower, best upper)
-    on one block's terms: the bits of ``a_star_pair``, ``carlson_pair``, ``sqrt3_lower``, ``lambda_lower``
-    and ``best_upper``, in ``family._shape``'s operation order.
+def _block_lower_bounds(terms: _GridTerms) -> tuple[np.ndarray, ...]:
+    """(a-star lower, carlson lower, 1+sqrt(3) lower, lambda lower) on one block's terms: the bits of
+    ``a_star_pair``, ``carlson_pair``, ``sqrt3_lower`` and ``lambda_lower``, in ``family._shape``'s operation order.
     """
-    a_star, carlson = terms.shape(A_STAR), terms.shape(TWO_SQRT2)
-    (a_star_lo, a_star_up), (carlson_lo, carlson_up) = _constants(A_STAR), _CARLSON_CONSTANTS
+    lam = _gain_max(terms.x, terms.sqrt_1px) * 8.0 * terms.sqrt_1mx  # first: its temporaries outnumber the others'
     return (
-        a_star_lo * a_star, a_star_up * a_star, carlson_lo * carlson, carlson_up * carlson,
+        _constants(A_STAR)[0] * terms.shape(A_STAR),
+        _CARLSON_CONSTANTS[0] * terms.shape(TWO_SQRT2),
         _constants(ONE_PLUS_SQRT3)[0] * terms.shape(ONE_PLUS_SQRT3),
-        _gain_max(terms.x, terms.sqrt_1px) * 8.0 * terms.sqrt_1mx,
+        lam,
+    )
+
+
+def _block_upper_bounds(terms: _GridTerms) -> tuple[np.ndarray, ...]:
+    """(a-star upper, carlson upper, best upper) on one block's terms: the bits of ``a_star_pair``,
+    ``carlson_pair`` and ``best_upper``, in ``family._shape``'s operation order.
+    """
+    return (
+        _constants(A_STAR)[1] * terms.shape(A_STAR),
+        _CARLSON_CONSTANTS[1] * terms.shape(TWO_SQRT2),
         _constants(A_CROSS)[1] * terms.shape(A_CROSS),
     )
 

@@ -21,16 +21,18 @@ Grid evaluation is vectorized and single-threaded, and runs in blocks of
 on forward differences take blocks that overlap by one point.  The blocks
 are cut from the grid's stream of runs, so a claim that only walks its
 grid never builds the whole of it, and its peak memory does not grow with
-n; ``gain-maximizer`` reads its 100 points from the runs.  The aux claims
-and ``scan-slice`` still take ``grid.points()``.  One loop,
-``_sweep``, runs every check on ``grids._GridTerms``: the blocks outside
-and the checks inside, so each block's terms that depend on x alone are
-evaluated once, and each check then costs only arithmetic on those
+n; ``gain-maximizer`` reads its 100 points from the runs.  Only
+``scan-slice`` still takes ``grid.points()``.  One loop, ``_sweep``, runs
+every check on ``grids._GridTerms``, the aux claims' included: the blocks
+outside and the checks inside, so each block's terms that depend on x alone
+are evaluated once, and each check then costs only arithmetic on those
 cache-sized arrays.  A check reduces each block to a small share (its
 first-index extreme, its violation count, its sign runs), and the shares
 merge in grid order.  ``compare_bounds`` keeps its own loop, because its
-crossover cells carry the last sign of one block into the next; it reads
-its named bounds from ``sharp._block_bounds`` on each block's ``_GridTerms``.
+crossover cells carry the last sign of one block into the next.  On each
+block it evaluates the upper half of ``sharp``'s named-bound table, reduces
+it and drops it, and only then the lower half, so one block's peak holds
+one half's arrays.
 Reductions tie-break by abscissa (first index on a sorted grid, the first
 NaN before any number, as np.argmin does), so reports are bit-identical
 across runs and equal to a whole-array pass.
@@ -75,7 +77,8 @@ from .family import (
 from .grids import DEFAULT_GRID, SCAN_GRID, GridSpec, _blocks, _GridTerms, _ulps
 from .sharp import (
     _CARLSON_CONSTANTS,
-    _block_bounds,
+    _block_lower_bounds,
+    _block_upper_bounds,
     a_star_pair,
     lambda_lower,
     lower_gain,
@@ -337,14 +340,6 @@ def _limits_check(a: float) -> _Check:
     return block, report
 
 
-def _dominance_block(x: np.ndarray, first: tuple, second: tuple) -> tuple[float, float, int, int]:
-    """Share of ``hi >= lo`` for two (hi, lo) pairs: the tighter margin decides, under its own tolerance."""
-    (hi1, lo1), (hi2, lo2) = first, second
-    first_smaller = hi1 - lo1 <= hi2 - lo2
-    hi, lo = np.where(first_smaller, hi1, hi2), np.where(first_smaller, lo1, lo2)
-    return _margin_block(x, hi - lo, _pair_tol(hi, lo))
-
-
 def _first_winner_counts(arrays: Sequence[np.ndarray], wins: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[int]:
     """How often each array holds the best value, a tie going to the earliest.
 
@@ -361,6 +356,38 @@ def _first_winner_counts(arrays: Sequence[np.ndarray], wins: Callable[[np.ndarra
     return np.bincount(winner, minlength=len(arrays)).tolist()
 
 
+def _compare_block(x: np.ndarray) -> tuple:
+    """One block's shares of ``compare_bounds``, from the upper trio, then the lower quartet.
+
+    Each half is evaluated, reduced to its winner counts and dominance share, and dropped before
+    the next array is built.  Of two dominance pairs the tighter margin decides, under its own
+    tolerance; the pairs share a side (best upper, lambda lower), which needs no np.where.  The
+    lower half also gives lambda's largest and smallest lead over the pi**2 bound, and the crossover
+    cells inside the block with its first and last sign of that lead.
+    """
+    terms = _GridTerms(x)
+    a_star_up, carlson_up, best = _block_upper_bounds(terms)
+    upper_counts = _first_winner_counts([a_star_up, carlson_up, best], np.less)
+    hi = np.where(a_star_up - best <= carlson_up - best, a_star_up, carlson_up)
+    del a_star_up, carlson_up
+    upper = _margin_block(x, hi - best, _pair_tol(hi, best))
+    del hi, best
+
+    a_star_lo, carlson_lo, sqrt3, lam = _block_lower_bounds(terms)
+    del terms
+    lower_counts = _first_winner_counts([a_star_lo, carlson_lo, sqrt3, lam], np.greater)
+    lo = np.where(lam - carlson_lo <= lam - sqrt3, carlson_lo, sqrt3)
+    del carlson_lo, sqrt3
+    lower = _margin_block(x, lam - lo, _pair_tol(lam, lo))
+    diff = lam - a_star_lo
+    i_max, i_min = int(np.argmax(diff)), int(np.argmin(diff))
+    high = (float(diff[i_max]), float(x[i_max]), lam[i_max], a_star_lo[i_max])
+    low = (float(diff[i_min]), float(x[i_min]), lam[i_min], a_star_lo[i_min])
+    signs = np.sign(diff)
+    cells = [(float(x[c]), float(x[c + 1])) for c in np.flatnonzero(signs[:-1] * signs[1:] < 0.0)]
+    return upper_counts, upper, lower_counts, lower, high, low, cells, signs[0], signs[-1]
+
+
 def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     """Dominance table for the sharp bound candidates on one grid.
 
@@ -369,29 +396,25 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
     bound dominates both instance upper bounds, and that the lambda and
     pi**2 lower bounds are not comparable (each wins somewhere); their
     crossovers are located by bisection to 1e-10.  The grid is evaluated
-    in blocks: winner counts add, and the margins, the witnesses and the
-    crossover cells (one of which may straddle two blocks) merge in grid
-    order.  A crossover cell carries one block's last sign into the next, so this loop is not ``_sweep``.
+    in blocks (``_compare_block``): winner counts add, and the margins, the
+    witnesses and the crossover cells (one of which may straddle two blocks)
+    merge in grid order.  A crossover cell carries one block's last sign into the next, so this loop is not ``_sweep``.
     """
     lower_counts, upper_counts = np.zeros(4, dtype=np.int64), np.zeros(3, dtype=np.int64)
     lower_shares, upper_shares, highs, lows, cells = [], [], [], [], []
     samples, last_sign, last_x = 0, math.nan, math.nan
     for x in _blocks(grid):
-        a_star_lo, a_star_up, carlson_lo, carlson_up, sqrt3, lam, best = _block_bounds(_GridTerms(x))
-        lower_counts += _first_winner_counts([a_star_lo, carlson_lo, sqrt3, lam], np.greater)
-        upper_counts += _first_winner_counts([a_star_up, carlson_up, best], np.less)
-        lower_shares.append(_dominance_block(x, (lam, carlson_lo), (lam, sqrt3)))
-        upper_shares.append(_dominance_block(x, (a_star_up, best), (carlson_up, best)))
-
-        diff = lam - a_star_lo
-        i_max, i_min = int(np.argmax(diff)), int(np.argmin(diff))
-        highs.append((float(diff[i_max]), float(x[i_max]), lam[i_max], a_star_lo[i_max]))
-        lows.append((float(diff[i_min]), float(x[i_min]), lam[i_min], a_star_lo[i_min]))
-        signs = np.sign(diff)
-        if last_sign * signs[0] < 0.0:
+        up_counts, upper, lo_counts, lower, high, low, block_cells, first_sign, block_last_sign = _compare_block(x)
+        upper_counts += up_counts
+        lower_counts += lo_counts
+        upper_shares.append(upper)
+        lower_shares.append(lower)
+        highs.append(high)
+        lows.append(low)
+        if last_sign * first_sign < 0.0:
             cells.append((last_x, float(x[0])))
-        cells += [(float(x[c]), float(x[c + 1])) for c in np.flatnonzero(signs[:-1] * signs[1:] < 0.0)]
-        samples, last_sign, last_x = samples + x.size, signs[-1], float(x[-1])
+        cells += block_cells
+        samples, last_sign, last_x = samples + x.size, block_last_sign, float(x[-1])
 
     rep_lower = _pointwise_report("sharp-lower-dominance", lower_shares, notes="lambda bound >= classical and 1+sqrt(3) lower bounds")
     rep_upper = _pointwise_report("sharp-upper-dominance", upper_shares, notes="doubly-sharp upper bound <= both instance upper bounds")
@@ -517,27 +540,52 @@ def _claim_minimum_floor(values: Sequence[float], grid: None) -> list[Verificati
     ]
 
 
+def _slack_sweep(claim_id: str, head: list[tuple[float, float, str]], slacks: Callable[[_GridTerms], Iterable[tuple]],
+                 samples: Callable[[int], int], notes: str, grid: GridSpec, overlap: int = 0) -> list[VerificationReport]:
+    """The composite report of the ``head`` sub-checks and of sub-checks that are arrays of slacks on ``grid``.
+
+    ``slacks(terms)`` yields one block's (slack array, label) pairs, in the same order on every block.
+    Each array is reduced to its first-index minimum before the next is evaluated, and the blocks'
+    minima merge as ``_limits_check``'s extremes do.  The blocks overlap by ``overlap`` points, and
+    ``samples(n)`` counts the report's samples on n points.
+    """
+
+    def block(terms: _GridTerms) -> tuple:
+        return terms.x.size - overlap, [_tightest(slack, terms.x, label) for slack, label in slacks(terms)]
+
+    def report(shares: list[tuple]) -> VerificationReport:
+        sizes, minima = zip(*shares)
+        # np.argmin over one sub-check's block minima picks its first-index minimum on the grid
+        merged = [per_block[int(np.argmin([m[0] for m in per_block]))] for per_block in zip(*minima)]
+        return _composite_report(claim_id, [*head, *merged], samples(sum(sizes) + overlap), notes)
+
+    return _sweep([(block, report)], grid, overlap)
+
+
 def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    checks = [
+    head = [
         (1e-5 - abs(slope_factor(av, 1e-10) - slope_factor_limit0(av)), 1e-10, f"slope-factor limit at a={av:g}")
         for av in (0.0, 1.0, 3.0)
     ]
-    x = grid.points()
-    p = slope_threshold(x)
-    r = threshold_gap(x)
-    tol_p = float(_ulps(np.max(p)))
-    tol_r = float(_ulps(np.max(np.abs(r) + 1.0)))
-    checks += [
+    head += [
         (1e-5 - abs(slope_threshold(1e-10) - 8.0 / PI), 1e-10, "threshold left endpoint 8/pi"),
         (1e-5 - abs(slope_threshold(1.0 - 1e-10) - TWO_SQRT2), 1.0 - 1e-10, "threshold right endpoint 2*sqrt(2)"),
         (1e-5 - abs(threshold_gap(1.0 - 1e-10)), 1.0 - 1e-10, "threshold gap vanishes at 1"),
-        _tightest(np.diff(p) + tol_p, x, "threshold strictly increasing"),
-        _tightest(p - 8.0 / PI + tol_p, x, "threshold range floor"),
-        _tightest(TWO_SQRT2 - p + tol_p, x, "threshold range ceiling"),
-        _tightest(tol_r - np.diff(r), x, "gap strictly decreasing"),
-        _tightest(r + tol_r, x, "gap positive"),
     ]
-    return [_composite_report("aux-slope-limits", checks, 6 + 2 * x.size, notes="derivative-apparatus limits and shapes")]
+    # the tolerances come from the grid's largest values, so a first pass over the blocks finds them
+    tops = [(np.max(slope_threshold(x)), np.max(np.abs(threshold_gap(x)) + 1.0)) for x in _blocks(grid)]
+    tol_p, tol_r = (float(_ulps(np.max(top))) for top in zip(*tops))
+
+    def slacks(terms: _GridTerms) -> Iterable[tuple]:
+        p = slope_threshold(terms.x)
+        yield np.diff(p) + tol_p, "threshold strictly increasing"
+        yield p - 8.0 / PI + tol_p, "threshold range floor"
+        yield TWO_SQRT2 - p + tol_p, "threshold range ceiling"
+        r = threshold_gap(terms.x)
+        yield tol_r - np.diff(r), "gap strictly decreasing"
+        yield r + tol_r, "gap positive"
+
+    return _slack_sweep("aux-slope-limits", head, slacks, lambda n: 6 + 2 * n, "derivative-apparatus limits and shapes", grid, overlap=1)
 
 
 def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
@@ -547,35 +595,38 @@ def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> list[Verificati
     lo, hi = slope_quadratic_roots(xs)
     res_hi = np.abs([slope_quadratic(float(h), float(xv)) for h, xv in zip(hi, xs)])
     res_lo = np.abs([slope_quadratic(float(l), float(xv)) for l, xv in zip(lo, xs)])
-    x = grid.points()
-    lo_g, hi_g = slope_quadratic_roots(x)
-    checks = [
+    head = [
         (1e-6 - abs(lo0 - (1.0 - math.sqrt(17.0)) / 2.0), 1e-10, "low root left limit"),
         (1e-6 - abs(hi0 - (1.0 + math.sqrt(17.0)) / 2.0), 1e-10, "high root left limit"),
         (1e-6 - abs(lo1 + SQRT2), 1.0 - 1e-10, "low root right limit"),
         (1e-6 - abs(hi1 - TWO_SQRT2), 1.0 - 1e-10, "high root right limit"),
         _tightest(1e-10 - res_hi, xs, "high root annihilates the quadratic"),
         _tightest(1e-10 - res_lo, xs, "low root annihilates the quadratic"),
-        _tightest(np.diff(lo_g), x, "low root strictly increasing"),
-        _tightest(np.diff(hi_g), x, "high root strictly increasing"),
     ]
-    return [_composite_report("aux-quadratic-roots", checks, 204 + 2 * x.size, notes="roots of the slope quadratic")]
+
+    def slacks(terms: _GridTerms) -> Iterable[tuple]:
+        lo_g, hi_g = slope_quadratic_roots(terms.x)
+        yield np.diff(lo_g), "low root strictly increasing"
+        yield np.diff(hi_g), "high root strictly increasing"
+
+    return _slack_sweep("aux-quadratic-roots", head, slacks, lambda n: 204 + 2 * n, "roots of the slope quadratic", grid, overlap=1)
 
 
 def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    x = grid.points()
-    s = np.sqrt(1.0 + x)
-    checks: list[tuple[float, float, str]] = []
-    # sign * value must stay above -tol
-    for sign, what, avals in ((1.0, "positive", QUADRATIC_POSITIVE_A_VALUES), (-1.0, "negative", QUADRATIC_NEGATIVE_A_VALUES)):
-        for av in avals:
-            tol = float(_ulps(av * av * SQRT2 + 4.0 * SQRT2))
-            checks.append(_tightest(sign * slope_quadratic(av, x) + tol, x, f"quadratic {what} at a={av:.6g}"))
-    for sign, what, avals in ((1.0, "positive", (0.0, 2.0, 8.0 / PI)), (-1.0, "negative", (TWO_SQRT2, 4.0))):
-        for av in avals:
-            scale = (abs(av) * s + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + s)
-            checks.append(_tightest(sign * slope_term(av, x) + _ulps(scale), x, f"slope term {what} at a={av:.6g}"))
-    return [_composite_report("aux-sign-regimes", checks, 11 * x.size, notes="one-signedness of the quadratic and the slope term")]
+    def slacks(terms: _GridTerms) -> Iterable[tuple]:
+        x, s = terms.x, terms.sqrt_1px
+        # sign * value must stay above -tol
+        for sign, what, avals in ((1.0, "positive", QUADRATIC_POSITIVE_A_VALUES), (-1.0, "negative", QUADRATIC_NEGATIVE_A_VALUES)):
+            for av in avals:
+                tol = float(_ulps(av * av * SQRT2 + 4.0 * SQRT2))
+                yield sign * slope_quadratic(av, x) + tol, f"quadratic {what} at a={av:.6g}"
+        for sign, what, avals in ((1.0, "positive", (0.0, 2.0, 8.0 / PI)), (-1.0, "negative", (TWO_SQRT2, 4.0))):
+            for av in avals:
+                scale = (abs(av) * s + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + s)
+                yield sign * slope_term(av, x) + _ulps(scale), f"slope term {what} at a={av:.6g}"
+
+    notes = "one-signedness of the quadratic and the slope term"
+    return _slack_sweep("aux-sign-regimes", [], slacks, lambda n: 11 * n, notes, grid)
 
 
 def _claim_gain_maximizer(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:

@@ -20,6 +20,7 @@ from arcbounds import cli, grids
 from arcbounds.cli import emit_curve, main
 from arcbounds.explore import MAX_SCAN_TRIPLES
 from arcbounds.grids import MAX_GRID_POINTS, GridSpec
+from arcbounds.verify import REPORT_HEADER
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +180,27 @@ class TestBlockCsv:
         assert (code, err) == (0, "")
         assert out == row_writer_csv(header, cols)
 
+    @pytest.mark.parametrize("grid", ["uniform", "refined"])
+    @pytest.mark.parametrize("a", [1.0, 2.7, 3.0])  # increasing, interior minimum, decreasing
+    def test_bounds_full_equals_the_public_kernels(self, capsys, monkeypatch, grid, a):
+        # an oracle that shares no code with `bounds` past the grid: the public kernels on the whole of
+        # GridSpec.points(), each value through %; grid blocks of 1000 points cut the rows three times
+        n = 3000
+        x = GridSpec(ab.DEFAULT_GRID.lo, ab.DEFAULT_GRID.hi, n, grid).points()
+        family_lo, family_up = ab.bound_arrays(a, x)
+        a_star_lo, a_star_up = ab.a_star_pair(x)
+        carlson_lo, carlson_up = ab.carlson_pair(x)
+        lam = ab.lambda_lower(x)
+        cols = (x, family_lo, np.maximum(lam, a_star_lo), a_star_lo, carlson_lo, lam, ab.arccos_stable(x), a_star_up, carlson_up, ab.best_upper(x), family_up)
+        header = "x,family_lower,best_lower,a_star_lower,carlson_lower,lambda_lower,arccos,a_star_upper,carlson_upper,best_upper,family_upper\n"
+        expected = header + "".join(",".join("%.17g" % v for v in row) + "\n" for row in zip(*(c.tolist() for c in cols)))
+        monkeypatch.setattr(grids, "_BLOCK", 1000)
+        code, out, err = run_cli(capsys, "bounds", "--a", repr(a), "--n", str(n), "--grid", grid, "--full", "--format", "csv")
+        assert (code, err) == (0, "")
+        # the first differing row, not a diff of the two texts, which takes minutes at this size
+        assert next(((k, got, want) for k, (got, want) in enumerate(zip(out.split("\n"), expected.split("\n"))) if got != want), None) is None
+        assert len(out) == len(expected)
+
     def test_kernel_matches_percent(self):
         """The numpy %.17g kernel against `%` on 1.15M values, block by block."""
         rng = np.random.default_rng(20)
@@ -302,6 +324,15 @@ def test_compare_peak_rss_is_flat_in_n():
     # the grid streams in blocks, so ten times the points costs no memory: 34.2 and 34.4 MB on
     # x86-64 Linux, where building the grid whole took 34.7 and 75.8 MB
     peaks = [_peak_rss_mb("compare", "--n", n) for n in ("200000", "2000000")]
+    assert abs(peaks[1] - peaks[0]) < 8.0, peaks
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_aux_claims_peak_rss_is_flat_in_n():
+    # the aux claims sweep their grid in blocks: 32.0 and 32.1 MB on x86-64 Linux, where their whole
+    # arrays took 41.7 and 137.4 MB
+    argv = ("verify", "--claims", "aux-slope-limits,aux-quadratic-roots,aux-sign-regimes", "--n")
+    peaks = [_peak_rss_mb(*argv, n) for n in ("200000", "2000000")]
     assert abs(peaks[1] - peaks[0]) < 8.0, peaks
 
 
@@ -433,6 +464,47 @@ class TestCompare:
         assert len(payload["reports"]) == 3
         assert payload["crossovers"][0] == pytest.approx(0.34090601619136765, abs=1e-9)
         assert payload["upper_argmin_counts"]["best"] == payload["samples"]
+
+
+# The reports of the blocked claims at the smallest grids, committed as the literals the whole-array
+# evaluation wrote.  On 2 and 3 points one block is the whole grid, shorter than a difference check's
+# block of _BLOCK + 1 points, and the one crossover cell of sharp-noninclusion spans the 2-point grid.
+_SHARP_SMALL = (
+    "sharp-lower-dominance,true,{n},-6.7762635780344027e-21,0.99999999900000003,lambda bound >= classical and 1+sqrt(3) lower bounds\n"
+    "sharp-upper-dominance,true,{n},7.5907704601141379e-17,0.99999999900000003,doubly-sharp upper bound <= both instance upper bounds\n"
+    "sharp-noninclusion,true,{n},{margin},0.34090601617740635,lambda wins by {lead} at x={x}; pi^2 bound wins by 0.00157695 at x=1e-09;"
+    " crossovers at ['0.340906016177']\n"
+)
+SMALL_N_REPORTS = {
+    ("aux-slope-limits", "2"): "aux-slope-limits,true,10,8.3417363186226445e-15,0.99999999900000003,derivative-apparatus limits and shapes; tightest: gap positive\n",
+    ("aux-slope-limits", "3"): "aux-slope-limits,true,12,8.3417363186226445e-15,0.99999999900000003,derivative-apparatus limits and shapes; tightest: gap positive\n",
+    ("aux-quadratic-roots", "2"): "aux-quadratic-roots,true,208,9.9997497290350954e-11,0.98499999999999999,roots of the slope quadratic; tightest: high root annihilates the quadratic\n",
+    ("aux-quadratic-roots", "3"): "aux-quadratic-roots,true,210,9.9997497290350954e-11,0.98499999999999999,roots of the slope quadratic; tightest: high root annihilates the quadratic\n",
+    ("aux-sign-regimes", "2"): "aux-sign-regimes,true,22,1.4210908925310628e-14,0.99999999900000003,one-signedness of the quadratic and the slope term; tightest: slope term negative at a=2.82843\n",
+    ("aux-sign-regimes", "3"): "aux-sign-regimes,true,33,1.4210908925310628e-14,0.99999999900000003,one-signedness of the quadratic and the slope term; tightest: slope term negative at a=2.82843\n",
+    ("sharp-dominance", "2"): _SHARP_SMALL.format(n=2, margin="9.878052662808985e-08", lead="9.87805e-08", x="0.999999999"),
+    ("sharp-dominance", "3"): _SHARP_SMALL.format(n=3, margin="0.00053888245713240579", lead="0.000538882", x="0.5"),
+}
+
+
+@pytest.mark.parametrize("claim_id, n", SMALL_N_REPORTS)
+def test_blocked_claims_at_the_smallest_grids(capsys, claim_id, n):
+    code, out, err = run_cli(capsys, "verify", "--claims", claim_id, "--n", n, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == ",".join(REPORT_HEADER) + "\n" + SMALL_N_REPORTS[claim_id, n]
+
+
+def test_compare_on_two_points(capsys):
+    code, out, err = run_cli(capsys, "compare", "--n", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    sharp = list(csv.reader(io.StringIO(SMALL_N_REPORTS["sharp-dominance", "2"])))
+    assert json.loads(out) == {
+        "samples": 2,
+        "reports": [{**dict(zip(REPORT_HEADER, row)), "passed": True, "samples": 2, "worst_margin": float(row[3]), "worst_x": float(row[4])} for row in sharp],
+        "crossovers": [0.34090601617740635],
+        "lower_argmax_counts": {"a-star": 1, "carlson": 1, "one-plus-sqrt3": 0, "lambda": 0},
+        "upper_argmin_counts": {"a-star": 0, "carlson": 0, "best": 2},
+    }
 
 
 class TestScan:
