@@ -23,16 +23,18 @@ are cut from the grid's stream of runs, so a claim that only walks its
 grid never builds the whole of it, and its peak memory does not grow with
 n; ``gain-maximizer`` reads its 100 points from the runs.  Only
 ``scan-slice`` still takes ``grid.points()``.  One loop, ``_sweep``, runs
-every check on ``grids._GridTerms``, the aux claims' included: the blocks
-outside and the checks inside, so each block's terms that depend on x alone
-are evaluated once, and each check then costs only arithmetic on those
-cache-sized arrays.  A check reduces each block to a small share (its
-first-index extreme, its violation count, its sign runs), and the shares
-merge in grid order.  ``compare_bounds`` keeps its own loop, because its
-crossover cells carry the last sign of one block into the next.  On each
-block it evaluates the upper half of ``sharp``'s named-bound table, reduces
-it and drops it, and only then the lower half, so one block's peak holds
-one half's arrays.
+every check on ``grids._GridTerms``, the aux claims' and ``compare_bounds``'
+included: the blocks outside and the checks inside, so each block's terms
+that depend on x alone are evaluated once, and each check then costs only
+arithmetic on those cache-sized arrays.  A check reduces each block to a
+small share (its first-index extreme, its violation count, its sign runs,
+its crossover cells and end points), and the shares merge in grid order.
+Each claim is a ``_Plan`` of checks on its grid, built before any grid is
+sampled, so ``run_claims`` runs the checks of all its claims on one grid
+and overlap in one ``_sweep``, and each grid is walked once per run.  On
+each block the compare check evaluates the upper half of ``sharp``'s
+named-bound table, reduces it and drops it, and only then the lower half,
+so one block's peak holds one half's arrays.
 Reductions tie-break by abscissa (first index on a sorted grid, the first
 NaN before any number, as np.argmin does), so reports are bit-identical
 across runs and equal to a whole-array pass.
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -191,9 +193,9 @@ def _composite_report(claim_id: str, checks: list[tuple[float, float, str]], sam
     return VerificationReport(claim_id, passed, samples, float(worst), float(worst_x), note)
 
 
-# A check of one shape parameter: ``block(terms)`` reduces one block's _GridTerms to a small share,
-# and ``report(shares)`` writes the report from the shares of every block, in grid order.
-_Check = tuple[Callable[[_GridTerms], tuple], Callable[[list], VerificationReport]]
+# A check on a grid: ``block(terms)`` reduces one block's _GridTerms to a small share, and ``report(shares)``
+# writes the check's result from the shares of every block, in grid order: a report, or compare's table.
+_Check = tuple[Callable[[_GridTerms], tuple], Callable[[list], Any]]
 
 
 def _arccos_check(claim_id: str, a: float, margin: Callable[[np.ndarray, np.ndarray], np.ndarray], notes: str = "") -> _Check:
@@ -356,16 +358,17 @@ def _first_winner_counts(arrays: Sequence[np.ndarray], wins: Callable[[np.ndarra
     return np.bincount(winner, minlength=len(arrays)).tolist()
 
 
-def _compare_block(x: np.ndarray) -> tuple:
-    """One block's shares of ``compare_bounds``, from the upper trio, then the lower quartet.
+def _compare_block(terms: _GridTerms) -> tuple:
+    """One block's share of the compare check, from the upper trio, then the lower quartet.
 
     Each half is evaluated, reduced to its winner counts and dominance share, and dropped before
     the next array is built.  Of two dominance pairs the tighter margin decides, under its own
     tolerance; the pairs share a side (best upper, lambda lower), which needs no np.where.  The
     lower half also gives lambda's largest and smallest lead over the pi**2 bound, and the crossover
-    cells inside the block with its first and last sign of that lead.
+    cells inside the block.  The block's first and last x, each with the sign of that lead there,
+    let the report find a cell that spans two blocks.
     """
-    terms = _GridTerms(x)
+    x = terms.x
     a_star_up, carlson_up, best = _block_upper_bounds(terms)
     upper_counts = _first_winner_counts([a_star_up, carlson_up, best], np.less)
     hi = np.where(a_star_up - best <= carlson_up - best, a_star_up, carlson_up)
@@ -374,7 +377,6 @@ def _compare_block(x: np.ndarray) -> tuple:
     del hi, best
 
     a_star_lo, carlson_lo, sqrt3, lam = _block_lower_bounds(terms)
-    del terms
     lower_counts = _first_winner_counts([a_star_lo, carlson_lo, sqrt3, lam], np.greater)
     lo = np.where(lam - carlson_lo <= lam - sqrt3, carlson_lo, sqrt3)
     del carlson_lo, sqrt3
@@ -385,36 +387,24 @@ def _compare_block(x: np.ndarray) -> tuple:
     low = (float(diff[i_min]), float(x[i_min]), lam[i_min], a_star_lo[i_min])
     signs = np.sign(diff)
     cells = [(float(x[c]), float(x[c + 1])) for c in np.flatnonzero(signs[:-1] * signs[1:] < 0.0)]
-    return upper_counts, upper, lower_counts, lower, high, low, cells, signs[0], signs[-1]
+    edges = (float(x[0]), signs[0], float(x[-1]), signs[-1])
+    return upper_counts, upper, lower_counts, lower, high, low, cells, edges, int(x.size)
 
 
-def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
-    """Dominance table for the sharp bound candidates on one grid.
+def _comparison(shares: list[tuple]) -> ComparisonResult:
+    """The dominance table from the blocks' ``_compare_block`` shares, in grid order.
 
-    Checks that the lambda lower bound dominates the classical (a =
-    2*sqrt(2)) and the 1+sqrt(3) lower bounds, that the doubly-sharp upper
-    bound dominates both instance upper bounds, and that the lambda and
-    pi**2 lower bounds are not comparable (each wins somewhere); their
-    crossovers are located by bisection to 1e-10.  The grid is evaluated
-    in blocks (``_compare_block``): winner counts add, and the margins, the
-    witnesses and the crossover cells (one of which may straddle two blocks)
-    merge in grid order.  A crossover cell carries one block's last sign into the next, so this loop is not ``_sweep``.
+    Winner counts add, and the margins, the witnesses and the crossover cells merge in grid order;
+    a crossover cell between two blocks joins one block's last point to the next one's first.
     """
-    lower_counts, upper_counts = np.zeros(4, dtype=np.int64), np.zeros(3, dtype=np.int64)
-    lower_shares, upper_shares, highs, lows, cells = [], [], [], [], []
-    samples, last_sign, last_x = 0, math.nan, math.nan
-    for x in _blocks(grid):
-        up_counts, upper, lo_counts, lower, high, low, block_cells, first_sign, block_last_sign = _compare_block(x)
-        upper_counts += up_counts
-        lower_counts += lo_counts
-        upper_shares.append(upper)
-        lower_shares.append(lower)
-        highs.append(high)
-        lows.append(low)
+    upper_counts, upper_shares, lower_counts, lower_shares, highs, lows, block_cells, edges, sizes = zip(*shares)
+    cells, last_x, last_sign = [], math.nan, math.nan
+    for inside, (first_x, first_sign, end_x, end_sign) in zip(block_cells, edges):
         if last_sign * first_sign < 0.0:
-            cells.append((last_x, float(x[0])))
-        cells += block_cells
-        samples, last_sign, last_x = samples + x.size, block_last_sign, float(x[-1])
+            cells.append((last_x, first_x))
+        cells += inside
+        last_x, last_sign = end_x, end_sign
+    samples = sum(sizes)
 
     rep_lower = _pointwise_report("sharp-lower-dominance", lower_shares, notes="lambda bound >= classical and 1+sqrt(3) lower bounds")
     rep_upper = _pointwise_report("sharp-upper-dominance", upper_shares, notes="doubly-sharp upper bound <= both instance upper bounds")
@@ -445,17 +435,34 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
         samples=samples,
         reports=(rep_lower, rep_upper, rep_cross),
         crossovers=tuple(crossovers),
-        lower_argmax_counts=dict(zip(("a-star", "carlson", "one-plus-sqrt3", "lambda"), lower_counts.tolist())),
-        upper_argmin_counts=dict(zip(("a-star", "carlson", "best"), upper_counts.tolist())),
+        lower_argmax_counts=dict(zip(("a-star", "carlson", "one-plus-sqrt3", "lambda"), np.sum(lower_counts, axis=0).tolist())),
+        upper_argmin_counts=dict(zip(("a-star", "carlson", "best"), np.sum(upper_counts, axis=0).tolist())),
     )
+
+
+# The compare check: `compare` and the sharp-dominance claim both run it.
+_COMPARE: _Check = (_compare_block, _comparison)
+
+
+def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
+    """Dominance table for the sharp bound candidates on one grid.
+
+    Checks that the lambda lower bound dominates the classical (a =
+    2*sqrt(2)) and the 1+sqrt(3) lower bounds, that the doubly-sharp upper
+    bound dominates both instance upper bounds, and that the lambda and
+    pi**2 lower bounds are not comparable (each wins somewhere); their
+    crossovers are located by bisection to 1e-10.  The grid is evaluated
+    in blocks by ``_sweep``, as the one check ``_COMPARE``.
+    """
+    return _sweep([_COMPARE], grid)[0]
 
 
 # --------------------------------------------------------------------------
 # Claim registry
 
 
-def _sweep(checks: Sequence[_Check], grid: GridSpec, overlap: int = 0) -> list[VerificationReport]:
-    """The reports of ``checks`` on one grid: its blocks outside, the checks inside, sharing each block's terms.
+def _sweep(checks: Sequence[_Check], grid: GridSpec, overlap: int = 0) -> list:
+    """The results of ``checks`` on one grid: its blocks outside, the checks inside, sharing each block's terms.
 
     ``overlap`` is 1 for checks on forward differences.
     """
@@ -467,16 +474,57 @@ def _sweep(checks: Sequence[_Check], grid: GridSpec, overlap: int = 0) -> list[V
     return [report(out) for (_, report), out in zip(checks, shares)]
 
 
-def _each_a(check: Callable[[float], _Check], overlap: int = 0) -> Callable[..., list[VerificationReport]]:
-    """Check sweeping ``check(a)`` for each value; every ``check(a)`` runs, and so checks its a, before the grid is sampled."""
-    return lambda values, grid: _sweep([check(a) for a in values], grid, overlap)
+@dataclass(frozen=True)
+class _Plan:
+    """What one claim evaluates, built before any grid is sampled.
+
+    ``checks`` run on ``grid`` in blocks that overlap by ``overlap`` points, and the brute-force argmin
+    runs at each a of ``brute``.  ``finish(results, argmins)`` writes the claim's reports from the
+    checks' results and the argmins, each in its order.
+    """
+
+    grid: GridSpec | None
+    checks: tuple[_Check, ...] = ()
+    overlap: int = 0
+    brute: tuple[float, ...] = ()
+    finish: Callable[[list, list], list[VerificationReport]] = lambda results, argmins: results
 
 
-def _claim_classic(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+def _run_plans(plans: Sequence[_Plan]) -> list[VerificationReport]:
+    """The reports of ``plans``, in their order.
+
+    One ``_sweep`` per (grid, overlap) runs the checks of every plan on that grid, so the grid and its
+    block terms are evaluated once, and one brute force takes every plan's a values.
+    """
+    groups: dict[tuple[GridSpec, int], list[_Check]] = {}
+    for plan in plans:
+        if plan.checks:
+            groups.setdefault((plan.grid, plan.overlap), []).extend(plan.checks)
+    results = {key: iter(_sweep(checks, *key)) for key, checks in groups.items()}
+    brute = [a for plan in plans for a in plan.brute]
+    argmins = iter(_grid_argmins(brute, BRUTE_FORCE_N) if brute else ())
+    reports: list[VerificationReport] = []
+    for plan in plans:
+        mine = [next(results[plan.grid, plan.overlap]) for _ in plan.checks]
+        reports += plan.finish(mine, [next(argmins) for _ in plan.brute])
+    return reports
+
+
+def _each_a(check: Callable[[float], _Check], overlap: int = 0) -> Callable[..., _Plan]:
+    """The plan of ``check(a)`` for each value; every ``check(a)`` runs, and so checks its a, before the grid is sampled."""
+    return lambda values, grid: _Plan(grid, tuple(check(a) for a in values), overlap)
+
+
+def _own_walk(claim: Callable[[Sequence[float], GridSpec], list[VerificationReport]]) -> Callable[..., _Plan]:
+    """The plan of a claim that samples its grid its own way, outside ``_sweep``: all of it runs in ``finish``."""
+    return lambda values, grid: _Plan(grid, finish=lambda results, argmins: claim(values, grid))
+
+
+def _claim_classic(values: Sequence[float], grid: GridSpec) -> _Plan:
     c_lower, c_upper = _CARLSON_CONSTANTS
     lower = _arccos_check("classic-lower", TWO_SQRT2, lambda acx, template: acx - c_lower * template, "classical lower constant 6")
     upper = _arccos_check("classic-upper", TWO_SQRT2, lambda acx, template: c_upper * template - acx, "classical upper constant (1/2+sqrt(2))*pi")
-    return _sweep([lower, upper], grid)
+    return _Plan(grid, (lower, upper))
 
 
 # Size of the uniform grid of the brute-force argmin cross-check.
@@ -519,30 +567,31 @@ def _interior_report(a: float, mono: VerificationReport, brute: tuple[float, flo
     )
 
 
-def _claim_interior_minimum(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    monos = _sweep([_monotonicity_check(a) for a in values], grid, overlap=1)
-    # one batched brute force for all the values: each chunk's terms are shared
-    brutes = _grid_argmins(values, BRUTE_FORCE_N)
-    return [_interior_report(a, mono, brute) for a, mono, brute in zip(values, monos, brutes)]
+def _claim_interior_minimum(values: Sequence[float], grid: GridSpec) -> _Plan:
+    finish = lambda monos, argmins: [_interior_report(a, mono, brute) for a, mono, brute in zip(values, monos, argmins)]
+    return _Plan(grid, tuple(_monotonicity_check(a) for a in values), overlap=1, brute=tuple(values), finish=finish)
 
 
-def _claim_minimum_floor(values: Sequence[float], grid: None) -> list[VerificationReport]:
-    labels = ("residual", "floor", "below endpoint limits", "brute-force x0", "brute-force value")
-    checks: list[tuple[float, float, str]] = []
-    for av, brute in zip(values, _grid_argmins(values, BRUTE_FORCE_N)):
-        _, slacks = _minimum_slacks(av, brute)
-        checks.extend((slack, av, f"{label} at a={av:.6g}") for slack, label in zip(slacks, labels))
-    return [
-        _composite_report(
-            "minimum-floor", checks, len(values) * BRUTE_FORCE_N,
-            notes="sweep over the interior-minimum interval; worst_x is the parameter a",
-        )
-    ]
+def _claim_minimum_floor(values: Sequence[float], grid: None) -> _Plan:
+    def finish(results: list, argmins: list) -> list[VerificationReport]:
+        labels = ("residual", "floor", "below endpoint limits", "brute-force x0", "brute-force value")
+        checks: list[tuple[float, float, str]] = []
+        for av, brute in zip(values, argmins):
+            _, slacks = _minimum_slacks(av, brute)
+            checks.extend((slack, av, f"{label} at a={av:.6g}") for slack, label in zip(slacks, labels))
+        return [
+            _composite_report(
+                "minimum-floor", checks, len(values) * BRUTE_FORCE_N,
+                notes="sweep over the interior-minimum interval; worst_x is the parameter a",
+            )
+        ]
+
+    return _Plan(grid, brute=tuple(values), finish=finish)
 
 
-def _slack_sweep(claim_id: str, head: list[tuple[float, float, str]], slacks: Callable[[_GridTerms], Iterable[tuple]],
-                 samples: Callable[[int], int], notes: str, grid: GridSpec, overlap: int = 0) -> list[VerificationReport]:
-    """The composite report of the ``head`` sub-checks and of sub-checks that are arrays of slacks on ``grid``.
+def _slack_plan(claim_id: str, head: list[tuple[float, float, str]], slacks: Callable[[_GridTerms], Iterable[tuple]],
+                samples: Callable[[int], int], notes: str, grid: GridSpec, overlap: int = 0) -> _Plan:
+    """The plan of one composite report: the ``head`` sub-checks and sub-checks that are arrays of slacks on ``grid``.
 
     ``slacks(terms)`` yields one block's (slack array, label) pairs, in the same order on every block.
     Each array is reduced to its first-index minimum before the next is evaluated, and the blocks'
@@ -559,10 +608,10 @@ def _slack_sweep(claim_id: str, head: list[tuple[float, float, str]], slacks: Ca
         merged = [per_block[int(np.argmin([m[0] for m in per_block]))] for per_block in zip(*minima)]
         return _composite_report(claim_id, [*head, *merged], samples(sum(sizes) + overlap), notes)
 
-    return _sweep([(block, report)], grid, overlap)
+    return _Plan(grid, ((block, report),), overlap)
 
 
-def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> _Plan:
     head = [
         (1e-5 - abs(slope_factor(av, 1e-10) - slope_factor_limit0(av)), 1e-10, f"slope-factor limit at a={av:g}")
         for av in (0.0, 1.0, 3.0)
@@ -585,10 +634,10 @@ def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> list[Ver
         yield tol_r - np.diff(r), "gap strictly decreasing"
         yield r + tol_r, "gap positive"
 
-    return _slack_sweep("aux-slope-limits", head, slacks, lambda n: 6 + 2 * n, "derivative-apparatus limits and shapes", grid, overlap=1)
+    return _slack_plan("aux-slope-limits", head, slacks, lambda n: 6 + 2 * n, "derivative-apparatus limits and shapes", grid, overlap=1)
 
 
-def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> _Plan:
     lo0, hi0 = slope_quadratic_roots(1e-10)
     lo1, hi1 = slope_quadratic_roots(1.0 - 1e-10)
     xs = np.linspace(0.005, 0.995, 100)
@@ -609,10 +658,10 @@ def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> list[Verificati
         yield np.diff(lo_g), "low root strictly increasing"
         yield np.diff(hi_g), "high root strictly increasing"
 
-    return _slack_sweep("aux-quadratic-roots", head, slacks, lambda n: 204 + 2 * n, "roots of the slope quadratic", grid, overlap=1)
+    return _slack_plan("aux-quadratic-roots", head, slacks, lambda n: 204 + 2 * n, "roots of the slope quadratic", grid, overlap=1)
 
 
-def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
+def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> _Plan:
     def slacks(terms: _GridTerms) -> Iterable[tuple]:
         x, s = terms.x, terms.sqrt_1px
         # sign * value must stay above -tol
@@ -626,7 +675,11 @@ def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> list[Ver
                 yield sign * slope_term(av, x) + _ulps(scale), f"slope term {what} at a={av:.6g}"
 
     notes = "one-signedness of the quadratic and the slope term"
-    return _slack_sweep("aux-sign-regimes", [], slacks, lambda n: 11 * n, notes, grid)
+    return _slack_plan("aux-sign-regimes", [], slacks, lambda n: 11 * n, notes, grid)
+
+
+def _claim_sharp_dominance(values: Sequence[float], grid: GridSpec) -> _Plan:
+    return _Plan(grid, (_COMPARE,), finish=lambda results, argmins: list(results[0].reports))
 
 
 def _claim_gain_maximizer(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
@@ -680,13 +733,14 @@ def _claim_scan_slice(values: Sequence[float], grid: GridSpec) -> list[Verificat
 class Claim:
     """One registry row: ``check(values, grid)``, its default grid and the shape parameters it sweeps.
 
-    ``runner(grid, a)``: a caller's grid replaces ``grid``, but a uniform ``grid`` keeps its spacing and
-    takes only the caller's n, and a None ``grid`` samples none.  A given ``a`` replaces nonempty ``values``.
+    ``check`` returns the claim's ``_Plan``.  ``plan(grid, a)``: a caller's grid replaces ``grid``, but a
+    uniform ``grid`` keeps its spacing and takes only the caller's n, and a None ``grid`` samples none.
+    A given ``a`` replaces nonempty ``values``.  ``runner(grid, a)`` runs the claim alone.
     """
 
     claim_id: str
     description: str
-    check: Callable[[Sequence[float], GridSpec | None], list[VerificationReport]]
+    check: Callable[[Sequence[float], GridSpec | None], _Plan]
     grid: GridSpec | None
     values: tuple[float, ...] = ()
 
@@ -696,11 +750,14 @@ class Claim:
         regimes = {classify_regime(v) for v in self.values}
         return regimes.pop() if len(regimes) == 1 else None
 
-    def runner(self, grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
+    def plan(self, grid: GridSpec | None, a: float | None) -> _Plan:
         own = self.grid
         if grid is not None and own is not None:
             own = replace(own, n=grid.n) if own.spacing == "uniform" else grid
         return self.check((a,) if a is not None and self.values else self.values, own)
+
+    def runner(self, grid: GridSpec | None, a: float | None) -> list[VerificationReport]:
+        return _run_plans([self.plan(grid, a)])
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -716,10 +773,10 @@ CLAIMS: tuple[Claim, ...] = (
     # Near the endpoints of a refined grid neighbouring roots differ by less than an ulp, so this grid is uniform.
     Claim("aux-quadratic-roots", "slope-quadratic roots: limits, residuals, monotonicity", _claim_aux_roots, replace(DEFAULT_GRID, n=10_000, spacing="uniform")),
     Claim("aux-sign-regimes", "one-signed ranges of the quadratic and the slope term", _claim_aux_sign_regimes, replace(DEFAULT_GRID, n=100_000)),
-    Claim("sharp-dominance", "dominance and non-inclusion among the sharp bounds", lambda values, grid: list(compare_bounds(grid).reports), DEFAULT_GRID),
-    Claim("gain-maximizer", "gain maximizer is pointwise optimal and matches its closed form", _claim_gain_maximizer, replace(DEFAULT_GRID, n=100)),
+    Claim("sharp-dominance", "dominance and non-inclusion among the sharp bounds", _claim_sharp_dominance, DEFAULT_GRID),
+    Claim("gain-maximizer", "gain maximizer is pointwise optimal and matches its closed form", _own_walk(_claim_gain_maximizer), replace(DEFAULT_GRID, n=100)),
     # The scanner needs a uniform grid (see classify_family).
-    Claim("scan-slice", "scanner verdicts agree with the regime map on the (1/2, 1/2, gamma) slice", _claim_scan_slice, SCAN_GRID),
+    Claim("scan-slice", "scanner verdicts agree with the regime map on the (1/2, 1/2, gamma) slice", _own_walk(_claim_scan_slice), SCAN_GRID),
 )
 
 _CLAIM_INDEX = {c.claim_id: c for c in CLAIMS}
@@ -741,6 +798,12 @@ def run_claims(
     any claim runs, DomainError if ``a`` is not finite or ``ids`` is empty or
     names an unknown claim, and RegimeError if ``a`` lies outside a named
     claim's regime.
+
+    The checks of all the claims are grouped by the grid and overlap each
+    claim resolves, and each group runs in one ``_sweep``; the brute-force
+    argmins are one batch.  Reports come in the order the claims were
+    selected, registry order when ids is None.  One claim runs through
+    its ``Claim.runner``.
     """
     regime = None if a is None else classify_regime(a)
     if ids is None:
@@ -761,7 +824,6 @@ def run_claims(
     for claim in selected:
         if a is not None and claim.regime not in (None, regime):
             raise RegimeError(f"claim {claim.claim_id!r} covers the {claim.regime.value} regime only; a={a:.17g} is {regime.value}")
-    reports: list[VerificationReport] = []
-    for claim in selected:
-        reports.extend(claim.runner(grid, a))
-    return reports
+    if len(selected) == 1:
+        return selected[0].runner(grid, a)
+    return _run_plans([claim.plan(grid, a) for claim in selected])

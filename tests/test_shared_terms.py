@@ -263,6 +263,38 @@ def test_block_size_keeps_every_report(monkeypatch, block):
     assert comparison.crossovers and all(r.passed for r in comparison.reports)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [None, GridSpec(1e-9, 1.0 - 1e-9, 20_001, "refined"), GridSpec(1e-9, 1.0 - 1e-9, 20_001, "uniform")],
+    ids=["registry", "refined", "uniform"],
+)
+def test_grouped_run_equals_each_claim_alone(monkeypatch, grid):
+    walks, runs = Counter(), GridSpec._runs
+    argmin_batches, argmins = [], verify._grid_argmins
+
+    def counting_runs(self):
+        walks[self] += 1
+        return runs(self)
+
+    def recording_argmins(values, n):
+        argmin_batches.append(list(values))
+        return argmins(values, n)
+
+    monkeypatch.setattr(GridSpec, "_runs", counting_runs)
+    monkeypatch.setattr(verify, "_grid_argmins", recording_argmins)
+    grouped = run_claims(None, grid=grid)
+    grouped_walks, grouped_batches = dict(walks), list(argmin_batches)
+    alone = [r for claim in verify.CLAIMS for r in run_claims([claim.claim_id], grid=grid)]
+    assert _claim_bits(grouped) == _claim_bits(alone)
+    # regime-interior-minimum and minimum-floor share one pass over the brute-force grid
+    assert grouped_batches == [list(INTERIOR_A_VALUES) + list(verify.MINIMUM_A_VALUES)]
+    if grid is None:
+        # classic-*, family-bracket, midregime-floor and sharp-dominance share one walk of DEFAULT_GRID; the 100k
+        # grid is walked by the overlap-1 group, aux-slope-limits' tolerance pass and aux-sign-regimes
+        assert grouped_walks[ab.DEFAULT_GRID] == 1
+        assert grouped_walks[GridSpec(1e-9, 1.0 - 1e-9, 100_000)] == 3
+
+
 def _first_block_end(grid, overlap=0):
     return float(next(_blocks(grid, overlap))[-1])
 
@@ -278,6 +310,9 @@ def test_block_boundary_on_the_crossover_cell(monkeypatch, shift):
     assert _first_block_end(GRID) == x[c + shift - 1]
     assert _comparison_bits(verify.compare_bounds(GRID)) == _comparison_bits(expected)
     assert len(expected.crossovers) == 1
+    # inside a group the compare check shares its blocks with classic-*'s checks
+    grouped = run_claims(["classic-lower", "sharp-dominance"], grid=GRID)
+    assert _claim_bits(grouped[2:]) == _comparison_bits(expected)[0]
 
 
 @pytest.mark.parametrize("shift", [-1, 0, 1])
@@ -376,7 +411,8 @@ def _peak_bytes(run):
 
 # The grid streams in runs and is cut into blocks, so no array of the whole grid is built and a
 # check's peak does not grow with n: it is its blocks' temporaries, at most 32 float arrays of
-# one block (4 MiB).  compare_bounds and the pointwise claims peak at 1.4-1.6 MB, at both sizes.
+# one block (4 MiB).  The pointwise claims peak at 1.4-1.5 MiB and compare_bounds, whose block keeps
+# the sweep's shared terms, at 1.5-1.7 MiB, at both sizes.
 # With the grid built whole they peaked at 23 bytes a point (4.6 and 46 MB).
 PEAK_BYTES = 32 * 8 * grids._BLOCK
 LARGE_N = (200_000, 2_000_000)
@@ -395,7 +431,7 @@ def test_pointwise_claims_peak_memory(claim_id, n):
     assert _peak_bytes(lambda: run_claims([claim_id], grid=grid)) <= PEAK_BYTES
 
 
-# Every claim at its registry grid, the default of `verify --claims all`, peaks at 1.6 MB or less: its
+# Every claim at its registry grid, the default of `verify --claims all`, peaks at 1.7 MiB or less: its
 # blocks' temporaries, at most 20 float arrays of one block (2.5 MiB).  Before the aux claims ran on
 # _sweep and compare_bounds evaluated its bound table in two halves, aux-sign-regimes peaked at 5.3 MiB,
 # aux-slope-limits at 3.8 and sharp-dominance at 3.5.
