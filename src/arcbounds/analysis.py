@@ -51,8 +51,7 @@ from .family import (
     bound_ratio,
     classify_regime,
 )
-from . import grids
-from .grids import DEFAULT_GRID
+from .grids import DEFAULT_GRID, GridSpec, _blocks
 
 __all__ = [
     "MinimumResult",
@@ -259,32 +258,19 @@ def min_value_lower(a: float) -> float:
 
 
 def grid_argmin(a: float, n: int) -> tuple[float, float]:
-    """Brute-force argmin of the ratio on np.linspace(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n).
+    """Brute-force argmin of the ratio on np.linspace(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n), a uniform GridSpec.
 
-    Evaluates in chunks of grids._BLOCK points to bound memory; ties
+    Walks the grid's blocks of grids._BLOCK points to bound memory; ties
     resolve to the smallest abscissa, so the result is independent of the
-    chunking.
+    block size.  Each value is bound_ratio's (a + sqrt(1+x)) * arccos_ratio(x),
+    in that order.  n follows GridSpec's rule, 2 <= n <= MAX_GRID_POINTS.
     """
-    return _grid_argmins((a,), n)[0]
-
-
-def _grid_argmins(a_values, n: int) -> list[tuple[float, float]]:
-    """``grid_argmin`` for each of ``a_values``, sharing each chunk's sqrt(1+x) and arccos ratio.
-
-    Each value is bound_ratio's (a + sqrt(1+x)) * arccos_ratio(x), in that order.
-    """
-    if n < 2:
-        raise ValueError("grid needs at least two points")
-    for a in a_values:
-        _check_finite_parameter(a)
-    best = [(math.nan, math.inf)] * len(a_values)
-    for start, stop in grids._spans(n):
-        x = _check_open_unit(grids._linspace(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n, start, stop))
-        s = np.sqrt(1.0 + x)
-        r = arccos_ratio(x)
-        for k, a in enumerate(a_values):
-            vals = (a + s) * r
-            i = int(np.argmin(vals))
-            if vals[i] < best[k][1]:
-                best[k] = (float(x[i]), float(vals[i]))
+    grid = GridSpec(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n, "uniform")
+    _check_finite_parameter(a)
+    best = (math.nan, math.inf)
+    for x in _blocks(grid):
+        vals = (a + np.sqrt(1.0 + x)) * arccos_ratio(x)
+        i = int(np.argmin(vals))
+        if vals[i] < best[1]:
+            best = (float(x[i]), float(vals[i]))
     return best

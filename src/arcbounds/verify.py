@@ -17,27 +17,24 @@ sqrt(1-x)/(a + sqrt(1+x)), under 4 ulp of arccos.  The classic pair is
 its a = 2*sqrt(2) case, with the constants ``sharp.carlson_pair`` uses.
 
 Grid evaluation is vectorized and single-threaded, and runs in blocks of
-``grids._BLOCK`` consecutive points of the one grid a claim samples; checks
-on forward differences take blocks that overlap by one point.  The blocks
-are cut from the grid's stream of runs, so a claim that only walks its
-grid never builds the whole of it, and its peak memory does not grow with
-n; ``gain-maximizer`` reads its 100 points from the runs.  Only
-``scan-slice`` still takes ``grid.points()``.  One loop, ``_sweep``, runs
-every check on ``grids._GridTerms``, the aux claims' and ``compare_bounds``'
-included: the blocks outside and the checks inside, so each block's terms
-that depend on x alone are evaluated once, and each check then costs only
-arithmetic on those cache-sized arrays.  A check reduces each block to a
-small share (its first-index extreme, its violation count, its sign runs,
-its crossover cells and end points), and the shares merge in grid order.
-Each claim is a ``_Plan`` of checks on its grid, built before any grid is
-sampled, so ``run_claims`` runs the checks of all its claims on one grid
-and overlap in one ``_sweep``, and each grid is walked once per run.  On
-each block the compare check evaluates the upper half of ``sharp``'s
-named-bound table, reduces it and drops it, and only then the lower half,
-so one block's peak holds one half's arrays.
-Reductions tie-break by abscissa (first index on a sorted grid, the first
-NaN before any number, as np.argmin does), so reports are bit-identical
-across runs and equal to a whole-array pass.
+``grids._BLOCK`` consecutive points that ``grids._blocks`` cuts from the
+grid's stream of runs; no claim but ``scan-slice`` (``grid.points()``)
+builds a whole grid, so peak memory does not grow with n.  One loop,
+``_sweep``, runs every check on ``grids._GridTerms``, the blocks outside
+and the checks inside, so each block's terms that depend on x alone are
+evaluated once.  A check reduces each block to a small share (its
+violations, sign runs, crossover cells or first-index minima), and the
+shares merge in grid order.  One helper, ``_minima``, merges the first-index
+minima of ``endpoint-constants``, the aux claims and the brute-force argmin,
+on blocks that overlap by one point as checks on forward differences do.
+Each claim is a ``_Plan`` of (grid, overlap, check) triples, built before
+any grid is sampled, so ``run_claims`` runs the checks of all its claims on
+one grid and overlap in one ``_sweep``: each grid is walked once per run.
+On each block the compare check evaluates the upper half of ``sharp``'s
+named-bound table, reduces and drops it, and only then the lower half, so
+one block's peak holds one half's arrays.
+Reductions tie-break by abscissa (the first NaN, else the first minimum, as
+np.argmin does), so reports are bit-identical to a whole-array pass.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ import numpy as np
 from . import explore
 from .analysis import (
     MinimumResult,
-    _grid_argmins,
     bisect_sign_change,
     find_minimum,
     slope_factor,
@@ -155,9 +151,9 @@ def _pair_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add(_ulps(a), _ulps(b))
 
 
-def _extreme(values: np.ndarray, x: np.ndarray, pick: Callable[[np.ndarray], np.intp]) -> tuple[float, float]:
-    """(values[i], x[i]) at i = pick(values), for np.argmin or np.argmax: the first NaN, else the first extreme."""
-    i = int(pick(values))
+def _first_min(values: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(values[i], x[i]) at i = np.argmin(values): the first NaN, else the first minimum."""
+    i = int(np.argmin(values))
     return float(values[i]), float(x[i])
 
 
@@ -165,7 +161,7 @@ def _margin_block(x: np.ndarray, margins: np.ndarray, tol: np.ndarray) -> tuple[
     """One block's share of a pointwise check: its first-index smallest margin and where, its violations, its size."""
     # a NaN or infinite margin is a violation: it says nothing about the bound
     violations = int(np.count_nonzero(~(np.isfinite(margins) & (margins >= -tol))))
-    return *_extreme(margins, x, np.argmin), violations, int(margins.size)
+    return *_first_min(margins, x), violations, int(margins.size)
 
 
 def _pointwise_report(claim_id: str, shares: Sequence[tuple[float, float, int, int]], notes: str = "") -> VerificationReport:
@@ -182,7 +178,7 @@ def _pointwise_report(claim_id: str, shares: Sequence[tuple[float, float, int, i
 
 def _tightest(slack: np.ndarray, x: np.ndarray, label: str) -> tuple[float, float, str]:
     """The (slack, location, label) sub-check of an array of slacks: its first-index minimum."""
-    return *_extreme(slack, x, np.argmin), label
+    return *_first_min(slack, x), label
 
 
 def _composite_report(claim_id: str, checks: list[tuple[float, float, str]], samples: int, notes: str = "") -> VerificationReport:
@@ -196,6 +192,24 @@ def _composite_report(claim_id: str, checks: list[tuple[float, float, str]], sam
 # A check on a grid: ``block(terms)`` reduces one block's _GridTerms to a small share, and ``report(shares)``
 # writes the check's result from the shares of every block, in grid order: a report, or compare's table.
 _Check = tuple[Callable[[_GridTerms], tuple], Callable[[list], Any]]
+
+
+def _minima(arrays: Callable[[_GridTerms], Iterable[tuple[np.ndarray, str]]], report: Callable[[list, int], Any]) -> _Check:
+    """The check of the first-index minima of arrays on blocks that overlap by one point.
+
+    ``arrays(terms)`` yields a block's (array, label) pairs, each reduced by ``_tightest`` before the next
+    is built.  ``report(minima, n)`` gets each array's (value, x, label) on the grid's n points: np.argmin
+    over its block minima, as on the whole array; a shared point's earlier block wins the tie.
+    """
+
+    def block(terms: _GridTerms) -> tuple:
+        return terms.x.size - 1, [_tightest(v, terms.x, label) for v, label in arrays(terms)]
+
+    def merge(shares: list[tuple]) -> Any:
+        sizes, minima = zip(*shares)
+        return report([m[int(np.argmin([share[0] for share in m]))] for m in zip(*minima)], sum(sizes) + 1)
+
+    return block, merge
 
 
 def _arccos_check(claim_id: str, a: float, margin: Callable[[np.ndarray, np.ndarray], np.ndarray], notes: str = "") -> _Check:
@@ -310,36 +324,35 @@ def _limits_check(a: float) -> _Check:
             checks.append((res[k - 1] - res[k] + noise, probes[k], f"{label} residual monotone at eps={eps[k]:g}"))
         checks.append((final_tol - res[-1], probes[-1], f"{label} final residual"))
 
-    def block(terms: _GridTerms) -> tuple:
+    def extremes(terms: _GridTerms) -> Iterable[tuple]:
         v = terms.ratio_at(a)
-        return *_extreme(v, terms.x, np.argmin), *_extreme(v, terms.x, np.argmax), int(v.size)
+        yield v, "infimum"
+        yield -v, "supremum"  # np.argmin(-v) is np.argmax(v), its first NaN included
 
-    def report(shares: list[tuple]) -> VerificationReport:
-        vmins, xmins, vmaxs, xmaxs, sizes = zip(*shares)
-        # np.argmin and np.argmax over the blocks' extremes pick the grid's first-index extremes
-        i, j = int(np.argmin(vmins)), int(np.argmax(vmaxs))
-        vmin, vmax = vmins[i], vmaxs[j]
+    def report(minima: list[tuple], n: int) -> VerificationReport:
+        (vmin, xmin, _), (neg_max, xmax, _) = minima
+        vmax = -neg_max
         regime = classify_regime(a)
         if regime is Regime.INTERIOR_MINIMUM:
             f_min = find_minimum(a).f_min
             extrema = [
-                (attained_tol - abs(vmax - c_upper), xmaxs[j], "supremum attains larger endpoint constant"),
-                (attained_tol - abs(vmin - f_min), xmins[i], "infimum attains interior minimum"),
-                (vmin - f_min + float(_ulps(f_min)), xmins[i], "grid infimum above true minimum"),
+                (attained_tol - abs(vmax - c_upper), xmax, "supremum attains larger endpoint constant"),
+                (attained_tol - abs(vmin - f_min), xmin, "infimum attains interior minimum"),
+                (vmin - f_min + float(_ulps(f_min)), xmin, "grid infimum above true minimum"),
             ]
         else:
             # an increasing ratio attains its lower constant on the left, a decreasing one on the right
             low_side, high_side = ("left", "right") if regime is Regime.INCREASING else ("right", "left")
             extrema = [
-                (attained_tol - abs(vmin - c_lower), xmins[i], f"infimum attains {low_side} constant"),
-                (attained_tol - abs(vmax - c_upper), xmaxs[j], f"supremum attains {high_side} constant"),
+                (attained_tol - abs(vmin - c_lower), xmin, f"infimum attains {low_side} constant"),
+                (attained_tol - abs(vmax - c_upper), xmax, f"supremum attains {high_side} constant"),
             ]
         return _composite_report(
-            f"endpoint-constants[a={a:.17g}]", checks + extrema, len(eps) * 2 + sum(sizes),
+            f"endpoint-constants[a={a:.17g}]", checks + extrema, len(eps) * 2 + n,
             notes=f"limits=({at0:.9g}, {at1:.9g}); regime={regime.value}",
         )
 
-    return block, report
+    return _minima(extremes, report)
 
 
 def _first_winner_counts(arrays: Sequence[np.ndarray], wins: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[int]:
@@ -462,10 +475,7 @@ def compare_bounds(grid: GridSpec = DEFAULT_GRID) -> ComparisonResult:
 
 
 def _sweep(checks: Sequence[_Check], grid: GridSpec, overlap: int = 0) -> list:
-    """The results of ``checks`` on one grid: its blocks outside, the checks inside, sharing each block's terms.
-
-    ``overlap`` is 1 for checks on forward differences.
-    """
+    """The results of ``checks`` on one grid: its blocks, overlapping by ``overlap`` points, outside; the checks inside."""
     shares: list[list] = [[] for _ in checks]
     for x in _blocks(grid, overlap):
         terms = _GridTerms(x)
@@ -478,57 +488,58 @@ def _sweep(checks: Sequence[_Check], grid: GridSpec, overlap: int = 0) -> list:
 class _Plan:
     """What one claim evaluates, built before any grid is sampled.
 
-    ``checks`` run on ``grid`` in blocks that overlap by ``overlap`` points, and the brute-force argmin
-    runs at each a of ``brute``.  ``finish(results, argmins)`` writes the claim's reports from the
-    checks' results and the argmins, each in its order.
+    Each of ``checks`` is a (grid, overlap, _Check) triple: the check runs on the grid in blocks that
+    overlap by ``overlap`` points.  ``finish(results)`` writes the claim's reports from the checks'
+    results, in their order.
     """
 
-    grid: GridSpec | None
-    checks: tuple[_Check, ...] = ()
-    overlap: int = 0
-    brute: tuple[float, ...] = ()
-    finish: Callable[[list, list], list[VerificationReport]] = lambda results, argmins: results
+    checks: tuple[tuple[GridSpec, int, _Check], ...] = ()
+    finish: Callable[[list], list[VerificationReport]] = lambda results: results
 
 
 def _run_plans(plans: Sequence[_Plan]) -> list[VerificationReport]:
     """The reports of ``plans``, in their order.
 
-    One ``_sweep`` per (grid, overlap) runs the checks of every plan on that grid, so the grid and its
-    block terms are evaluated once, and one brute force takes every plan's a values.
+    One ``_sweep`` per (grid, overlap) runs the checks of every plan on that grid, so each grid and its
+    block terms are evaluated once.
     """
     groups: dict[tuple[GridSpec, int], list[_Check]] = {}
     for plan in plans:
-        if plan.checks:
-            groups.setdefault((plan.grid, plan.overlap), []).extend(plan.checks)
+        for grid, overlap, check in plan.checks:
+            groups.setdefault((grid, overlap), []).append(check)
     results = {key: iter(_sweep(checks, *key)) for key, checks in groups.items()}
-    brute = [a for plan in plans for a in plan.brute]
-    argmins = iter(_grid_argmins(brute, BRUTE_FORCE_N) if brute else ())
     reports: list[VerificationReport] = []
     for plan in plans:
-        mine = [next(results[plan.grid, plan.overlap]) for _ in plan.checks]
-        reports += plan.finish(mine, [next(argmins) for _ in plan.brute])
+        reports += plan.finish([next(results[grid, overlap]) for grid, overlap, _ in plan.checks])
     return reports
 
 
 def _each_a(check: Callable[[float], _Check], overlap: int = 0) -> Callable[..., _Plan]:
     """The plan of ``check(a)`` for each value; every ``check(a)`` runs, and so checks its a, before the grid is sampled."""
-    return lambda values, grid: _Plan(grid, tuple(check(a) for a in values), overlap)
+    return lambda values, grid: _Plan(tuple((grid, overlap, check(a)) for a in values))
 
 
 def _own_walk(claim: Callable[[Sequence[float], GridSpec], list[VerificationReport]]) -> Callable[..., _Plan]:
     """The plan of a claim that samples its grid its own way, outside ``_sweep``: all of it runs in ``finish``."""
-    return lambda values, grid: _Plan(grid, finish=lambda results, argmins: claim(values, grid))
+    return lambda values, grid: _Plan(finish=lambda results: claim(values, grid))
 
 
 def _claim_classic(values: Sequence[float], grid: GridSpec) -> _Plan:
     c_lower, c_upper = _CARLSON_CONSTANTS
     lower = _arccos_check("classic-lower", TWO_SQRT2, lambda acx, template: acx - c_lower * template, "classical lower constant 6")
     upper = _arccos_check("classic-upper", TWO_SQRT2, lambda acx, template: c_upper * template - acx, "classical upper constant (1/2+sqrt(2))*pi")
-    return _Plan(grid, (lower, upper))
+    return _Plan(((grid, 0, lower), (grid, 0, upper)))
 
 
 # Size of the uniform grid of the brute-force argmin cross-check.
 BRUTE_FORCE_N = 1_000_001
+
+
+def _brute_force(values: Sequence[float]) -> tuple[GridSpec, int, _Check]:
+    """The check triple of the ratio's argmin (x, value) at each of ``values`` on BRUTE_FORCE_N uniform points."""
+    grid = GridSpec(DEFAULT_GRID.lo, DEFAULT_GRID.hi, BRUTE_FORCE_N, "uniform")
+    ratios = lambda terms: ((terms.ratio_at(a), "ratio") for a in values)
+    return grid, 1, _minima(ratios, lambda minima, n: [(x, v) for v, x, _ in minima])
 
 
 def _minimum_slacks(a: float, brute: tuple[float, float]) -> tuple[MinimumResult, tuple[float, ...]]:
@@ -568,15 +579,15 @@ def _interior_report(a: float, mono: VerificationReport, brute: tuple[float, flo
 
 
 def _claim_interior_minimum(values: Sequence[float], grid: GridSpec) -> _Plan:
-    finish = lambda monos, argmins: [_interior_report(a, mono, brute) for a, mono, brute in zip(values, monos, argmins)]
-    return _Plan(grid, tuple(_monotonicity_check(a) for a in values), overlap=1, brute=tuple(values), finish=finish)
+    finish = lambda results: [_interior_report(a, mono, brute) for a, mono, brute in zip(values, results[:-1], results[-1])]
+    return _Plan((*((grid, 1, _monotonicity_check(a)) for a in values), _brute_force(values)), finish)
 
 
 def _claim_minimum_floor(values: Sequence[float], grid: None) -> _Plan:
-    def finish(results: list, argmins: list) -> list[VerificationReport]:
+    def finish(results: list) -> list[VerificationReport]:
         labels = ("residual", "floor", "below endpoint limits", "brute-force x0", "brute-force value")
         checks: list[tuple[float, float, str]] = []
-        for av, brute in zip(values, argmins):
+        for av, brute in zip(values, results[0]):
             _, slacks = _minimum_slacks(av, brute)
             checks.extend((slack, av, f"{label} at a={av:.6g}") for slack, label in zip(slacks, labels))
         return [
@@ -586,29 +597,18 @@ def _claim_minimum_floor(values: Sequence[float], grid: None) -> _Plan:
             )
         ]
 
-    return _Plan(grid, brute=tuple(values), finish=finish)
+    return _Plan((_brute_force(values),), finish)
 
 
 def _slack_plan(claim_id: str, head: list[tuple[float, float, str]], slacks: Callable[[_GridTerms], Iterable[tuple]],
-                samples: Callable[[int], int], notes: str, grid: GridSpec, overlap: int = 0) -> _Plan:
+                samples: Callable[[int], int], notes: str, grid: GridSpec) -> _Plan:
     """The plan of one composite report: the ``head`` sub-checks and sub-checks that are arrays of slacks on ``grid``.
 
-    ``slacks(terms)`` yields one block's (slack array, label) pairs, in the same order on every block.
-    Each array is reduced to its first-index minimum before the next is evaluated, and the blocks'
-    minima merge as ``_limits_check``'s extremes do.  The blocks overlap by ``overlap`` points, and
-    ``samples(n)`` counts the report's samples on n points.
+    ``slacks(terms)`` yields one block's (slack array, label) pairs to ``_minima``, and ``samples(n)``
+    counts the report's samples on n points.
     """
-
-    def block(terms: _GridTerms) -> tuple:
-        return terms.x.size - overlap, [_tightest(slack, terms.x, label) for slack, label in slacks(terms)]
-
-    def report(shares: list[tuple]) -> VerificationReport:
-        sizes, minima = zip(*shares)
-        # np.argmin over one sub-check's block minima picks its first-index minimum on the grid
-        merged = [per_block[int(np.argmin([m[0] for m in per_block]))] for per_block in zip(*minima)]
-        return _composite_report(claim_id, [*head, *merged], samples(sum(sizes) + overlap), notes)
-
-    return _Plan(grid, ((block, report),), overlap)
+    report = lambda minima, n: _composite_report(claim_id, [*head, *minima], samples(n), notes)
+    return _Plan(((grid, 1, _minima(slacks, report)),))
 
 
 def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> _Plan:
@@ -634,7 +634,7 @@ def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> _Plan:
         yield tol_r - np.diff(r), "gap strictly decreasing"
         yield r + tol_r, "gap positive"
 
-    return _slack_plan("aux-slope-limits", head, slacks, lambda n: 6 + 2 * n, "derivative-apparatus limits and shapes", grid, overlap=1)
+    return _slack_plan("aux-slope-limits", head, slacks, lambda n: 6 + 2 * n, "derivative-apparatus limits and shapes", grid)
 
 
 def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> _Plan:
@@ -658,7 +658,7 @@ def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> _Plan:
         yield np.diff(lo_g), "low root strictly increasing"
         yield np.diff(hi_g), "high root strictly increasing"
 
-    return _slack_plan("aux-quadratic-roots", head, slacks, lambda n: 204 + 2 * n, "roots of the slope quadratic", grid, overlap=1)
+    return _slack_plan("aux-quadratic-roots", head, slacks, lambda n: 204 + 2 * n, "roots of the slope quadratic", grid)
 
 
 def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> _Plan:
@@ -679,16 +679,16 @@ def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> _Plan:
 
 
 def _claim_sharp_dominance(values: Sequence[float], grid: GridSpec) -> _Plan:
-    return _Plan(grid, (_COMPARE,), finish=lambda results, argmins: list(results[0].reports))
+    return _Plan(((grid, 0, _COMPARE),), lambda results: list(results[0].reports))
 
 
 def _claim_gain_maximizer(values: Sequence[float], grid: GridSpec) -> list[VerificationReport]:
-    # every k-th point of the grid, read from its runs: one pass counts the points, one picks
-    k = max(1, sum(run.size for run in grid._runs()) // 100)
+    # every k-th point of the grid, read from its blocks: one pass counts the points, one picks
+    k = max(1, sum(x.size for x in _blocks(grid)) // 100)
     picks, start = [], 0
-    for run in grid._runs():
-        picks.append(run[-start % k :: k].copy())  # a view would keep the whole run
-        start += run.size
+    for x in _blocks(grid):
+        picks.append(x[-start % k :: k].copy())  # a view would keep the whole block
+        start += x.size
     xs = np.concatenate(picks)[:100]  # the 100-point default is its own subsample
     avals = np.linspace(A_STAR, TWO_SQRT2, 10_002)[1:-1]
     # the gain table one row at a time: each row's np.max is the whole table's row maximum
@@ -734,7 +734,7 @@ class Claim:
     """One registry row: ``check(values, grid)``, its default grid and the shape parameters it sweeps.
 
     ``check`` returns the claim's ``_Plan``.  ``plan(grid, a)``: a caller's grid replaces ``grid``, but a
-    uniform ``grid`` keeps its spacing and takes only the caller's n, and a None ``grid`` samples none.
+    uniform ``grid`` keeps its spacing and takes only the caller's n, and a None ``grid`` takes none.
     A given ``a`` replaces nonempty ``values``.  ``runner(grid, a)`` runs the claim alone.
     """
 
@@ -764,7 +764,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("classic-lower", "classical lower bound (constant 6) is strict on (0,1)", _claim_classic, DEFAULT_GRID),
     Claim("family-bracket", "two-sided family bound holds with the regime's constants", _each_a(_bounds_check), DEFAULT_GRID, BRACKET_A_VALUES),
     Claim("midregime-floor", "floor constant 8*(1-2/a^2) bounds arccos from below", _each_a(_floor_check), DEFAULT_GRID, FLOOR_A_VALUES),
-    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _each_a(_limits_check), replace(DEFAULT_GRID, n=200_000), BRACKET_A_VALUES),
+    Claim("endpoint-constants", "endpoint limits are attained, so the constants are best possible", _each_a(_limits_check, overlap=1), replace(DEFAULT_GRID, n=200_000), BRACKET_A_VALUES),
     Claim("regime-increasing", "ratio strictly increasing for a <= A_STAR", _each_a(_monotonicity_check, overlap=1), replace(DEFAULT_GRID, n=100_000), INCREASING_A_VALUES),
     Claim("regime-decreasing", "ratio strictly decreasing for a >= 2*sqrt(2)", _each_a(_monotonicity_check, overlap=1), replace(DEFAULT_GRID, n=100_000), DECREASING_A_VALUES),
     Claim("regime-interior-minimum", "unique interior minimum in the middle regime", _claim_interior_minimum, replace(DEFAULT_GRID, n=100_000), INTERIOR_A_VALUES),
@@ -800,10 +800,9 @@ def run_claims(
     claim's regime.
 
     The checks of all the claims are grouped by the grid and overlap each
-    claim resolves, and each group runs in one ``_sweep``; the brute-force
-    argmins are one batch.  Reports come in the order the claims were
-    selected, registry order when ids is None.  One claim runs through
-    its ``Claim.runner``.
+    names, and each group runs in one ``_sweep``.  Reports come in the order
+    the claims were selected, registry order when ids is None.  One claim
+    runs through its ``Claim.runner``.
     """
     regime = None if a is None else classify_regime(a)
     if ids is None:

@@ -385,6 +385,18 @@ class TestGridArgmin:
         assert bval == float(vals[i])
 
 
+def test_grid_argmin_above_the_grid_cap_raises_before_any_point(monkeypatch):
+    # grid_argmin's n follows GridSpec's rule, so an oversize grid is refused before a point is built
+    def refuse(grid):
+        raise AssertionError("a grid point was built")
+
+    monkeypatch.setattr(ab.GridSpec, "_runs", refuse)
+    with pytest.raises(DomainError, match="MAX_GRID_POINTS"):
+        ab.grid_argmin(2.7, grids.MAX_GRID_POINTS + 1)
+    with pytest.raises(ValueError):
+        ab.grid_argmin(2.7, 1)
+
+
 def test_interior_minimum_has_one_difference_sign_change():
     x = np.linspace(1e-9, 1.0 - 1e-9, 100_000)
     for a in (2.7, 2.75, 2.8):

@@ -1,7 +1,9 @@
 import dataclasses
 import inspect
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +155,15 @@ def test_blocks_concatenate_to_the_points(block, lo, width, n, spacing):
         assert [x[0] for x in blocks] == pts[::block][: len(blocks)].tolist()
         # the blocks without their overlap concatenate to points()
         assert np.concatenate([x[:block] for x in blocks[:-1]] + [blocks[-1]]).tobytes() == pts.tobytes()
+
+
+def test_grids_are_built_only_in_the_grids_module():
+    # GridSpec._runs is the one construction path, which the tests that count grid builds hook
+    src = Path(ab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "grids.py":
+            calls = re.findall(r"\b(_runs|_spans|_linspace|_offsets)\(", path.read_text(encoding="utf-8"))
+            assert calls == [], path.name
 
 
 @pytest.mark.parametrize("block", [1000, 1 << 14])

@@ -22,7 +22,7 @@ from conftest import worst_ulp
 from mpmath import mp
 
 import arcbounds as ab
-from arcbounds import analysis, grids, sharp, verify
+from arcbounds import grids, sharp, verify
 from arcbounds.grids import GridSpec, _blocks, _GridTerms
 from arcbounds.verify import (
     BRACKET_A_VALUES,
@@ -116,41 +116,38 @@ def test_fresh_terms_equal_the_sweep_reports():
 
 def test_minimum_floor_batch_equals_per_parameter_argmins(monkeypatch):
     calls = Counter()
-    ratio = analysis.arccos_ratio
+    ratio = grids.arccos_ratio
 
     def counting_ratio(x):
         calls["ratio"] += 1
         return ratio(x)
 
-    monkeypatch.setattr(analysis, "arccos_ratio", counting_ratio)
+    monkeypatch.setattr(grids, "arccos_ratio", counting_ratio)
     batched = run_claims(["minimum-floor"])
-    # one arccos ratio per chunk for all 20 parameters, not one per parameter
-    assert calls["ratio"] == math.ceil(BRUTE_FORCE_N / grids._BLOCK)
-    monkeypatch.setattr(verify, "_grid_argmins", lambda values, n: [ab.grid_argmin(a, n) for a in values])
-    single = run_claims(["minimum-floor"])
+    # one arccos ratio per block of the brute-force grid for all 20 parameters, not one per parameter
+    assert calls["ratio"] == math.ceil((BRUTE_FORCE_N - 1) / grids._BLOCK)
+    plan = verify._CLAIM_INDEX["minimum-floor"].plan(None, None)
+    single = plan.finish([[ab.grid_argmin(a, BRUTE_FORCE_N) for a in verify.MINIMUM_A_VALUES]])
     assert [_bits(r) + (r.notes,) for r in batched] == [_bits(r) + (r.notes,) for r in single]
     assert batched[0].passed and batched[0].samples == 20 * BRUTE_FORCE_N
 
 
-def test_batched_argmin_equals_single_calls_and_direct_numpy(monkeypatch):
+@pytest.mark.parametrize("block", [7, grids._BLOCK])
+def test_brute_force_check_equals_grid_argmin_and_direct_numpy(monkeypatch, block):
     values = [2.66, 2.7, 2.75, 2.8, 2.828]
     n = 20_001
-    batch = analysis._grid_argmins(values, n)
-    assert batch == [ab.grid_argmin(a, n) for a in values]
-    monkeypatch.setattr(grids, "_BLOCK", 7)
-    assert analysis._grid_argmins(values, n) == batch
+    monkeypatch.setattr(verify, "BRUTE_FORCE_N", n)  # read when the check is built
+    oracle = [ab.grid_argmin(a, n) for a in values]
+    monkeypatch.setattr(grids, "_BLOCK", block)
+    grid, overlap, check = verify._brute_force(values)
+    assert (grid, overlap) == (GridSpec(1e-9, 1.0 - 1e-9, n, "uniform"), 1)
+    [got] = verify._sweep([check], grid, overlap)
+    assert got == oracle
     x = np.linspace(1e-9, 1.0 - 1e-9, n)
-    for a, (bx, bval) in zip(values, batch):
+    for a, (bx, bval) in zip(values, got):
         v = ab.bound_ratio(a, x)
         i = int(np.argmin(v))
         assert (bx, bval) == (float(x[i]), float(v[i]))
-
-
-def test_batched_argmin_checks_every_parameter():
-    with pytest.raises(ab.DomainError):
-        analysis._grid_argmins([2.7, math.nan], 101)
-    with pytest.raises(ValueError):
-        analysis._grid_argmins([2.7], 1)
 
 
 @pytest.fixture
@@ -254,7 +251,7 @@ BLOCKED_CLAIMS = [
 
 @pytest.mark.parametrize("block", [7, 1000])
 def test_block_size_keeps_every_report(monkeypatch, block):
-    # the brute-force argmin's chunking has its own test; a smaller one keeps 7-point blocks quick
+    # the brute-force check's block size has its own test; a smaller grid keeps 7-point blocks quick
     monkeypatch.setattr(verify, "BRUTE_FORCE_N", 20_001)
     reports, comparison = run_claims(BLOCKED_CLAIMS, grid=GRID), verify.compare_bounds(GRID)
     monkeypatch.setattr(grids, "_BLOCK", block)
@@ -270,29 +267,23 @@ def test_block_size_keeps_every_report(monkeypatch, block):
 )
 def test_grouped_run_equals_each_claim_alone(monkeypatch, grid):
     walks, runs = Counter(), GridSpec._runs
-    argmin_batches, argmins = [], verify._grid_argmins
 
     def counting_runs(self):
         walks[self] += 1
         return runs(self)
 
-    def recording_argmins(values, n):
-        argmin_batches.append(list(values))
-        return argmins(values, n)
-
     monkeypatch.setattr(GridSpec, "_runs", counting_runs)
-    monkeypatch.setattr(verify, "_grid_argmins", recording_argmins)
     grouped = run_claims(None, grid=grid)
-    grouped_walks, grouped_batches = dict(walks), list(argmin_batches)
+    grouped_walks = dict(walks)
     alone = [r for claim in verify.CLAIMS for r in run_claims([claim.claim_id], grid=grid)]
     assert _claim_bits(grouped) == _claim_bits(alone)
-    # regime-interior-minimum and minimum-floor share one pass over the brute-force grid
-    assert grouped_batches == [list(INTERIOR_A_VALUES) + list(verify.MINIMUM_A_VALUES)]
+    # regime-interior-minimum and minimum-floor share one pass over the brute-force grid, which no --n reaches
+    assert grouped_walks[GridSpec(1e-9, 1.0 - 1e-9, BRUTE_FORCE_N, "uniform")] == 1
     if grid is None:
         # classic-*, family-bracket, midregime-floor and sharp-dominance share one walk of DEFAULT_GRID; the 100k
-        # grid is walked by the overlap-1 group, aux-slope-limits' tolerance pass and aux-sign-regimes
+        # grid is walked by the overlap-1 group, aux-sign-regimes included, and aux-slope-limits' tolerance pass
         assert grouped_walks[ab.DEFAULT_GRID] == 1
-        assert grouped_walks[GridSpec(1e-9, 1.0 - 1e-9, 100_000)] == 3
+        assert grouped_walks[GridSpec(1e-9, 1.0 - 1e-9, 100_000)] == 2
 
 
 def _first_block_end(grid, overlap=0):
@@ -350,6 +341,40 @@ def test_margin_shares_merge_to_the_first_nan_and_the_first_minimum():
             assert (got.worst_x, got.samples, got.passed) == (whole.worst_x, whole.samples, whole.passed)
             assert got.worst_margin == whole.worst_margin or math.isnan(got.worst_margin) and math.isnan(whole.worst_margin)
             assert got.worst_x == float(x[int(np.argmin(margins))])
+
+
+def test_minima_merge_to_the_first_nan_and_the_first_minimum():
+    # _minima's blocks overlap by one point; -v is what _limits_check reduces for the grid maximum
+    x = np.linspace(0.1, 0.9, 12)
+    cases = [
+        [3.0, 1.0, 2.0, -1.0, 5.0, np.nan, 4.0, -2.0, np.nan, 0.5, 1.0, 2.0],  # NaN after a smaller value
+        [3.0, np.nan, 2.0, np.nan, 5.0, -7.0, 4.0, -7.0, 1.0, 0.5, 1.0, 2.0],  # a NaN in the first block
+        [3.0, -1.0, 2.0, -1.0, 5.0, 0.0, -1.0, 2.0, 3.0, -1.0, 1.0, 2.0],  # ties in several blocks
+        [0.0, 1.0, -0.0, 1.0, 0.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # signed zeros tie
+        [-0.0, 1.0, 0.0, -1.0, 0.0, -0.0, -1.0, 1.0, -0.0, 0.0, 1.0, -1.0],  # signed zeros at the extremes
+    ]
+    bits = lambda value, where: (np.float64(value).tobytes(), np.float64(where).tobytes())
+    block, report = verify._minima(lambda t: ((t.ratio_at(0), "v"), (-t.ratio_at(0), "-v")), lambda minima, n: (minima, n))
+    for v in map(np.array, cases):
+        lo, hi = int(np.argmin(v)), int(np.argmax(v))
+        want = [bits(v[lo], x[lo]), bits(-v[hi], x[hi])]
+        assert int(np.argmin(-v)) == hi
+        for ends in ([0, 12], [0, 4, 8, 12], [0, 1, 5, 6, 12], [0, 3, 7, 11, 12], [0, 2, 3, 4, 12]):
+            # each block holds its successor's first point
+            blocks = [_Values(x[s : e + 1], v[s : e + 1]) for s, e in zip(ends, ends[1:])]
+            minima, n = report([block(t) for t in blocks])
+            assert n == v.size and [bits(m, w) for m, w, _ in minima] == want
+            assert [label for _, _, label in minima] == ["v", "-v"]
+
+
+class _Values:
+    """Stand-in for a block's terms whose ratio is given values."""
+
+    def __init__(self, x, v):
+        self.x, self._v = x, v
+
+    def ratio_at(self, a):
+        return self._v
 
 
 class TestFreshGridPerCall:

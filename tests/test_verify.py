@@ -265,9 +265,9 @@ class TestRegistry:
     @pytest.mark.parametrize("spacing", ["refined", "uniform"])
     @pytest.mark.parametrize("claim", CLAIMS, ids=[c.claim_id for c in CLAIMS])
     def test_each_claim_samples_one_grid_by_the_override_rule(self, monkeypatch, claim, spacing):
-        # a uniform registry grid keeps its spacing and takes only the override's n;
-        # minimum-floor's brute force samples no GridSpec.  GridSpec._runs builds every grid,
-        # for points() and for the blocks of a sweep alike.
+        # a uniform registry grid keeps its spacing and takes only the override's n, and the
+        # brute-force grid of regime-interior-minimum and minimum-floor takes none of it.
+        # GridSpec._runs builds every grid, for points() and for the blocks of a sweep alike.
         sampled, runs = set(), GridSpec._runs
 
         def recording_runs(grid):
@@ -277,8 +277,11 @@ class TestRegistry:
         monkeypatch.setattr(GridSpec, "_runs", recording_runs)
         override = GridSpec(1e-9, 1.0 - 1e-9, 2001, spacing)
         run_claims([claim.claim_id], grid=override)
+        brute = GridSpec(1e-9, 1.0 - 1e-9, verify.BRUTE_FORCE_N, "uniform")
         if claim.claim_id == "minimum-floor":
-            assert (claim.grid, sampled) == (None, set())
+            assert (claim.grid, sampled) == (None, {brute})
+        elif claim.claim_id == "regime-interior-minimum":
+            assert sampled == {override, brute}
         elif claim.claim_id in ("aux-quadratic-roots", "scan-slice"):
             assert claim.grid.spacing == "uniform" and sampled == {replace(claim.grid, n=2001)}
         else:
