@@ -38,17 +38,19 @@ from .sharp import _block_lower_bounds, _block_upper_bounds
 
 __all__ = ["main", "emit_curve"]
 
-# Rows of CSV or JSON text built at once.  The kernel's temporaries take about 380 bytes a value, so
-# an 11-column piece of 512 rows peaks near 2 MB, and `bounds --full` at 5.2 MB of tracemalloc at any
-# n with a grid block's rows and terms.  1024 rows ran no faster and raised it to 6.7 MB.
+# Rows of CSV or JSON text built at once.  The kernel's temporaries take about 190 bytes a value, so
+# an 11-column piece of 512 rows peaks near 1.1 MB.  `bounds --full` peaks at 5.2 MB of tracemalloc at
+# any n, while a grid block's rows and terms are alive.  1024 rows wrote a 100,000-row curve about 6%
+# faster in process (min of 5) with twice the kernel's memory; that is not measured end to end.
 _CSV_BLOCK_ROWS = 512
 
-# Text buffer of one value before compaction, by byte column:
-#   0 sign | 1-5 "0.000" | 7 d0, 8-23 d1..d16 | 24 "." | 27 d0, 28-43 d1..d16 | 44-47 "e-XX" | 48 separator.
-# The first digit run gives the digits before the point, the second those after it (all 17 below 1).
-# Columns 6, 25, 26 and 49-51 are never kept: they align the 4-digit chunks for uint32 stores.
-_G17_WIDTH = 52
+# Text slot of one value before compaction: four uint64 words, 32 bytes, by byte:
+#   0 sign | 1-5 "0.000" | 6 d0 | 7 "." | 8-23 d1..d16 | 24 spill | 25-28 "e-XX" | 29 separator.
+# Below 10 the point is byte 7, or "0." with its zeros below 1.  From 10 up it goes after d_e inside
+# bytes 8-23, and d_e+1..d16 move up a byte, d16 into the spill byte.  Bytes 30 and 31 are never kept.
+_G17_WIDTH = 32
 _G17_E_MIN = -11  # the kernel's decimal exponents e run from here to 16: 0 <= 16 - e <= 27, so 5**(16 - e) < 2**63
+_G17_WORD0 = np.uint64(int.from_bytes(b"-0.000\0.", "little"))
 
 # glibc's malloc thresholds, which main sets once per process for _HEAP_VERBS.  glibc raises its own
 # only to the largest mmapped chunk freed so far; with every array one grid block's 128 KB they stay
@@ -140,29 +142,29 @@ def _g17_tables():
     """Constant tables of the ``%.17g`` kernel, built on first use so that importing the CLI does no work."""
     pow5 = np.uint64(5) ** np.arange(28, dtype=np.uint64)
     chunk = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    chunk_text = (chunk + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    chunk_zeros = (chunk == 0)[:, ::-1].cumprod(axis=1).sum(axis=1)  # trailing zeros of each 4-digit chunk
+    chunk_zeros = (chunk == 0)[:, ::-1].cumprod(axis=1).sum(axis=1).astype(np.uint8)  # trailing zeros of each 4-digit chunk
     exponents = np.arange(_G17_E_MIN, 17)
-    exp_text = np.frombuffer("".join(f"e{e:+03d}" for e in exponents).encode(), np.uint32)
-    template = np.zeros(_G17_WIDTH, np.uint8)
-    template[0:6] = np.frombuffer(b"-0.000", np.uint8)
-    template[24] = ord(".")
-    # Which columns a value keeps, by (exponent, trailing zeros among d1..d16, sign).
+    exp_word = np.frombuffer(b"".join(f"\0e{e:+03d}\0\0\0".encode() for e in exponents), np.uint64)  # bytes 25-28
+    # Which bytes a value keeps, by (exponent, trailing zeros among d1..d16, sign).
     e = exponents[:, None, None, None]
     zeros = np.arange(17)[:, None, None]
-    j = np.arange(17)  # digit index
+    r = np.arange(17)  # byte of the digit run, 8 + r; r = 16 is the spill byte
     sci = e < -4  # %g's rule: scientific below 1e-4 (and from 1e17, which the kernel never takes)
     point = np.where(sci, 0, e)  # last digit before the point; negative below 1
     last = np.maximum(16 - zeros, point)  # last digit kept: %g strips trailing zeros after the point
     keep = np.zeros((len(exponents), 17, 2, _G17_WIDTH), bool)
     keep[..., 0] = [False, True]
     keep[..., 1:6] = ~sci & (e < 0) & (np.arange(5) < 1 - e)  # "0." and the zeros after it, below 1
-    keep[..., 7:24] = j <= point
-    keep[..., 24:25] = (point >= 0) & (point < last)  # the point goes when no digit follows it
-    keep[..., 27:44] = (j > point) & (j <= last)
-    keep[..., 44:48] = sci
-    keep[..., 48] = True
-    return pow5, chunk_text, chunk_zeros, exp_text, template, keep.reshape(-1, _G17_WIDTH)
+    keep[..., 6] = True
+    keep[..., 7:8] = (point == 0) & (last > 0)  # the point goes when no digit follows it
+    # From 10 up the run reads d1..d_point, ".", d_point+1..d16 (see _csv_block_text); below, d1..d16.
+    keep[..., 8:25] = np.where(point > 0, (r < point) | ((r <= last) & (last > point)), r < last)
+    keep[..., 25:29] = sci
+    keep[..., 29] = True
+    keep = np.packbits(keep, axis=-1, bitorder="little").view(np.uint32).ravel()
+    # Source byte of run byte r for a point after d_e, in the slot's bytes 7-23 ("." and d1..d16).
+    shift = np.where(r < exponents[:, None], r + 1, np.where(r == exponents[:, None], 0, r))
+    return pow5, chunk_zeros, exp_word, keep, shift
 
 
 def _g17_quotient(m: np.ndarray, p: np.ndarray, s: np.ndarray):
@@ -191,19 +193,18 @@ def _g17_decimal(a: np.ndarray):
     for _ in range(2):
         k = 16 - e
         s = 53 - exp2 - k
-        if np.any((k < 0) | (k > 27) | (s < 1) | (s > 63)):
+        if k.min() < 0 or k.max() > 27 or s.min() < 1 or s.max() > 63:
             return None
         t, rem, half = _g17_quotient(m, pow5[k], s.astype(np.uint64))
         # Correct e from the truncated quotient, never the rounded one: 1e-07 is 9.99999999999999954e-08,
         # whose quotient at e = -7 rounds up to 10**16 but truncates below it, so e = -8 and the text
         # is 9.9999999999999995e-08.
-        off = (t >= 10**17).astype(np.int64) - (t < 10**16)
-        if not off.any():
+        if t.min() >= 10**16 and t.max() < 10**17:
             n = t + (rem + (t & 1) > half)  # round half to even
             # n = 10**17 would carry into the next exponent.  No double in range gets there: 17 digits
             # tell the doubles next to a power of ten from it.  A block that did would keep the % path.
-            return None if np.any(n == 10**17) else (e, n)
-        e += off
+            return None if n.max() == 10**17 else (e, n)
+        e += (t >= 10**17).astype(np.int64) - (t < 10**16)
     return None
 
 
@@ -214,30 +215,50 @@ def _csv_block_text(block: np.ndarray) -> str | None:
     """
     v = block.ravel()
     a = np.abs(v)
-    if not np.all((a > 0) & (a < np.inf)):
+    if not (a.min() > 0 and a.max() < np.inf):  # a nan fails both
         return None
     decimal = _g17_decimal(a)
     if decimal is None:
         return None
     e, n = decimal
-    _, chunk_text, chunk_zeros, exp_text, template, keep_table = _g17_tables()
-    lead, rest = np.divmod(n, 10**16)
-    high, low = np.divmod(rest.astype(np.int64), 10**8)
-    chunks = np.stack([*np.divmod(high, 10**4), *np.divmod(low, 10**4)], axis=1)  # d1..d16 in fours
-    zeros = chunk_zeros[chunks[:, 3]]
-    for j in (2, 1, 0):
-        zeros = np.where(zeros == 12 - 4 * j, zeros + chunk_zeros[chunks[:, j]], zeros)
-    buf = np.empty((*block.shape, _G17_WIDTH), np.uint8)
-    buf[:] = template
-    buf[:, :, 48] = np.frombuffer(b"," * (block.shape[1] - 1) + b"\n", np.uint8)
-    buf = buf.reshape(-1, _G17_WIDTH)
-    buf[:, 7] = buf[:, 27] = lead + ord("0")
-    words = buf.view(np.uint32)
-    words[:, 2:6] = words[:, 7:11] = chunk_text[chunks]
-    words[:, 11] = exp_text[e - _G17_E_MIN]
+    _, chunk_zeros, exp_word, keep_table, shift = _g17_tables()
+    slot = np.empty((*block.shape, 4), np.uint64)
+    separators = np.full(block.shape[1], np.uint64(ord(",") << 40))
+    separators[-1] = np.uint64(ord("\n") << 40)
+    np.bitwise_or(np.take(exp_word, e - _G17_E_MIN).reshape(block.shape), separators, out=slot[..., 3])
+    slot = slot.reshape(-1, 4)
+    lead = n // np.uint64(10**16)
+    n -= lead * np.uint64(10**16)
+    slot[:, 0] = ((lead + np.uint64(ord("0"))) << np.uint64(48)) | _G17_WORD0
+    # d1..d16 within two uint64 words, one per 8-digit half: split 4+4 into 32-bit lanes, 2+2 into 16-bit
+    # lanes and 1+1 into bytes, the leading part in the lower lane, so that the bytes read in print order.
+    run = np.empty((len(n), 2), np.uint64)
+    np.floor_divide(n, np.uint64(10**8), out=run[:, 0])
+    np.subtract(n, run[:, 0] * np.uint64(10**8), out=run[:, 1])
+    q = run // np.uint64(10**4)
+    run -= q * np.uint64(10**4)
+    run <<= np.uint64(32)
+    run |= q
+    chunk_zeros = np.take(chunk_zeros, run.view(np.uint32))  # of d1-d4, d5-d8, d9-d12, d13-d16
+    zeros = chunk_zeros[:, 3].astype(np.int64)
+    for j in (2, 1, 0):  # a chunk's zeros count while every chunk after it is all zeros
+        zeros += (zeros == 12 - 4 * j) * chunk_zeros[:, j]
+    for lane, div, mul, bits, mask in ((16, 100, 10486, 20, 0x7F_0000_007F), (8, 10, 103, 10, 0x000F_000F_000F_000F)):
+        q = run * np.uint64(mul)  # (v * mul) >> bits is v // div for every v below div**2
+        q >>= np.uint64(bits)
+        q &= np.uint64(mask)
+        run -= q * np.uint64(div)
+        run <<= np.uint64(lane)
+        run |= q
+    run |= np.uint64(0x3030_3030_3030_3030)
+    slot[:, 1:3] = run
+    text = slot.view(np.uint8)
+    moved = np.flatnonzero(e > 0)  # from 10 up the point goes after d_e, inside the run
+    if moved.size:
+        text[moved, 8:25] = np.take_along_axis(text[moved, 7:24], shift[e[moved] - _G17_E_MIN], axis=1)
     key = ((e - _G17_E_MIN) * 17 + zeros) * 2 + np.signbit(v)
-    keep = np.take(keep_table, key, axis=0)
-    return str(np.compress(keep.ravel(), buf.ravel()), "ascii")
+    keep = np.unpackbits(np.take(keep_table, key).view(np.uint8), bitorder="little").view(bool)
+    return str(text.ravel()[keep], "ascii")
 
 
 def _emit_array(header: Sequence[str], blocks: Iterable[np.ndarray], fmt: str, out) -> None:
@@ -247,8 +268,10 @@ def _emit_array(header: Sequence[str], blocks: Iterable[np.ndarray], fmt: str, o
     is built whole from the blocks' rows, because it needs every column's width first.  A JSON piece
     is one ``json.dumps`` of its rows without the brackets, joined to the next by ``",\\n"``.  A CSV
     piece goes through the exact ``%.17g`` kernel ``_csv_block_text`` when every value is a normal
-    double from 1e-11 to below 2**51 (every `bounds` column), and is otherwise one ``%`` of the row
-    template ``"%.17g,...,%.17g\\n"``: ``f"{v:.17g}"`` shares its formatter, and a number needs no quoting.
+    double from 1e-11 to below 2**51, and is otherwise one ``%`` of the row template
+    ``"%.17g,...,%.17g\\n"``: ``f"{v:.17g}"`` shares its formatter, and a number needs no quoting.
+    Every `bounds` column is in range except the family pair within about 1e-7 of a = -1, whose
+    lower bound near x = 1 falls below 1e-11.
     """
     if fmt == "table":
         _emit_rows(header, (row for block in blocks for row in block.tolist()), fmt, out)

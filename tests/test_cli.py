@@ -121,6 +121,19 @@ def percent_csv(block):
     return ((",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)) % tuple(block.ravel().tolist())
 
 
+def kernel_mismatch(block):
+    """None when the kernel takes ``block`` and writes ``percent_csv``'s text, else the first row that differs.
+
+    pytest's diff of two texts of a few hundred kB takes minutes, so a failure shows one row.
+    """
+    text, want = cli._csv_block_text(block), percent_csv(block)
+    if text == want:
+        return None
+    if text is None:
+        return "the % path"
+    return next(((k, got, row) for k, (got, row) in enumerate(zip(text.split("\n"), want.split("\n"))) if got != row), "length")
+
+
 def bounds_full_peak(fmt, n):
     """The tracemalloc peak of `bounds --full` to devnull, after a warm-up run."""
     argv = ["bounds", "--a", "1", "--n", str(n), "--full", "--format", fmt, "--out", os.devnull]
@@ -131,6 +144,31 @@ def bounds_full_peak(fmt, n):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def decimal_e_z(v):
+    """The decimal exponent of v's 17 digits and how many of d1..d16 are trailing zeros."""
+    mantissa, exponent = f"{abs(v):.16e}".split("e")
+    digits = mantissa.replace(".", "")
+    return int(exponent), len(digits) - len(digits.rstrip("0"))
+
+
+def short_double(e, z):
+    """The first double whose 17 digits are 17 - z significant ones at exponent e, or None."""
+    sig = 17 - z
+    for c in range(10 ** (sig - 1), 10**sig):
+        v = float(f"{c}e{e - sig + 1}")
+        if c % 10 and decimal_e_z(v) == (e, z):
+            return v
+    return None
+
+
+# Values whose %.17g text ends in zeros, which floats drawn at random rarely do: short decimals (their
+# nearest doubles, integers below 2**51 among them) and dyadic m/2**k.
+short_values = st.one_of(
+    st.builds(lambda c, p: float(f"{c}e{p}"), st.integers(1, 99_999), st.integers(-16, 15)),
+    st.builds(lambda m, k: m / 2**k, st.integers(1, 2**20), st.integers(0, 60)),
+).flatmap(lambda v: st.sampled_from([v, -v]))
 
 
 def csv_blocks(cols):
@@ -226,8 +264,24 @@ class TestBlockCsv:
         assert cli._csv_block_text(np.array([[1e-7, -1e-6]])) == "9.9999999999999995e-08,-9.9999999999999995e-07\n"
         assert taken >= 1_000_000
 
+    def test_every_exponent_and_trailing_zero_count(self):
+        # Each (e, z) with e from -11 to 15 and z trailing zeros among d1..d16, from 0 to 16, at its
+        # first short double; from e = 1 the point sits inside the digit run.  No double reaches
+        # d * 10**e with one digit d for e in -7..-5: 1e-07 prints 9.9999999999999995e-08.
+        found = {(e, z): short_double(e, z) for e in range(-11, 16) for z in range(17)}
+        assert [ez for ez, v in found.items() if v is None] == [(-7, 16), (-6, 16), (-5, 16)]
+        ints = [c * 10**j for c in (1, 7, 123, 98765, 2**33 + 1) for j in range(16) if c * 10**j < 2**51]
+        dyadic = [m / 2**k for m in (1, 3, 5, 11, 2**20 + 1, 2**40 + 3, 2**52 + 1) for k in range(90)]
+        values = np.array([v for v in [*found.values(), *ints, *dyadic] if v is not None])
+        values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+        values = values[(values > 1e-11) & (values < 2**51)]
+        assert {decimal_e_z(v) for v in values} == set(found) - {(-7, 16), (-6, 16), (-5, 16)}
+        values = np.concatenate([values, -values])
+        for block in (values.reshape(-1, 1), values[: len(values) // 9 * 9].reshape(-1, 9)):
+            assert kernel_mismatch(block) is None
+
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.floats(), st.floats(-1e15, 1e15)), min_size=1, max_size=12))
+    @given(st.lists(st.one_of(st.floats(), st.floats(-1e15, 1e15), short_values), min_size=1, max_size=12))
     def test_kernel_property(self, values):
         # pytest turns a RuntimeWarning into an error: the kernel must raise none, in range or out
         cols = np.array(values)
@@ -236,17 +290,36 @@ class TestBlockCsv:
             assert text is None or text == percent_csv(block)
 
     @pytest.mark.parametrize("grid", ["uniform", "refined"])
-    @pytest.mark.parametrize("a", [1.3, 2.7, 4.0])
+    @pytest.mark.parametrize("a", [1.3, 2.7, 4.0, -0.999999])
     def test_curve_takes_no_fallback_block(self, a, grid):
         # 20,001 rows span the same magnitudes as the benchmark's 100,000: the extremes sit at the grid's ends
         _, cols = emit_curve(a, 20_001, grid)
-        assert all(cli._csv_block_text(block) is not None for block in csv_blocks(cols))
+        assert a > 0 or cols.max() > 10  # from 10 up the kernel moves the point into the digit run
+        assert [m for m in map(kernel_mismatch, csv_blocks(cols)) if m] == []
+
+    def test_fallback_next_to_a_minus_one(self):
+        # within about 1e-7 of a = -1 the family lower bound near x = 1 falls below 1e-11
+        _, cols = emit_curve(-0.99999995, 2000, "refined")
+        assert [cli._csv_block_text(block) is None for block in csv_blocks(cols)] == [False, False, False, True]
 
     def test_fallback_block_mid_array(self):
         header, cols = emit_curve(2.7, 3 * cli._CSV_BLOCK_ROWS, "refined")
         cols[cli._CSV_BLOCK_ROWS + 5, 4] = math.nan
         assert [cli._csv_block_text(block) is None for block in csv_blocks(cols)] == [False, True, False]
         assert block_writer_csv(header, cols) == row_writer_csv(header, cols)
+
+    def test_kernel_peak_memory_per_value(self):
+        # One 512 x 11 piece: the 32-byte slots, their keep mask and the digit words read about 190
+        # bytes a value; the 52-byte layout with its np.compress pass read 380.
+        _, cols = emit_curve(2.7, cli._CSV_BLOCK_ROWS, "refined")
+        cli._csv_block_text(cols)  # warm-up: the constant tables are built on first use
+        tracemalloc.start()
+        try:
+            assert cli._csv_block_text(cols) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cols.size <= 256.0
 
     def test_peak_memory_per_row(self):
         # The peak is flat in n, 5.2 MB at 50,000 rows and at 200,000 (105 and 27 bytes a row): one
