@@ -3,10 +3,12 @@
 Verbs: eval, bounds, classify, minimize, verify, compare, scan.  Output is
 a human table on a terminal and CSV when piped (override with --format).
 CSV and JSON carry full binary64 round-trip precision; tables show six
-significant digits.  Exit status: 0 success, 1 verification failure,
-2 usage error or output that cannot be written, 3 domain error, 141
-(128 + SIGPIPE) when the reader of stdout closes the pipe early, as in
-``arcbounds bounds ... | head``.
+significant digits.  Every row list goes through one writer, ``_emit``,
+in pieces of rows; `compare`'s JSON object and `classify`'s one-line
+table are the two outputs that are not row lists.  Exit status: 0
+success, 1 verification failure, 2 usage error or output that cannot be
+written, 3 domain error, 141 (128 + SIGPIPE) when the reader of stdout
+closes the pipe early, as in ``arcbounds bounds ... | head``.
 
 For `verify` and `compare`, ``main`` raises glibc's mmap and trim
 thresholds once per process, so that the freed temporaries of one grid
@@ -38,10 +40,11 @@ from .sharp import _block_lower_bounds, _block_upper_bounds
 
 __all__ = ["main", "emit_curve"]
 
-# Rows of CSV or JSON text built at once.  The kernel's temporaries take about 190 bytes a value, so
-# an 11-column piece of 512 rows peaks near 1.1 MB.  `bounds --full` peaks at 5.2 MB of tracemalloc at
-# any n, while a grid block's rows and terms are alive.  1024 rows wrote a 100,000-row curve about 6%
-# faster in process (min of 5) with twice the kernel's memory; that is not measured end to end.
+# Rows of a `bounds` piece, which `_emit` turns into CSV or JSON text at once.  The kernel's
+# temporaries take about 190 bytes a value, so an 11-column piece of 512 rows peaks near 1.1 MB.
+# `bounds --full` peaks at 5.2 MB of tracemalloc at any n, while a grid block's rows and terms are
+# alive.  1024 rows wrote a 100,000-row curve about 6% faster in process (min of 5) with twice the
+# kernel's memory; that is not measured end to end.
 _CSV_BLOCK_ROWS = 512
 
 # Text slot of one value before compaction: four uint64 words, 32 bytes, by byte:
@@ -84,16 +87,16 @@ def emit_curve(a: float, n: int, grid: str = "refined") -> tuple[tuple[str, ...]
     Returns the column header and a float array with 11 columns and one row per
     grid sample, in strictly increasing x.
     """
-    header, blocks = _curve_blocks(a, n, grid, full=True)
-    cols, size = np.empty((n, len(header))), 0  # filled block by block: no second copy of the table
-    for block in blocks:
-        cols[size : size + len(block)] = block
-        size += len(block)
+    header, pieces = _curve_blocks(a, n, grid, full=True)
+    cols, size = np.empty((n, len(header))), 0  # filled piece by piece: no second copy of the table
+    for piece in pieces:
+        cols[size : size + len(piece)] = piece
+        size += len(piece)
     return header, cols[:size]
 
 
 def _curve_blocks(a: float, n: int, grid: str, full: bool) -> tuple[tuple[str, ...], Iterable[np.ndarray]]:
-    """The header and the row blocks of `bounds`, one per ``grids._blocks`` block, after checking the grid and ``a``."""
+    """The header and the row pieces of `bounds`, ``_CSV_BLOCK_ROWS`` rows of a grid block at most, after checking the grid and ``a``."""
     spec = replace(DEFAULT_GRID, n=n, spacing=grid)
     c_lower, c_upper = _constants(a)
 
@@ -107,7 +110,8 @@ def _curve_blocks(a: float, n: int, grid: str, full: bool) -> tuple[tuple[str, .
         a_star_up, carlson_up, best = _block_upper_bounds(terms)
         return np.column_stack((x, lower, np.maximum(lam, a_star_lo), a_star_lo, carlson_lo, lam, terms.arccos, a_star_up, carlson_up, best, upper))
 
-    return (CURVE_HEADER if full else ("x", "lower", "arccos", "upper")), map(block, _blocks(spec))
+    pieces = (rows[start : start + _CSV_BLOCK_ROWS] for rows in map(block, _blocks(spec)) for start in range(0, len(rows), _CSV_BLOCK_ROWS))
+    return (CURVE_HEADER if full else ("x", "lower", "arccos", "upper")), pieces
 
 
 def _fmt(value, digits: int) -> str:
@@ -116,25 +120,6 @@ def _fmt(value, digits: int) -> str:
     if isinstance(value, float):
         return f"{value:.{digits}g}"
     return str(value)
-
-
-def _emit_rows(header: Sequence[str], rows: Iterable[Sequence], fmt: str, out) -> None:
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
-        return
-    digits = 17 if fmt == "csv" else 6
-    text_rows = [[_fmt(v, digits) for v in row] for row in rows]
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(text_rows)
-        return
-    widths = [max(len(h), *(len(r[i]) for r in text_rows)) if text_rows else len(h) for i, h in enumerate(header)]
-    out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-    for row in text_rows:
-        out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
 @functools.cache
@@ -261,34 +246,43 @@ def _csv_block_text(block: np.ndarray) -> str | None:
     return str(text.ravel()[keep], "ascii")
 
 
-def _emit_array(header: Sequence[str], blocks: Iterable[np.ndarray], fmt: str, out) -> None:
-    """Rows of a stream of 2-D float blocks, byte for byte ``_emit_rows``'s of the blocks stacked.
+def _emit(header: Sequence[str], pieces: Iterable[Sequence[Sequence] | np.ndarray], fmt: str, out) -> None:
+    """Write rows, given as pieces that are each a list of rows or a 2-D float array, in one format.
 
-    CSV and JSON write each block as it comes, in pieces of ``_CSV_BLOCK_ROWS`` rows; a table's text
-    is built whole from the blocks' rows, because it needs every column's width first.  A JSON piece
-    is one ``json.dumps`` of its rows without the brackets, joined to the next by ``",\\n"``.  A CSV
+    JSON and CSV write each piece as it comes.  A JSON piece is one ``json.dumps`` of its rows without
+    the brackets, joined to the next by ``",\\n"``, so the text is one dump of every row.  A CSV array
     piece goes through the exact ``%.17g`` kernel ``_csv_block_text`` when every value is a normal
-    double from 1e-11 to below 2**51, and is otherwise one ``%`` of the row template
-    ``"%.17g,...,%.17g\\n"``: ``f"{v:.17g}"`` shares its formatter, and a number needs no quoting.
-    Every `bounds` column is in range except the family pair within about 1e-7 of a = -1, whose
-    lower bound near x = 1 falls below 1e-11.
+    double from 1e-11 to below 2**51; a piece it refuses, and every list piece, goes value by value
+    through ``_fmt`` and ``csv.writer``, whose ``f"{v:.17g}"`` shares the kernel's bytes.  Every
+    `bounds` column is in range except the family pair within about 1e-7 of a = -1, whose lower bound
+    near x = 1 falls below 1e-11.  A table is built whole, because it needs every column's width first.
     """
-    if fmt == "table":
-        _emit_rows(header, (row for block in blocks for row in block.tolist()), fmt, out)
-        return
-    pieces = (block[start : start + _CSV_BLOCK_ROWS] for block in blocks for start in range(0, len(block), _CSV_BLOCK_ROWS))
+
+    def rows(piece) -> Sequence[Sequence]:
+        return piece.tolist() if isinstance(piece, np.ndarray) else piece
+
     if fmt == "json":
-        out.write("[\n")
-        for i, piece in enumerate(pieces):
-            rows = [dict(zip(header, row)) for row in piece.tolist()]
-            out.write((",\n" if i else "") + json.dumps(rows, indent=2)[2:-2])
-        out.write("\n]\n")
+        sep = "[\n"
+        for piece in pieces:
+            if len(piece):
+                out.write(sep + json.dumps([dict(zip(header, row)) for row in rows(piece)], indent=2)[2:-2])
+                sep = ",\n"
+        out.write("[]\n" if sep == "[\n" else "\n]\n")
         return
-    csv.writer(out, lineterminator="\n").writerow(header)
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    for piece in pieces:
-        text = _csv_block_text(piece)
-        out.write((row * len(piece)) % tuple(piece.ravel().tolist()) if text is None else text)
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for piece in pieces:
+            text = _csv_block_text(piece) if isinstance(piece, np.ndarray) else None
+            if text is None:
+                writer.writerows([_fmt(v, 17) for v in row] for row in rows(piece))
+            else:
+                out.write(text)
+        return
+    text_rows = [[_fmt(v, 6) for v in row] for piece in pieces for row in rows(piece)]
+    widths = [max(len(h), *(len(r[i]) for r in text_rows)) if text_rows else len(h) for i, h in enumerate(header)]
+    for row in (header, *text_rows):
+        out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -387,11 +381,11 @@ def _run(args, out) -> int:
 
     if args.verb == "eval":
         value = bound_ratio(args.a, args.x)
-        _emit_rows(("a", "x", "value"), [(args.a, args.x, float(value))], fmt, out)
+        _emit(("a", "x", "value"), [[(args.a, args.x, float(value))]], fmt, out)
         return 0
 
     if args.verb == "bounds":
-        _emit_array(*_curve_blocks(args.a, args.n, args.grid, args.full), fmt, out)
+        _emit(*_curve_blocks(args.a, args.n, args.grid, args.full), fmt, out)
         return 0
 
     if args.verb == "classify":
@@ -399,22 +393,21 @@ def _run(args, out) -> int:
         if fmt == "table":
             out.write(regime.value + "\n")
         else:
-            _emit_rows(("a", "regime"), [(args.a, regime.value)], fmt, out)
+            _emit(("a", "regime"), [[(args.a, regime.value)]], fmt, out)
         return 0
 
     if args.verb == "minimize":
-        _emit_rows(tuple(f.name for f in fields(MinimumResult)), [astuple(find_minimum(args.a))], fmt, out)
+        _emit(tuple(f.name for f in fields(MinimumResult)), [[astuple(find_minimum(args.a))]], fmt, out)
         return 0
 
     if args.verb == "verify":
         if args.list:
-            rows = [(c.claim_id, c.description) for c in verify.CLAIMS]
-            _emit_rows(("claim_id", "description"), rows, fmt, out)
+            _emit(("claim_id", "description"), [[(c.claim_id, c.description) for c in verify.CLAIMS]], fmt, out)
             return 0
         ids = None if args.claims.strip() == "all" else [t.strip() for t in args.claims.split(",") if t.strip()]
         grid = None if args.n is None else replace(DEFAULT_GRID, n=args.n, spacing=args.grid or DEFAULT_GRID.spacing)
         reports = verify.run_claims(ids, grid=grid, a=args.a)
-        _emit_rows(verify.REPORT_HEADER, map(astuple, reports), fmt, out)
+        _emit(verify.REPORT_HEADER, [list(map(astuple, reports))], fmt, out)
         return 0 if all(r.passed for r in reports) else 1
 
     if args.verb == "compare":
@@ -422,7 +415,7 @@ def _run(args, out) -> int:
         if fmt == "json":
             out.write(json.dumps(asdict(result), indent=2) + "\n")
         else:
-            _emit_rows(verify.REPORT_HEADER, map(astuple, result.reports), fmt, out)
+            _emit(verify.REPORT_HEADER, [list(map(astuple, result.reports))], fmt, out)
             if fmt == "table":
                 out.write(f"crossovers: {', '.join(f'{c:.12g}' for c in result.crossovers)}\n")
                 out.write(f"lower argmax counts: {result.lower_argmax_counts}\n")
@@ -432,12 +425,12 @@ def _run(args, out) -> int:
     if args.verb == "scan":
         grid = replace(SCAN_GRID, n=args.n, spacing=args.grid)
         results = explore.scan_grid(*_scan_axes(args.alpha, args.beta, args.gamma), grid)
-        if fmt == "json":
-            out.write(json.dumps([r.to_dict() for r in results], indent=2) + "\n")
-        else:
-            header = ("alpha", "beta", "gamma", "verdict", "evidence_x", "margin")
-            rows = [(r.alpha, r.beta, r.gamma, r.verdict.value, r.evidence_x, r.margin) for r in results]
-            _emit_rows(header, rows, fmt, out)
+        # every field in JSON, the first six in CSV and the table; read from the attributes, because
+        # to_dict, asdict and astuple deep-copy each record
+        width = None if fmt == "json" else 6
+        header = tuple(f.name for f in fields(explore.ScanClassification))[:width]
+        rows = [(r.alpha, r.beta, r.gamma, r.verdict.value, r.evidence_x, r.margin, r.witness_down, r.witness_up, r.error, r.note)[:width] for r in results]
+        _emit(header, [rows], fmt, out)
         return 0
 
     raise AssertionError(f"unhandled verb {args.verb!r}")

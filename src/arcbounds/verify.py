@@ -106,6 +106,9 @@ MINIMUM_A_VALUES = tuple(float(v) for v in np.linspace(A_STAR, TWO_SQRT2, 22)[1:
 # quadratic turns positive next to x = 1, so the claim takes the next double toward 0.
 QUADRATIC_POSITIVE_A_VALUES = (TWO_SQRT2, 3.0)
 QUADRATIC_NEGATIVE_A_VALUES = (math.nextafter(-SQRT2, 0.0), 0.0, 1.0, 2.56)
+# aux-slope-limits' slacks: 4 ulp of the largest threshold p and 1 + |gap| on a grid.  Each lies in one
+# binade on any grid in (0, 1): p in (8/pi, 2*sqrt(2)), within [2, 4), and 1 + gap in [1, 3 - pi/2].
+_SLOPE_LIMITS_TOL = (float(_ulps(TWO_SQRT2)), float(_ulps(1.0)))
 
 
 @dataclass(frozen=True)
@@ -621,9 +624,7 @@ def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> _Plan:
         (1e-5 - abs(slope_threshold(1.0 - 1e-10) - TWO_SQRT2), 1.0 - 1e-10, "threshold right endpoint 2*sqrt(2)"),
         (1e-5 - abs(threshold_gap(1.0 - 1e-10)), 1.0 - 1e-10, "threshold gap vanishes at 1"),
     ]
-    # the tolerances come from the grid's largest values, so a first pass over the blocks finds them
-    tops = [(np.max(slope_threshold(x)), np.max(np.abs(threshold_gap(x)) + 1.0)) for x in _blocks(grid)]
-    tol_p, tol_r = (float(_ulps(np.max(top))) for top in zip(*tops))
+    tol_p, tol_r = _SLOPE_LIMITS_TOL
 
     def slacks(terms: _GridTerms) -> Iterable[tuple]:
         p = slope_threshold(terms.x)

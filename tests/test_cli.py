@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 import arcbounds as ab
 from arcbounds import cli, grids
 from arcbounds.cli import emit_curve, main
-from arcbounds.explore import MAX_SCAN_TRIPLES
+from arcbounds.explore import MAX_SCAN_TRIPLES, scan_grid
 from arcbounds.grids import MAX_GRID_POINTS, GridSpec
 from arcbounds.verify import REPORT_HEADER
 
@@ -111,14 +113,13 @@ class TestBounds:
         assert cols[0, 0] < cols[1, 0]
 
 
-def row_writer_csv(header, cols):
-    out = io.StringIO()
-    cli._emit_rows(header, cols.tolist(), "csv", out)
-    return out.getvalue()
-
-
 def percent_csv(block):
     return ((",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)) % tuple(block.ravel().tolist())
+
+
+def row_writer_csv(header, cols):
+    """The oracle of every CSV float array: the header, then `%` of each value."""
+    return ",".join(header) + "\n" + percent_csv(cols)
 
 
 def kernel_mismatch(block):
@@ -175,14 +176,18 @@ def csv_blocks(cols):
     return [cols[start : start + cli._CSV_BLOCK_ROWS] for start in range(0, len(cols), cli._CSV_BLOCK_ROWS)]
 
 
-def block_writer_csv(header, cols):
+def emitted(header, pieces, fmt):
     out = io.StringIO()
-    cli._emit_array(header, [cols], "csv", out)
+    cli._emit(header, pieces, fmt, out)
     return out.getvalue()
 
 
+def block_writer_csv(header, cols):
+    return emitted(header, csv_blocks(cols), "csv")
+
+
 class TestBlockCsv:
-    """The block writer's CSV equals the per-value writer's, byte for byte."""
+    """``_emit``'s CSV of a float array in pieces equals `%` of every value, byte for byte."""
 
     def test_special_values(self):
         values = [
@@ -342,11 +347,65 @@ class TestBlockCsv:
 def test_block_json_equals_one_dump(rows):
     header, cols = emit_curve(2.7, rows, "uniform")
     cols[rows // 2, 3], cols[rows // 2 + 1, 5], cols[rows // 2 + 2, 7] = math.nan, math.inf, -0.0
-    blocked, whole = io.StringIO(), io.StringIO()
-    cli._emit_array(header, [cols], "json", blocked)
-    cli._emit_rows(header, cols.tolist(), "json", whole)
-    assert blocked.getvalue() == whole.getvalue()
-    assert ": NaN," in whole.getvalue() and ": Infinity," in whole.getvalue() and ": -0.0," in whole.getvalue()
+    whole = json.dumps([dict(zip(header, row)) for row in cols.tolist()], indent=2) + "\n"
+    assert emitted(header, csv_blocks(cols), "json") == whole
+    assert ": NaN," in whole and ": Infinity," in whole and ": -0.0," in whole
+
+
+# Report rows whose fields need CSV quoting; float rows that the kernel takes (rows 0-1 and 3-5) and
+# refuses (row 2), so that each cut mixes the kernel and the per-value path differently.
+NOTE_ROWS = [
+    ("a", True, 3, 0.5, 1e-9, 'comma, and "quotes"'),
+    ("b", False, 0, -math.inf, math.nan, "plain"),
+    ("c,d", True, 10**6, 1.0 / 3.0, 1.0 - 2.0**-53, 'a "quoted" note'),
+    ("e", False, -1, -0.0, 5e-324, "line, with, commas"),
+]
+FLOAT_ROWS = np.array([[1e-9, 0.5, 3.0], [2.5e5, -7.0, 0.1], [math.nan, 1e300, -0.0], [1.0 / 3.0, 2.0, 1e-5], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+
+
+def cut(rows, parts):
+    """``rows`` as ``parts`` pieces, each non-empty."""
+    edges = np.linspace(0, len(rows), parts + 1).astype(int)
+    return [rows[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_emit_bytes_do_not_depend_on_the_pieces(fmt):
+    header = REPORT_HEADER
+    one = emitted(header, [NOTE_ROWS], fmt)
+    assert [emitted(header, cut(NOTE_ROWS, parts), fmt) for parts in (2, 3)] == [one, one]
+    if fmt == "csv":
+        assert list(csv.reader(io.StringIO(one))) == [list(header), *([cli._fmt(v, 17) for v in row] for row in NOTE_ROWS)]
+    if fmt == "json":
+        assert one == json.dumps([dict(zip(header, row)) for row in NOTE_ROWS], indent=2) + "\n"
+    # a float array gives the same bytes in array pieces, whole or cut, and in list pieces
+    header = ("p", "q", "r")
+    whole = emitted(header, [FLOAT_ROWS], fmt)
+    assert [emitted(header, cut(FLOAT_ROWS, parts), fmt) for parts in (2, 3)] == [whole, whole]
+    assert emitted(header, [FLOAT_ROWS.tolist()], fmt) == whole
+    if fmt == "csv":
+        assert whole == row_writer_csv(header, FLOAT_ROWS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_emit_without_rows(fmt):
+    assert emitted(("p", "q"), [], fmt) == emitted(("p", "q"), [[]], fmt) == {"csv": "p,q\n", "json": "[]\n", "table": "p  q\n"}[fmt]
+
+
+def test_rows_are_written_only_by_emit():
+    # _emit is the one writer of row lists: every csv.writer and json.dumps in the CLI sits in it, but
+    # for the dump of compare's JSON object, which is not a row list
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+
+    def owner(node):  # the innermost function around node
+        around = [f for f in funcs.values() if f.lineno <= node.lineno <= f.end_lineno]
+        return max(around, key=lambda f: f.lineno).name if around else "<module>"
+
+    uses = [(owner(n), ast.unparse(n)) for n in ast.walk(tree) if isinstance(n, ast.Attribute) and ast.unparse(n) in ("csv.writer", "json.dumps")]
+    assert sorted(name for f, name in uses if f == "_emit") == ["csv.writer", "json.dumps"]
+    assert [use for use in uses if use[0] != "_emit"] == [("_run", "json.dumps")]
+    assert "json.dumps(asdict(result), indent=2)" in ast.unparse(funcs["_run"])
 
 
 def _cli_subprocess_env():
@@ -651,6 +710,15 @@ class TestScan:
         results = json.loads(out)
         assert [r["verdict"] for r in results] == verdicts
         assert all("overflow or underflow" in r["error"] for r in results if r["verdict"] == "Error")
+
+    def test_json_equals_one_dump_of_the_records(self, capsys):
+        # every field of every record, byte for byte one dump of ScanClassification.to_dict: an
+        # overflow Error row, a singular triple and the NaN witnesses of a monotone verdict
+        code, out, err = run_cli(capsys, "scan", "--alpha", "0.5,1e308", "--beta", "0.5", "--gamma=-1.2,1.0", "--n", "2001", "--format", "json")
+        results = scan_grid([0.5, 1e308], [0.5], [-1.2, 1.0], replace(ab.SCAN_GRID, n=2001))
+        assert (code, err, out) == (0, "", json.dumps([r.to_dict() for r in results], indent=2) + "\n")
+        assert [r.verdict.value for r in results] == ["Error", "Increasing", "Error", "Error"]
+        assert "vanishes" in results[0].error and "overflow" in results[3].error and '"witness_down": NaN' in out
 
     def test_singular_triple_recorded(self, capsys):
         # the = form also takes a value that starts with a dash

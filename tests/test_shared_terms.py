@@ -281,9 +281,9 @@ def test_grouped_run_equals_each_claim_alone(monkeypatch, grid):
     assert grouped_walks[GridSpec(1e-9, 1.0 - 1e-9, BRUTE_FORCE_N, "uniform")] == 1
     if grid is None:
         # classic-*, family-bracket, midregime-floor and sharp-dominance share one walk of DEFAULT_GRID; the 100k
-        # grid is walked by the overlap-1 group, aux-sign-regimes included, and aux-slope-limits' tolerance pass
+        # grid is walked once, by the overlap-1 group, aux-slope-limits and aux-sign-regimes included
         assert grouped_walks[ab.DEFAULT_GRID] == 1
-        assert grouped_walks[GridSpec(1e-9, 1.0 - 1e-9, 100_000)] == 2
+        assert grouped_walks[GridSpec(1e-9, 1.0 - 1e-9, 100_000)] == 1
 
 
 def _first_block_end(grid, overlap=0):

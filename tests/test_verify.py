@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import arcbounds as ab
 from arcbounds import verify
-from arcbounds.cli import _emit_rows
+from arcbounds.cli import _emit
 from arcbounds.errors import DomainError
-from arcbounds.grids import GridSpec, _GridTerms
+from arcbounds.grids import GridSpec, _blocks, _GridTerms, _ulps
 from arcbounds.verify import (
     CLAIMS,
     REPORT_HEADER,
@@ -35,9 +35,9 @@ def whole_array(check, a, grid):
 
 
 def write_reports(reports, fmt: str) -> str:
-    """Reports as the CLI writes them: REPORT_HEADER rows through ``cli._emit_rows``."""
+    """Reports as the CLI writes them: one piece of REPORT_HEADER rows through ``cli._emit``."""
     buf = io.StringIO()
-    _emit_rows(REPORT_HEADER, map(astuple, reports), fmt, buf)
+    _emit(REPORT_HEADER, [list(map(astuple, reports))], fmt, buf)
     return buf.getvalue()
 
 
@@ -135,6 +135,21 @@ def test_pair_tol_is_4_ulp_of_each_side(pairs):
         scalars = [verify._pair_tol(float(u), float(v)) for u, v in zip(a, b)]
     assert got.tobytes() == want.tobytes()
     assert np.array(zero_d).tobytes() == np.array(scalars).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "refined"])
+@pytest.mark.parametrize(
+    "lo, hi, n",
+    [
+        (5e-324, 1.0 - 2.0**-53, 2), (5e-324, 1.0 - 2.0**-53, 200_000), (1e-9, 1.0 - 1e-9, 3), (1e-9, 1.0 - 1e-9, 16_385),
+        (5e-324, 1e-300, 100), (0.25, 0.75, 1000), (1.0 - 1e-6, 1.0 - 2.0**-53, 1000),
+    ],
+)
+def test_slope_limits_tolerances_equal_the_grid_maxima(lo, hi, n, spacing):
+    # aux-slope-limits' tolerances are 4 ulp of the grid's largest threshold and 1 + |gap|, which need
+    # no pass over the grid: each maximum stays in one binade, on grids out to either end of (0, 1)
+    tops = [(np.max(ab.slope_threshold(x)), np.max(np.abs(ab.threshold_gap(x)) + 1.0)) for x in _blocks(GridSpec(lo, hi, n, spacing))]
+    assert tuple(float(_ulps(np.max(top))) for top in zip(*tops)) == verify._SLOPE_LIMITS_TOL
 
 
 class TestVerifyMonotonicity:
