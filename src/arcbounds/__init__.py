@@ -12,7 +12,6 @@ from .analysis import (
     MinimumResult,
     bisect_sign_change,
     find_minimum,
-    grid_argmin,
     min_floor_gap,
     min_value_lower,
     slope_factor,
@@ -57,7 +56,6 @@ from .sharp import (
     best_pair,
     best_upper,
     carlson_pair,
-    lambda_kernel,
     lambda_lower,
     lower_gain,
     lower_gain_argmax,

@@ -30,7 +30,6 @@ once a sign change is in hand; speed is immaterial at this scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +50,6 @@ from .family import (
     bound_ratio,
     classify_regime,
 )
-from .grids import DEFAULT_GRID, GridSpec, _blocks
 
 __all__ = [
     "MinimumResult",
@@ -66,7 +64,6 @@ __all__ = [
     "find_minimum",
     "min_value_lower",
     "min_floor_gap",
-    "grid_argmin",
 ]
 
 
@@ -256,21 +253,3 @@ def min_value_lower(a: float) -> float:
         raise RegimeError(f"a = {a!r} is outside (A_STAR, 2*sqrt(2)]")
     return _floor(a)
 
-
-def grid_argmin(a: float, n: int) -> tuple[float, float]:
-    """Brute-force argmin of the ratio on np.linspace(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n), a uniform GridSpec.
-
-    Walks the grid's blocks of grids._BLOCK points to bound memory; ties
-    resolve to the smallest abscissa, so the result is independent of the
-    block size.  Each value is bound_ratio's (a + sqrt(1+x)) * arccos_ratio(x),
-    in that order.  n follows GridSpec's rule, 2 <= n <= MAX_GRID_POINTS.
-    """
-    grid = GridSpec(DEFAULT_GRID.lo, DEFAULT_GRID.hi, n, "uniform")
-    _check_finite_parameter(a)
-    best = (math.nan, math.inf)
-    for x in _blocks(grid):
-        vals = (a + np.sqrt(1.0 + x)) * arccos_ratio(x)
-        i = int(np.argmin(vals))
-        if vals[i] < best[1]:
-            best = (float(x[i]), float(vals[i]))
-    return best

@@ -426,7 +426,7 @@ def _run(args, out) -> int:
         grid = replace(SCAN_GRID, n=args.n, spacing=args.grid)
         results = explore.scan_grid(*_scan_axes(args.alpha, args.beta, args.gamma), grid)
         # every field in JSON, the first six in CSV and the table; read from the attributes, because
-        # to_dict, asdict and astuple deep-copy each record
+        # asdict and astuple deep-copy each record
         width = None if fmt == "json" else 6
         header = tuple(f.name for f in fields(explore.ScanClassification))[:width]
         rows = [(r.alpha, r.beta, r.gamma, r.verdict.value, r.evidence_x, r.margin, r.witness_down, r.witness_up, r.error, r.note)[:width] for r in results]

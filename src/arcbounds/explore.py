@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,9 +88,6 @@ class ScanClassification:
     witness_up: float = math.nan
     error: str = ""
     note: str = field(default=EVIDENCE_NOTE)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "verdict": self.verdict.value}
 
 
 def _check_finite(alpha: float, beta: float, gamma: float) -> None:

@@ -44,7 +44,6 @@ __all__ = [
     "ONE_PLUS_SQRT3",
     "A_CROSS",
     "SharpBounds",
-    "lambda_kernel",
     "lambda_lower",
     "best_upper",
     "a_star_pair",
@@ -82,13 +81,6 @@ class SharpBounds:
 def _lambda(arr: np.ndarray) -> np.ndarray:
     # One square root of the quotient keeps relative accuracy at both ends.
     return np.cos(np.arctan(np.sqrt((1.0 - arr) / (1.0 + arr))) / 3.0)
-
-
-def lambda_kernel(x):
-    """cos(arctan(sqrt((1-x)/(1+x))) / 3); strictly increasing from
-    cos(pi/12) to 1 on (0, 1).
-    """
-    return _scalar_like(x, _lambda(_check_open_unit(x)))
 
 
 def lambda_lower(x):
@@ -148,7 +140,7 @@ def lower_gain(a, x):
 
 
 def lower_gain_argmax(x):
-    """Maximizer of the gain over a: 2*sqrt(2)*lambda_kernel(x), inside (1+sqrt(3), 2*sqrt(2))."""
+    """Maximizer of the gain over a: 2*sqrt(2)*lambda(x), strictly increasing in x from 1+sqrt(3) to 2*sqrt(2)."""
     return _scalar_like(x, TWO_SQRT2 * _lambda(_check_open_unit(x)))
 
 

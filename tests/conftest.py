@@ -1,13 +1,20 @@
 """Shared independent oracles for the test suite.
 
 Everything here recomputes expected values from scratch (plain numpy or
-mpmath), independent of the package's own evaluation paths.
+mpmath), independent of the package's own evaluation paths. Two helpers
+are the exception: ``ratio_argmin`` reduces the package's ``bound_ratio``
+over one whole array, as the oracle of the blocked brute-force check, and
+``scan_record`` builds a scan record as ``scan --format json`` writes it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from mpmath import mp
+
+from arcbounds import bound_ratio
 
 
 def brute_force_argmin(a: float, n: int, lo: float = 1e-9, hi: float = 1.0 - 1e-9) -> tuple[float, float]:
@@ -25,6 +32,19 @@ def brute_force_argmin(a: float, n: int, lo: float = 1e-9, hi: float = 1.0 - 1e-
             best_val = float(vals[i])
             best_x = float(x[i])
     return best_x, best_val
+
+
+def ratio_argmin(a: float, n: int, lo: float = 1e-9, hi: float = 1.0 - 1e-9) -> tuple[float, float]:
+    """First-index argmin of bound_ratio(a, x) on the whole of x = np.linspace(lo, hi, n)."""
+    x = np.linspace(lo, hi, n)
+    vals = bound_ratio(a, x)
+    i = int(np.argmin(vals))
+    return float(x[i]), float(vals[i])
+
+
+def scan_record(r) -> dict:
+    """One scan record as ``scan --format json`` writes it: every field, the verdict by its value."""
+    return {**dataclasses.asdict(r), "verdict": r.verdict.value}
 
 
 def brute_force_extrema(a: float, n: int, lo: float = 1e-9, hi: float = 1.0 - 1e-9) -> tuple[float, float]:

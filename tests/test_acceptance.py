@@ -9,9 +9,11 @@ regime map is also asserted at both thresholds and at their neighbouring
 doubles inside the interval, so a threshold set too low or too high fails.
 """
 
+import importlib.util
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,14 +263,38 @@ def test_criterion_8_slice_consistency():
     assert not mismatches, mismatches
 
 
-def test_criterion_9_cli_verify_all(tmp_path):
-    out = tmp_path / "reports.json"
+@pytest.fixture(scope="module")
+def verify_all(tmp_path_factory):
+    """One `verify --claims all --format json` at the default grids: its exit code, its reports and its seconds."""
+    out = tmp_path_factory.mktemp("verify") / "reports.json"
     t0 = time.perf_counter()
     code = main(["verify", "--claims", "all", "--format", "json", "--out", str(out)])
     elapsed = time.perf_counter() - t0
-    reports = json.loads(out.read_text(encoding="utf-8"))
+    return code, json.loads(out.read_text(encoding="utf-8")), elapsed
+
+
+def test_criterion_9_cli_verify_all(verify_all):
+    code, reports, elapsed = verify_all
     ok = code == 0 and all(r["passed"] for r in reports) and elapsed < 120.0
     _line("criterion 9", ok, f"verify --claims all: exit {code}, {len(reports)} reports in {elapsed:.1f}s")
     assert code == 0
     assert all(r["passed"] for r in reports)
     assert elapsed < 120.0
+
+
+def _perfbench(name: str):
+    """A module of the benchmark in perfbench/, loaded from its file, without perfbench on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# A renamed claim would show in the benchmark only as failed certify operations or timers that read 0.
+def test_registry_ids_match_the_benchmark_tracer():
+    assert [c.claim_id for c in ab.CLAIMS] == list(_perfbench("tracer").CLAIM_IDS)
+
+
+def test_report_ids_match_the_benchmark_certify_oracle(verify_all):
+    assert [r["claim_id"] for r in verify_all[1]] == list(_perfbench("workloads").CERTIFY_CLAIM_IDS)

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 import arcbounds as ab
-from arcbounds import analysis, grids
+from arcbounds import analysis
 from arcbounds.analysis import _q, bisect_sign_change
 from arcbounds.errors import ConvergenceError, DomainError, RegimeError
 from arcbounds.family import _floor
@@ -364,37 +364,6 @@ def test_sampled_quadratic_sign_parameters_hold_exactly():
     for sign, values in ((1, QUADRATIC_POSITIVE_A_VALUES), (-1, QUADRATIC_NEGATIVE_A_VALUES)):
         for a in values:
             assert [sign * analysis._q(QSqrt2(Fraction(a)), s).sign() for s in (QSqrt2(Fraction(1)), root2)] == [1, 1], a
-
-
-class TestGridArgmin:
-    def test_chunking_invariant(self, monkeypatch):
-        a = 2.7
-        ref = ab.grid_argmin(a, 100_001)
-        monkeypatch.setattr(grids, "_BLOCK", 7_777)
-        alt = ab.grid_argmin(a, 100_001)
-        assert ref == alt
-
-    @pytest.mark.parametrize("a, n", [(2.75, 50_001), (3.0, 100_001), (4.0, 100_001)])
-    def test_matches_direct_numpy(self, a, n):
-        # a = 3 and 4 take their minimum at the grid's last point, which is hi itself
-        bx, bval = ab.grid_argmin(a, n)
-        x = np.linspace(1e-9, 1.0 - 1e-9, n)
-        vals = ab.bound_ratio(a, x)
-        i = int(np.argmin(vals))
-        assert bx == float(x[i])
-        assert bval == float(vals[i])
-
-
-def test_grid_argmin_above_the_grid_cap_raises_before_any_point(monkeypatch):
-    # grid_argmin's n follows GridSpec's rule, so an oversize grid is refused before a point is built
-    def refuse(grid):
-        raise AssertionError("a grid point was built")
-
-    monkeypatch.setattr(ab.GridSpec, "_runs", refuse)
-    with pytest.raises(DomainError, match="MAX_GRID_POINTS"):
-        ab.grid_argmin(2.7, grids.MAX_GRID_POINTS + 1)
-    with pytest.raises(ValueError):
-        ab.grid_argmin(2.7, 1)
 
 
 def test_interior_minimum_has_one_difference_sign_change():

@@ -23,6 +23,7 @@ from arcbounds.cli import emit_curve, main
 from arcbounds.explore import MAX_SCAN_TRIPLES, scan_grid
 from arcbounds.grids import MAX_GRID_POINTS, GridSpec
 from arcbounds.verify import REPORT_HEADER
+from conftest import scan_record
 
 
 def run_cli(capsys, *argv):
@@ -712,11 +713,11 @@ class TestScan:
         assert all("overflow or underflow" in r["error"] for r in results if r["verdict"] == "Error")
 
     def test_json_equals_one_dump_of_the_records(self, capsys):
-        # every field of every record, byte for byte one dump of ScanClassification.to_dict: an
+        # every field of every record, byte for byte one dump of the records: an
         # overflow Error row, a singular triple and the NaN witnesses of a monotone verdict
         code, out, err = run_cli(capsys, "scan", "--alpha", "0.5,1e308", "--beta", "0.5", "--gamma=-1.2,1.0", "--n", "2001", "--format", "json")
         results = scan_grid([0.5, 1e308], [0.5], [-1.2, 1.0], replace(ab.SCAN_GRID, n=2001))
-        assert (code, err, out) == (0, "", json.dumps([r.to_dict() for r in results], indent=2) + "\n")
+        assert (code, err, out) == (0, "", json.dumps([scan_record(r) for r in results], indent=2) + "\n")
         assert [r.verdict.value for r in results] == ["Error", "Increasing", "Error", "Error"]
         assert "vanishes" in results[0].error and "overflow" in results[3].error and '"witness_down": NaN' in out
 

@@ -21,6 +21,7 @@ from arcbounds.explore import (
     scan_grid,
 )
 from arcbounds.grids import SCAN_GRID, GridSpec
+from conftest import scan_record
 
 
 class TestGeneralizedRatio:
@@ -112,7 +113,6 @@ class TestClassifyFamily:
     def test_note_marks_evidence(self):
         result = classify_family(0.5, 0.5, 0.0)
         assert "evidence" in result.note
-        assert "evidence" in result.to_dict()["note"]
 
 
 T = SIGN_THRESHOLD
@@ -220,8 +220,8 @@ class TestScanGrid:
 
     def test_determinism(self):
         g = GridSpec(1e-4, 1.0 - 1e-4, 501, "uniform")
-        first = [r.to_dict() for r in scan_grid([0.5], [0.5], [0.0, 2.7], g)]
-        second = [r.to_dict() for r in scan_grid([0.5], [0.5], [0.0, 2.7], g)]
+        first = [scan_record(r) for r in scan_grid([0.5], [0.5], [0.0, 2.7], g)]
+        second = [scan_record(r) for r in scan_grid([0.5], [0.5], [0.0, 2.7], g)]
         assert first == second
 
     # on SCAN_GRID log|F| overflows binary64: alpha*log1p(-x) for a huge alpha, (1+x)**beta for a huge beta
@@ -257,7 +257,7 @@ def test_scan_equals_per_triple_classification():
         scanned = scan_grid(alphas, betas, gammas, grid)
         reference = _per_triple_scan(alphas, betas, gammas, grid)
         # JSON text compares NaN fields as equal and every float bit for bit
-        assert json.dumps([r.to_dict() for r in scanned]) == json.dumps([r.to_dict() for r in reference])
+        assert json.dumps([scan_record(r) for r in scanned]) == json.dumps([scan_record(r) for r in reference])
         seen |= {r.verdict for r in scanned}
         seen |= {r.error.split(" ")[0] for r in scanned if r.error}
     assert seen >= set(Verdict) | {"alpha", "beta", "gamma", "family"}

@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import worst_ulp
+from conftest import ratio_argmin, worst_ulp
 from mpmath import mp
 
 import arcbounds as ab
@@ -98,7 +98,7 @@ def test_composite_reports_equal_direct_evaluation():
     got = run_claims(["endpoint-constants", "regime-interior-minimum"], grid=GRID)
     expected = [_one_block(verify._limits_check, a, _DirectTerms(GRID)) for a in BRACKET_A_VALUES]
     expected += [
-        verify._interior_report(a, _one_block(verify._monotonicity_check, a, _DirectTerms(GRID)), ab.grid_argmin(a, BRUTE_FORCE_N))
+        verify._interior_report(a, _one_block(verify._monotonicity_check, a, _DirectTerms(GRID)), ratio_argmin(a, BRUTE_FORCE_N))
         for a in INTERIOR_A_VALUES
     ]
     assert [_bits(r) + (r.notes,) for r in got] == [_bits(r) + (r.notes,) for r in expected]
@@ -127,27 +127,34 @@ def test_minimum_floor_batch_equals_per_parameter_argmins(monkeypatch):
     # one arccos ratio per block of the brute-force grid for all 20 parameters, not one per parameter
     assert calls["ratio"] == math.ceil((BRUTE_FORCE_N - 1) / grids._BLOCK)
     plan = verify._CLAIM_INDEX["minimum-floor"].plan(None, None)
-    single = plan.finish([[ab.grid_argmin(a, BRUTE_FORCE_N) for a in verify.MINIMUM_A_VALUES]])
+    single = plan.finish([[ratio_argmin(a, BRUTE_FORCE_N) for a in verify.MINIMUM_A_VALUES]])
     assert [_bits(r) + (r.notes,) for r in batched] == [_bits(r) + (r.notes,) for r in single]
     assert batched[0].passed and batched[0].samples == 20 * BRUTE_FORCE_N
 
 
-@pytest.mark.parametrize("block", [7, grids._BLOCK])
-def test_brute_force_check_equals_grid_argmin_and_direct_numpy(monkeypatch, block):
-    values = [2.66, 2.7, 2.75, 2.8, 2.828]
-    n = 20_001
+_MIDREGIME = [2.66, 2.7, 2.75, 2.8, 2.828]
+
+
+@pytest.mark.parametrize(
+    "values, n, block",
+    [
+        (_MIDREGIME, 20_001, 7),
+        (_MIDREGIME, 20_001, 7_777),
+        (_MIDREGIME, 20_001, grids._BLOCK),
+        # a = 3 and 4 take their minimum at the grid's last point, which is hi itself
+        ([2.75], 50_001, grids._BLOCK),
+        ([3.0], 100_001, grids._BLOCK),
+        ([4.0], 100_001, grids._BLOCK),
+    ],
+)
+def test_brute_force_check_equals_direct_numpy(monkeypatch, values, n, block):
     monkeypatch.setattr(verify, "BRUTE_FORCE_N", n)  # read when the check is built
-    oracle = [ab.grid_argmin(a, n) for a in values]
     monkeypatch.setattr(grids, "_BLOCK", block)
     grid, overlap, check = verify._brute_force(values)
     assert (grid, overlap) == (GridSpec(1e-9, 1.0 - 1e-9, n, "uniform"), 1)
     [got] = verify._sweep([check], grid, overlap)
-    assert got == oracle
-    x = np.linspace(1e-9, 1.0 - 1e-9, n)
-    for a, (bx, bval) in zip(values, got):
-        v = ab.bound_ratio(a, x)
-        i = int(np.argmin(v))
-        assert (bx, bval) == (float(x[i]), float(v[i]))
+    assert got == [ratio_argmin(a, n) for a in values]
+    assert all(x == 1.0 - 1e-9 for a, (x, _) in zip(values, got) if a > ab.TWO_SQRT2)
 
 
 @pytest.fixture

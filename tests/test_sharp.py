@@ -13,26 +13,6 @@ PI = math.pi
 PI_THIRD = 1.0471975511965979
 
 
-class TestLambdaKernel:
-    def test_frozen_values(self):
-        # arctan(1) = pi/4 at the left end, arctan(1/sqrt(3)) = pi/6 at 1/2
-        assert ab.lambda_kernel(1e-12) == pytest.approx(math.cos(PI / 12.0), rel=1e-12)
-        assert ab.lambda_kernel(0.5) == pytest.approx(0.9848077530122081, rel=1e-14)
-        assert ab.lambda_kernel(1.0 - 1e-12) == pytest.approx(1.0, abs=1e-6)
-
-    def test_range_and_monotonicity(self):
-        x = np.linspace(1e-9, 1.0 - 1e-9, 20_000)
-        lam = ab.lambda_kernel(x)
-        assert np.all(lam > math.cos(PI / 12.0) - 1e-15)
-        assert np.all(lam < 1.0)
-        assert np.all(np.diff(lam) > 0.0)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(DomainError):
-                ab.lambda_kernel(bad)
-
-
 class TestLambdaLower:
     def test_left_endpoint_value(self):
         got = ab.lambda_lower(1e-12)
@@ -111,7 +91,8 @@ class TestInstancePairs:
 
 class TestGainMaximizer:
     def test_argmax_limits(self):
-        assert abs(ab.lower_gain_argmax(1e-12) - ab.ONE_PLUS_SQRT3) < 1e-8
+        # 2*sqrt(2)*lambda(x), and lambda(0+) = cos(pi/12) because arctan(1) = pi/4
+        assert ab.lower_gain_argmax(1e-12) == pytest.approx(ab.ONE_PLUS_SQRT3, rel=1e-12)
         assert abs(ab.lower_gain_argmax(1.0 - 1e-12) - ab.TWO_SQRT2) < 1e-6
         assert ab.lower_gain_argmax(0.5) == pytest.approx(2.7854569612800758, rel=1e-14)
 
@@ -120,6 +101,15 @@ class TestGainMaximizer:
         am = ab.lower_gain_argmax(x)
         assert np.all(am > ab.ONE_PLUS_SQRT3 - 1e-12)
         assert np.all(am < ab.TWO_SQRT2)
+
+    def test_argmax_increases_strictly(self):
+        x = np.linspace(1e-9, 1.0 - 1e-9, 20_000)
+        assert np.all(np.diff(ab.lower_gain_argmax(x)) > 0.0)
+
+    def test_argmax_domain(self):
+        for bad in (0.0, 1.0, -0.2):
+            with pytest.raises(DomainError):
+                ab.lower_gain_argmax(bad)
 
     def test_closed_form_matches_composition(self):
         x = np.linspace(1e-6, 1.0 - 1e-6, 2_001)

@@ -2,7 +2,12 @@ import csv
 import io
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,3 +401,38 @@ def test_infinite_margin_fails_the_report():
     rep = _pointwise_report("synthetic-inf", [_margin_block(x, margins, np.zeros_like(x))])
     assert not rep.passed
     assert "1 samples beyond tolerance" in rep.notes
+
+
+def _verify_all_with_a_star_scaled(tmp_path, factor: float) -> subprocess.CompletedProcess:
+    """`verify --claims all` in a fresh process, on a copy of the package whose family.A_STAR is times ``factor``.
+
+    Every module imports A_STAR by value from family, so changing its one definition reaches them all.
+    """
+    copy = tmp_path / "arcbounds"
+    shutil.copytree(Path(ab.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    family = copy / "family.py"
+    definition = "A_STAR = 2.0 * (PI - 2.0) / (4.0 - PI)\n"
+    text = family.read_text(encoding="utf-8")
+    assert text.count(definition) == 1
+    family.write_text(text.replace(definition, f"{definition[:-1]} * {factor!r}\n"), encoding="utf-8")
+    argv = [sys.executable, "-m", "arcbounds.cli", "verify", "--claims", "all", "--out", os.devnull]
+    return subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)}, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        1.0 + 1e-4,
+        pytest.param(
+            1.0 - 1e-4,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="no sampled claim resolves the regime boundary from below: the interior minimum near A* sits at "
+                "x -> 0, beyond every grid; ROADMAP Direction 2's proof of the regime map closes this",
+            ),
+        ),
+    ],
+)
+def test_a_wrong_a_star_fails_verification(tmp_path, factor):
+    proc = _verify_all_with_a_star_scaled(tmp_path, factor)
+    assert (proc.returncode, proc.stderr) == (1, "")
