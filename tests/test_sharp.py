@@ -97,9 +97,10 @@ class TestGainMaximizer:
         assert ab.lower_gain_argmax(0.5) == pytest.approx(2.7854569612800758, rel=1e-14)
 
     def test_argmax_stays_inside_regime(self):
-        x = np.linspace(1e-9, 1.0 - 1e-9, 5_000)
+        # 2*sqrt(2)*(cos(pi/12) - 1e-15) is 1+sqrt(3) - 2.83e-15; 4e-15 adds one rounding step
+        x = np.linspace(1e-9, 1.0 - 1e-9, 20_000)
         am = ab.lower_gain_argmax(x)
-        assert np.all(am > ab.ONE_PLUS_SQRT3 - 1e-12)
+        assert np.all(am > ab.ONE_PLUS_SQRT3 - 4e-15)
         assert np.all(am < ab.TWO_SQRT2)
 
     def test_argmax_increases_strictly(self):
