@@ -15,7 +15,7 @@ distinguished shape parameter, evaluated through ``family.bound_arrays``
   at both endpoints and dominates every other upper bound here.
 * ``lambda_lower``  -- the pointwise-optimized middle-regime lower bound.
   For fixed x the gain (1 - 2/a**2)/(a + sqrt(1+x)) is maximized over a at
-  a = 2*sqrt(2)*lambda(x) with lambda(x) = cos(arctan(sqrt((1-x)/(1+x)))/3),
+  a = 2*sqrt(2)*lambda(x) with lambda(x) = cos(arccos(x)/6), the root in (cos(pi/12), 1) of 4*l**3 - 3*l = sqrt((1+x)/2),
   giving 2*(4*lambda**2 - 1)*sqrt(1-x) / ((2*sqrt(2)*lambda + sqrt(1+x)) * lambda**2),
   which is 8*sqrt(1-x) times the attained gain ``lower_gain_max``.
 
@@ -78,9 +78,9 @@ class SharpBounds:
     upper_best: float
 
 
-def _lambda(arr: np.ndarray) -> np.ndarray:
-    # One square root of the quotient keeps relative accuracy at both ends.
-    return np.cos(np.arctan(np.sqrt((1.0 - arr) / (1.0 + arr))) / 3.0)
+def _lambda(acx: np.ndarray) -> np.ndarray:
+    """lambda(x) from acx = arccos(x): one cos beyond libm's arccos."""
+    return np.cos(acx / 6.0)
 
 
 def lambda_lower(x):
@@ -141,7 +141,7 @@ def lower_gain(a, x):
 
 def lower_gain_argmax(x):
     """Maximizer of the gain over a: 2*sqrt(2)*lambda(x), strictly increasing in x from 1+sqrt(3) to 2*sqrt(2)."""
-    return _scalar_like(x, TWO_SQRT2 * _lambda(_check_open_unit(x)))
+    return _scalar_like(x, TWO_SQRT2 * _lambda(np.arccos(_check_open_unit(x))))
 
 
 def lower_gain_max(x):
@@ -152,12 +152,12 @@ def lower_gain_max(x):
     (4*lam**2 - 1)/(4*lam**2) at a = 2*sqrt(2)*lam.
     """
     arr = _check_open_unit(x)
-    return _scalar_like(x, _gain_max(arr, np.sqrt(1.0 + arr)))
+    return _scalar_like(x, _gain_max(np.arccos(arr), np.sqrt(1.0 + arr)))
 
 
-def _gain_max(arr: np.ndarray, sqrt_1px: np.ndarray) -> np.ndarray:
-    """``lower_gain_max`` of checked points ``arr``, given sqrt(1 + arr)."""
-    lam = _lambda(arr)
+def _gain_max(acx: np.ndarray, sqrt_1px: np.ndarray) -> np.ndarray:
+    """``lower_gain_max`` of checked points with arccos ``acx`` and sqrt(1 + x) ``sqrt_1px``."""
+    lam = _lambda(acx)
     lam2 = lam * lam
     return (4.0 * lam2 - 1.0) / (4.0 * lam2 * (TWO_SQRT2 * lam + sqrt_1px))
 
@@ -166,7 +166,7 @@ def _block_lower_bounds(terms: _GridTerms) -> tuple[np.ndarray, ...]:
     """(a-star lower, carlson lower, 1+sqrt(3) lower, lambda lower) on one block's terms: the bits of
     ``a_star_pair``, ``carlson_pair``, ``sqrt3_lower`` and ``lambda_lower``, in ``family._shape``'s operation order.
     """
-    lam = _gain_max(terms.x, terms.sqrt_1px) * 8.0 * terms.sqrt_1mx  # first: its temporaries outnumber the others'
+    lam = _gain_max(terms.arccos, terms.sqrt_1px) * 8.0 * terms.sqrt_1mx  # first: its temporaries outnumber the others'
     return (
         _constants(A_STAR)[0] * terms.shape(A_STAR),
         _CARLSON_CONSTANTS[0] * terms.shape(TWO_SQRT2),

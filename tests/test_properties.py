@@ -167,6 +167,13 @@ def test_grids_are_built_only_in_the_grids_module():
             assert calls == [], path.name
 
 
+def test_arccos_is_evaluated_only_through_arccos():
+    # lambda(x) = cos(arccos(x)/6) reads the arccos its caller holds; an arctan or arcsin form would be a second arccos path
+    src = Path(ab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert re.findall(r"\b(?:arctan2?|arcsin|atan2?|asin)\b", path.read_text(encoding="utf-8")) == [], path.name
+
+
 ROOT = Path(__file__).resolve().parents[1]
 # Exported names that nothing in src reads and the benchmark calls, each with the line that pins it.
 BENCHMARK_HOOKS = {"cli.emit_curve": "perfbench/tests/test_perfbench.py:174"}

@@ -91,7 +91,7 @@ class TestInstancePairs:
 
 class TestGainMaximizer:
     def test_argmax_limits(self):
-        # 2*sqrt(2)*lambda(x), and lambda(0+) = cos(pi/12) because arctan(1) = pi/4
+        # 2*sqrt(2)*lambda(x), and lambda(0+) = cos(pi/12) because lambda(x) = cos(arccos(x)/6) and arccos(0) = pi/2
         assert ab.lower_gain_argmax(1e-12) == pytest.approx(ab.ONE_PLUS_SQRT3, rel=1e-12)
         assert abs(ab.lower_gain_argmax(1.0 - 1e-12) - ab.TWO_SQRT2) < 1e-6
         assert ab.lower_gain_argmax(0.5) == pytest.approx(2.7854569612800758, rel=1e-14)
@@ -213,8 +213,13 @@ def _mp_best_upper(x):
     return mp.pi * (2 - mp.sqrt(2)) * mp.sqrt(1 - x) / ((4 - mp.pi) + (mp.pi - 2 * mp.sqrt(2)) * mp.sqrt(1 + x))
 
 
+def _mp_lambda(x):
+    # the paper's arctan form, the independent oracle of sharp._lambda's cos(arccos(x)/6)
+    return mp.cos(mp.atan(mp.sqrt((1 - x) / (1 + x))) / 3)
+
+
 def _mp_lambda_lower(x):
-    lam = mp.cos(mp.atan(mp.sqrt((1 - x) / (1 + x))) / 3)
+    lam = _mp_lambda(x)
     return 2 * (4 * lam**2 - 1) * mp.sqrt(1 - x) / ((2 * mp.sqrt(2) * lam + mp.sqrt(1 + x)) * lam**2)
 
 
@@ -255,3 +260,34 @@ def test_named_bound_ulp_error_against_mpmath(fn, exact_fn):
     xs = xs[(xs > 0.0) & (xs < 1.0)]
     worst = worst_ulp(fn(xs), exact_fn, xs)
     assert worst <= 4.0, f"{float(worst):.3f} ulp"
+
+
+def _lambda_sample() -> np.ndarray:
+    """The accuracy sample's points in (0, 1) plus points spaced geometrically toward 0."""
+    xs = accuracy_sample()
+    return np.concatenate([xs[(xs > 0.0) & (xs < 1.0)], np.geomspace(1e-300, 1e-2, 200)])
+
+
+def test_lambda_identities_at_50_digits():
+    # The arctan is arccos(x)/2, so lambda = cos(arccos(x)/6); by cos(3t) = 4*cos(t)**3 - 3*cos(t),
+    # 4*lam**3 - 3*lam = sqrt((1+x)/2), that is 2*sqrt(2)*lam + sqrt(1+x) = sqrt(2)*lam*(4*lam**2 - 1).
+    with mp.workdps(50):
+        for x in map(mp.mpf, _lambda_sample().tolist()):
+            lam = _mp_lambda(x)
+            assert abs(mp.cos(mp.acos(x) / 6) - lam) < mp.mpf(10) ** -48
+            r2 = mp.sqrt(2)
+            assert abs(2 * r2 * lam + mp.sqrt(1 + x) - r2 * lam * (4 * lam**2 - 1)) < mp.mpf(10) ** -47
+
+
+@pytest.mark.parametrize(
+    "fn, exact_fn, bound",
+    [
+        (ab.lower_gain_argmax, lambda x: 2 * mp.sqrt(2) * _mp_lambda(x), 2.0),
+        (ab.lower_gain_max, lambda x: _mp_lambda_lower(x) / (8 * mp.sqrt(1 - x)), 3.0),
+    ],
+    ids=["lower_gain_argmax", "lower_gain_max"],
+)
+def test_lambda_kernel_ulp_error_against_the_arctan_form(fn, exact_fn, bound):
+    xs = _lambda_sample()
+    worst = worst_ulp(fn(xs), exact_fn, xs, dps=50)
+    assert worst <= bound, f"{float(worst):.3f} ulp"
