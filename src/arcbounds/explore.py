@@ -16,13 +16,15 @@ witnesses and its margin.
 The (alpha, beta, gamma) = (1/2, 1/2, a) slice reproduces the bound
 family, so scanner verdicts there must agree with the regime map.
 
-Cost model.  A scan evaluates its transcendentals once per grid (the
-points, log arccos(x) and log1p(x)), once per alpha (alpha*log1p(-x)) and
-once per (alpha, beta) pair ((1+x)**beta).  Each gamma then costs one log
-and arithmetic on those arrays, so only one array per factor is alive
-whatever the box shape, plus a min and a max for the singularity test and
-an argmin and an argmax for the verdict.  classify_family runs the same
-per-gamma code on the terms of its single triple.
+Cost model.  A scan loops beta -> gamma -> alpha.  Its transcendentals run
+once per grid (the points, log arccos(x), log1p(x) and log1p(-x)) and
+once per beta ((1+x)**beta).  Each (beta, gamma) pair then costs one log,
+with the numerator's singularity test (a min and a max) and la =
+log|num| + log arccos(x) computed in the numerator's own array.  Each
+triple costs arithmetic, alpha*log1p(-x), la minus that and the forward
+differences, in two buffers allocated once per scan, plus an argmin and
+an argmax for the verdict.  So the arrays alive do not grow with the box.
+classify_family runs the same two stages on the terms of its one triple.
 """
 
 from __future__ import annotations
@@ -90,15 +92,15 @@ class ScanClassification:
     note: str = field(default=EVIDENCE_NOTE)
 
 
-def _check_finite(alpha: float, beta: float, gamma: float) -> None:
-    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+def _check_finite(**params: float) -> None:
+    for name, v in params.items():
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite")
 
 
-def _checked_numerator(beta: float, gamma: float, power: np.ndarray) -> np.ndarray:
-    """gamma + (1+x)**beta from power = (1+x)**beta; raises where it vanishes on x."""
-    num = gamma + power
+def _checked_numerator(beta: float, gamma: float, power: np.ndarray, out=None) -> np.ndarray:
+    """gamma + (1+x)**beta from power = (1+x)**beta, into ``out`` if given; raises where it vanishes on x."""
+    num = np.add(gamma, power, out=out)
     # without a strict sign change, min <= 0 <= max leaves a zero at min or max
     if num.min() <= 0.0 <= num.max():
         raise SingularFamilyError(
@@ -121,7 +123,7 @@ def generalized_ratio(alpha: float, beta: float, gamma: float, x):
     such a family.
     """
     arr = _check_open_unit(x)
-    _check_finite(alpha, beta, gamma)
+    _check_finite(alpha=alpha, beta=beta, gamma=gamma)
     flat = np.atleast_1d(arr)
     with np.errstate(**_OVERFLOW_CHECKED):
         num = _checked_numerator(beta, gamma, np.exp(beta * np.log1p(flat))).reshape(np.shape(arr))
@@ -133,29 +135,42 @@ def generalized_ratio(alpha: float, beta: float, gamma: float, x):
     return _scalar_like(x, value)
 
 
-def _alpha_factor(terms: _GridTerms, alpha: float) -> np.ndarray:
-    """alpha*log1p(-x), the log of (1-x)**alpha; _classify rejects a non-finite alpha."""
-    return alpha * np.log1p(-terms.x)
+def _power(terms: _GridTerms, beta: float, out=None) -> np.ndarray:
+    """(1+x)**beta, into ``out`` if given; _log_numerator rejects a non-finite beta."""
+    power = np.multiply(beta, terms.log1p_x, out=out)
+    return np.exp(power, out=power)
 
 
-def _power(terms: _GridTerms, beta: float) -> np.ndarray:
-    """(1+x)**beta; _classify rejects a non-finite beta."""
-    return np.exp(beta * terms.log1p_x)
+def _log_numerator(beta: float, gamma: float, terms: _GridTerms, power, out=None) -> tuple[np.ndarray, bool]:
+    """The (beta, gamma) stage: la = log|num| + log arccos(x), and whether num < 0.
 
-
-def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, factor, power) -> ScanClassification:
-    """Classify one triple from its grid's terms, alpha's factor and beta's power.
-
-    Only arithmetic and one log run here, in the order of a direct
-    evaluation of log|F| = (log|num| + log arccos) - factor.
+    num = gamma + (1+x)**beta from beta's power.  la is computed in num's
+    own array, ``out`` if given.  Raises DomainError for a non-finite beta
+    or gamma, then SingularFamilyError where num vanishes.
     """
-    _check_finite(alpha, beta, gamma)
-    num = _checked_numerator(beta, gamma, power)
-    x = terms.x
-    dlog = np.diff(np.log(np.abs(num)) + terms.log_arccos - factor)
+    _check_finite(beta=beta, gamma=gamma)
+    num = _checked_numerator(beta, gamma, power, out)
     # num is one-signed, and where F < 0 its monotonicity is reversed
-    if num[0] < 0.0:
-        dlog = -dlog
+    negative = bool(num[0] < 0.0)
+    la = np.log(np.abs(num, out=num), out=num)
+    la += terms.log_arccos
+    return la, negative
+
+
+def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, la, negative: bool, f, dlog) -> ScanClassification:
+    """The per-triple stage: classify one triple from its (beta, gamma) stage.
+
+    f (the grid's size) and dlog (one less) are work buffers.  The
+    arithmetic keeps the order of a direct evaluation of the differences of
+    log|F| = (log|num| + log arccos) - alpha*log1p(-x), so the bits are the
+    same.  The caller has checked alpha.
+    """
+    np.multiply(alpha, terms.log1p_mx, out=f)
+    np.subtract(la, f, out=f)
+    np.subtract(f[1:], f[:-1], out=dlog)
+    if negative:
+        np.negative(dlog, out=dlog)
+    x = terms.x
     # argmin and argmax return the first NaN, so both extremes are finite or log|F| is not
     i_down, i_up = int(np.argmin(dlog)), int(np.argmax(dlog))
     low, high = float(dlog[i_down]), float(dlog[i_up])
@@ -192,7 +207,13 @@ def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SC
     """
     terms = _GridTerms(_check_open_unit(grid.points()))
     with np.errstate(**_OVERFLOW_CHECKED):
-        return _classify(alpha, beta, gamma, terms, _alpha_factor(terms, alpha), _power(terms, beta))
+        _check_finite(alpha=alpha)
+        la, negative = _log_numerator(beta, gamma, terms, _power(terms, beta))
+        return _classify(alpha, beta, gamma, terms, la, negative, np.empty_like(la), np.empty(la.size - 1))
+
+
+def _failed(alpha: float, beta: float, gamma: float, exc: DomainError) -> ScanClassification:
+    return ScanClassification(alpha, beta, gamma, Verdict.ERROR, math.nan, math.nan, error=str(exc))
 
 
 def _check_box(*counts: int) -> None:
@@ -217,15 +238,26 @@ def scan_grid(
     alphas, betas, gammas = ([float(v) for v in axis] for axis in (alphas, betas, gammas))
     _check_box(len(alphas), len(betas), len(gammas))
     terms = _GridTerms(_check_open_unit(grid.points()))
-    results: list[ScanClassification] = []
+    power, num, f = (np.empty_like(terms.x) for _ in range(3))
+    dlog = np.empty(terms.x.size - 1)
+    results: list[ScanClassification | None] = [None] * (len(alphas) * len(betas) * len(gammas))
     with np.errstate(**_OVERFLOW_CHECKED):
-        for alpha in alphas:
-            factor = _alpha_factor(terms, alpha)
-            for beta in betas:
-                power = _power(terms, beta)
-                for gamma in gammas:
+        for j, beta in enumerate(betas):
+            _power(terms, beta, power)
+            for k, gamma in enumerate(gammas):
+                try:
+                    la, negative = _log_numerator(beta, gamma, terms, power, num)
+                    failure = None
+                except DomainError as exc:
+                    failure = exc
+                for i, alpha in enumerate(alphas):
                     try:
-                        results.append(_classify(alpha, beta, gamma, terms, factor, power))
+                        _check_finite(alpha=alpha)
+                        if failure is None:
+                            result = _classify(alpha, beta, gamma, terms, la, negative, f, dlog)
+                        else:
+                            result = _failed(alpha, beta, gamma, failure)
                     except DomainError as exc:
-                        results.append(ScanClassification(alpha, beta, gamma, Verdict.ERROR, math.nan, math.nan, error=str(exc)))
+                        result = _failed(alpha, beta, gamma, exc)
+                    results[(i * len(betas) + j) * len(gammas) + k] = result
     return results

@@ -242,6 +242,11 @@ class _GridTerms:
         return np.log1p(self.x)
 
     @cached_property
+    def log1p_mx(self) -> np.ndarray:
+        log1p_mx = np.negative(self.x)
+        return np.log1p(log1p_mx, out=log1p_mx)
+
+    @cached_property
     def log_arccos(self) -> np.ndarray:
         return np.log(self.arccos)
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from arcbounds.explore import (
     ScanClassification,
     Verdict,
     _classify,
+    _log_numerator,
     classify_family,
     generalized_ratio,
     scan_grid,
@@ -133,16 +135,19 @@ def _mask_rule(x, dlog):
 
 
 def _classify_differences(gamma, diffs, power=None):
-    """_classify on a stand-in grid whose log arccos has the given forward differences.
+    """The (beta, gamma) stage and _classify on a stand-in grid whose log arccos has the given forward differences.
 
-    With factor 0 and power 1, gamma = 0 or -2 gives |num| = 1, so the
+    With alpha 0 and power 1, gamma = 0 or -2 gives |num| = 1, so the
     differences of log|F| are those of the stand-in's log arccos.
     """
     log_arccos = np.concatenate(([0.0], np.cumsum(diffs)))
-    terms = SimpleNamespace(x=np.linspace(0.1, 0.9, log_arccos.size), log_arccos=log_arccos)
-    power = np.ones(log_arccos.size) if power is None else np.array(power)
+    x = np.linspace(0.1, 0.9, log_arccos.size)
+    terms = SimpleNamespace(x=x, log_arccos=log_arccos, log1p_mx=np.log1p(-x))
+    power = np.ones(x.size) if power is None else np.array(power)
     with np.errstate(**_OVERFLOW_CHECKED):
-        return _classify(0.0, 1.0, gamma, terms, 0.0, power), terms.x, np.diff(log_arccos)
+        la, negative = _log_numerator(1.0, gamma, terms, power)
+        result = _classify(0.0, 1.0, gamma, terms, la, negative, np.empty(x.size), np.empty(x.size - 1))
+    return result, x, np.diff(log_arccos)
 
 
 class TestVerdictRule:
@@ -261,6 +266,68 @@ def test_scan_equals_per_triple_classification():
         seen |= {r.verdict for r in scanned}
         seen |= {r.error.split(" ")[0] for r in scanned if r.error}
     assert seen >= set(Verdict) | {"alpha", "beta", "gamma", "family"}
+
+
+def _reference_triple(alpha, beta, gamma, x):
+    """One triple in the direct expression, apart from any scan loop: the record scan_grid must write."""
+    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if not math.isfinite(v):
+            return ScanClassification(alpha, beta, gamma, Verdict.ERROR, math.nan, math.nan, error=f"{name} must be finite")
+    num = gamma + np.exp(beta * np.log1p(x))
+    if num.min() <= 0.0 <= num.max():
+        error = f"family numerator gamma + (1+x)^beta vanishes on the sampled interval for beta={beta!r}, gamma={gamma!r}"
+        return ScanClassification(alpha, beta, gamma, Verdict.ERROR, math.nan, math.nan, error=error)
+    dlog = np.diff((np.log(np.abs(num)) + np.log(np.arccos(x))) - alpha * np.log1p(-x))
+    if num[0] < 0.0:
+        dlog = -dlog
+    if not np.isfinite(dlog).all():
+        error = f"family values overflow or underflow binary64 for alpha={alpha!r}, beta={beta!r}, gamma={gamma!r}"
+        return ScanClassification(alpha, beta, gamma, Verdict.ERROR, math.nan, math.nan, error=error)
+    verdict, evidence_x, margin, down, up = _mask_rule(x, dlog)
+    return ScanClassification(alpha, beta, gamma, verdict, float(evidence_x), float(margin), float(down), float(up))
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec(1e-4, 1.0 - 1e-4, 501, "uniform"), GridSpec(0.5 - 1e-14, 0.5 + 1e-14, 2, "uniform"), SCAN_GRID]
+)
+def test_scan_equals_the_direct_expression_bit_for_bit(grid):
+    # six alphas for every (beta, gamma): F < 0 for gamma = -9 and -3; singular numerators at gamma = -1 for
+    # beta = 0 on every grid and at gamma = -1.2 for beta = 1/2 on the wide ones, with a NaN alpha beside them;
+    # overflow at alpha = 1e308; non-finite beta and gamma
+    alphas = [0.5, 12.0, -60.0, math.nan, 1e308, 2.0]
+    betas = [0.0, 0.5, 2.0, math.inf]
+    gammas = [-9.0, -3.0, -1.2, -1.0, 0.0, 2.7, math.nan]
+    x = grid.points()
+    with np.errstate(**_OVERFLOW_CHECKED):
+        reference = [_reference_triple(*triple, x) for triple in itertools.product(alphas, betas, gammas)]
+    scanned = scan_grid(alphas, betas, gammas, grid)
+    # JSON text compares NaN fields as equal and every float bit for bit
+    assert json.dumps([scan_record(r) for r in scanned]) == json.dumps([scan_record(r) for r in reference])
+    # the alpha check comes before the (beta, gamma) pair's singular numerator
+    errors = [r.error.split(" ")[0] for r in scanned if r.beta == 0.0 and r.gamma == -1.0]
+    assert errors == ["family", "family", "family", "alpha", "family", "family"]
+    assert {r.verdict for r in scanned} >= {Verdict.ERROR, Verdict.INCREASING if grid.n > 2 else Verdict.UNDETERMINED}
+
+
+def _scan_peak_bytes(alphas, betas, gammas, grid):
+    scan_grid(alphas, betas, gammas, grid)  # warm-up: one-time first-call allocations are not counted below
+    tracemalloc.start()
+    try:
+        scan_grid(alphas, betas, gammas, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_does_not_grow_with_the_box():
+    # a cached array per alpha, per beta or per (beta, gamma) pair would add 8n bytes or more
+    grid = GridSpec(1e-6, 1.0 - 1e-6, 200_001, "uniform")
+    alphas = [float(v) for v in np.linspace(-0.9, 14.0, 12)]
+    betas = [0.5, 1.0, 2.0]
+    gammas = [-3.0, -1.2, -0.5, 0.0, 1.0, 2.5, 2.7, 4.0]
+    box = _scan_peak_bytes(alphas, betas, gammas, grid)
+    one = _scan_peak_bytes(alphas[:1], betas[:1], gammas[:1], grid)
+    assert box - one < 8 * grid.n
 
 
 def _mp_direction(alpha, beta, gamma, x0, x1):
