@@ -16,15 +16,15 @@ witnesses and its margin.
 The (alpha, beta, gamma) = (1/2, 1/2, a) slice reproduces the bound
 family, so scanner verdicts there must agree with the regime map.
 
-Cost model.  A scan loops beta -> gamma -> alpha.  Its transcendentals run
-once per grid (the points, log arccos(x), log1p(x) and log1p(-x)) and
+Cost model.  One loop, _scan, runs beta -> gamma -> alpha; classify_family
+is its one-triple case.  Its transcendentals run once per grid (the
+points, log arccos(x) in arccos's own array, log1p(x) and log1p(-x)) and
 once per beta ((1+x)**beta).  Each (beta, gamma) pair then costs one log,
 with the numerator's singularity test (a min and a max) and la =
 log|num| + log arccos(x) computed in the numerator's own array.  Each
 triple costs arithmetic, alpha*log1p(-x), la minus that and the forward
 differences, in two buffers allocated once per scan, plus an argmin and
-an argmax for the verdict.  So the arrays alive do not grow with the box.
-classify_family runs the same two stages on the terms of its one triple.
+an argmax.  So eight grid-sized arrays are alive, whatever the box.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularFamilyError
-from .family import _check_open_unit, _scalar_like, arccos_ratio
-from .grids import SCAN_GRID, GridSpec, _GridTerms
+from .family import _check_open_unit, _scalar_like, arccos_ratio, arccos_stable
+from .grids import SCAN_GRID, GridSpec
 
 __all__ = [
     "SIGN_THRESHOLD",
@@ -135,42 +135,35 @@ def generalized_ratio(alpha: float, beta: float, gamma: float, x):
     return _scalar_like(x, value)
 
 
-def _power(terms: _GridTerms, beta: float, out=None) -> np.ndarray:
-    """(1+x)**beta, into ``out`` if given; _log_numerator rejects a non-finite beta."""
-    power = np.multiply(beta, terms.log1p_x, out=out)
-    return np.exp(power, out=power)
-
-
-def _log_numerator(beta: float, gamma: float, terms: _GridTerms, power, out=None) -> tuple[np.ndarray, bool]:
+def _log_numerator(beta: float, gamma: float, log_arccos, power, out) -> tuple[np.ndarray, bool]:
     """The (beta, gamma) stage: la = log|num| + log arccos(x), and whether num < 0.
 
-    num = gamma + (1+x)**beta from beta's power.  la is computed in num's
-    own array, ``out`` if given.  Raises DomainError for a non-finite beta
-    or gamma, then SingularFamilyError where num vanishes.
+    num = gamma + (1+x)**beta from beta's power, computed in ``out``, which
+    then holds la.  Raises DomainError for a non-finite beta or gamma, then
+    SingularFamilyError where num vanishes.
     """
     _check_finite(beta=beta, gamma=gamma)
     num = _checked_numerator(beta, gamma, power, out)
     # num is one-signed, and where F < 0 its monotonicity is reversed
     negative = bool(num[0] < 0.0)
     la = np.log(np.abs(num, out=num), out=num)
-    la += terms.log_arccos
+    la += log_arccos
     return la, negative
 
 
-def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, la, negative: bool, f, dlog) -> ScanClassification:
-    """The per-triple stage: classify one triple from its (beta, gamma) stage.
+def _classify(alpha: float, beta: float, gamma: float, x, log1p_mx, la, negative: bool, f, dlog) -> ScanClassification:
+    """The per-triple stage: classify one triple on points ``x`` from its (beta, gamma) stage.
 
     f (the grid's size) and dlog (one less) are work buffers.  The
     arithmetic keeps the order of a direct evaluation of the differences of
     log|F| = (log|num| + log arccos) - alpha*log1p(-x), so the bits are the
     same.  The caller has checked alpha.
     """
-    np.multiply(alpha, terms.log1p_mx, out=f)
+    np.multiply(alpha, log1p_mx, out=f)
     np.subtract(la, f, out=f)
     np.subtract(f[1:], f[:-1], out=dlog)
     if negative:
         np.negative(dlog, out=dlog)
-    x = terms.x
     # argmin and argmax return the first NaN, so both extremes are finite or log|F| is not
     i_down, i_up = int(np.argmin(dlog)), int(np.argmax(dlog))
     low, high = float(dlog[i_down]), float(dlog[i_up])
@@ -194,6 +187,42 @@ def _classify(alpha: float, beta: float, gamma: float, terms: _GridTerms, la, ne
     return ScanClassification(verdict=Verdict.UNDETERMINED, evidence_x=math.nan, margin=max(abs(low), abs(high)), **common)
 
 
+def _scan(alphas, betas, gammas, grid: GridSpec, failed) -> list[ScanClassification]:
+    """The one loop over triples, beta -> gamma -> alpha, giving records row-major over (alpha, beta, gamma).
+
+    The grid is checked against (0, 1) before any term.  A triple's first
+    error, of alpha, beta or gamma, a singular numerator and then overflow,
+    goes to ``failed(alpha, beta, gamma, exc)``, which returns its record.
+    """
+    x = _check_open_unit(grid.points())
+    with np.errstate(**_OVERFLOW_CHECKED):
+        log_arccos = arccos_stable(x)
+        np.log(log_arccos, out=log_arccos)
+        log1p_x, log1p_mx = np.log1p(x), np.log1p(-x)
+        power, num, f = (np.empty_like(x) for _ in range(3))
+        dlog = np.empty(x.size - 1)
+        results: list[ScanClassification | None] = [None] * (len(alphas) * len(betas) * len(gammas))
+        for j, beta in enumerate(betas):
+            # (1+x)**beta; _log_numerator rejects a non-finite beta
+            np.exp(np.multiply(beta, log1p_x, out=power), out=power)
+            for k, gamma in enumerate(gammas):
+                try:
+                    la, negative = _log_numerator(beta, gamma, log_arccos, power, num)
+                    failure = None
+                except DomainError as exc:
+                    failure = exc
+                for i, alpha in enumerate(alphas):
+                    error = failure
+                    try:
+                        _check_finite(alpha=alpha)
+                        if error is None:
+                            result = _classify(alpha, beta, gamma, x, log1p_mx, la, negative, f, dlog)
+                    except DomainError as exc:
+                        error = exc
+                    results[(i * len(betas) + j) * len(gammas) + k] = result if error is None else failed(alpha, beta, gamma, error)
+    return results
+
+
 def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SCAN_GRID) -> ScanClassification:
     """Classify monotonicity of one triple from grid forward differences.
 
@@ -201,15 +230,17 @@ def classify_family(alpha: float, beta: float, gamma: float, grid: GridSpec = SC
     threshold with one sign; NonMonotone requires witnesses of both signs;
     everything else is Undetermined.  Prefer uniform grids: a refined grid
     makes near-endpoint differences legitimately sub-threshold, which
-    degrades monotone verdicts to Undetermined.  Raises DomainError when
-    log|F| or its differences overflow binary64 on the grid, and, before
-    any evaluation, when the grid leaves (0, 1).
+    degrades monotone verdicts to Undetermined.  This is scan_grid's loop on
+    one triple, which raises the error a scan would record: DomainError,
+    before any evaluation, when the grid leaves (0, 1), and when log|F| or
+    its differences overflow binary64 on the grid.
     """
-    terms = _GridTerms(_check_open_unit(grid.points()))
-    with np.errstate(**_OVERFLOW_CHECKED):
-        _check_finite(alpha=alpha)
-        la, negative = _log_numerator(beta, gamma, terms, _power(terms, beta))
-        return _classify(alpha, beta, gamma, terms, la, negative, np.empty_like(la), np.empty(la.size - 1))
+    [result] = _scan([alpha], [beta], [gamma], grid, _raise)
+    return result
+
+
+def _raise(alpha: float, beta: float, gamma: float, exc: DomainError) -> ScanClassification:
+    raise exc
 
 
 def _failed(alpha: float, beta: float, gamma: float, exc: DomainError) -> ScanClassification:
@@ -237,27 +268,4 @@ def scan_grid(
     """
     alphas, betas, gammas = ([float(v) for v in axis] for axis in (alphas, betas, gammas))
     _check_box(len(alphas), len(betas), len(gammas))
-    terms = _GridTerms(_check_open_unit(grid.points()))
-    power, num, f = (np.empty_like(terms.x) for _ in range(3))
-    dlog = np.empty(terms.x.size - 1)
-    results: list[ScanClassification | None] = [None] * (len(alphas) * len(betas) * len(gammas))
-    with np.errstate(**_OVERFLOW_CHECKED):
-        for j, beta in enumerate(betas):
-            _power(terms, beta, power)
-            for k, gamma in enumerate(gammas):
-                try:
-                    la, negative = _log_numerator(beta, gamma, terms, power, num)
-                    failure = None
-                except DomainError as exc:
-                    failure = exc
-                for i, alpha in enumerate(alphas):
-                    try:
-                        _check_finite(alpha=alpha)
-                        if failure is None:
-                            result = _classify(alpha, beta, gamma, terms, la, negative, f, dlog)
-                        else:
-                            result = _failed(alpha, beta, gamma, failure)
-                    except DomainError as exc:
-                        result = _failed(alpha, beta, gamma, exc)
-                    results[(i * len(betas) + j) * len(gammas) + k] = result
-    return results
+    return _scan(alphas, betas, gammas, grid, _failed)

@@ -200,12 +200,11 @@ def _ulps(v):
 
 
 class _GridTerms:
-    """The terms of points ``x`` in (0, 1) that depend on x alone.
+    """The terms of points ``x`` in (0, 1) that depend on x alone: the block terms of ``verify``, ``sharp`` and ``bounds``.
 
-    ``x`` is a whole grid for the scanner and one block of it for a
-    verification sweep; its caller has checked it against (0, 1).  Each
-    term is evaluated on first use and then shared by every shape
-    parameter of the sweep, or every triple of a scan.  The object caches
+    ``x`` is one block of a grid, and its caller has checked it against
+    (0, 1).  Each term is evaluated on first use and then shared by every
+    shape parameter of the block's checks or rows.  The object caches
     nothing beyond its own life, so a block's terms are freed with the
     block.  Elementwise kernels give the same bits on a slice as on the
     whole array, and ``shape`` and ``ratio_at`` keep the operation order of
@@ -236,19 +235,6 @@ class _GridTerms:
     @cached_property
     def ratio(self) -> np.ndarray:
         return arccos_ratio(self.x)
-
-    @cached_property
-    def log1p_x(self) -> np.ndarray:
-        return np.log1p(self.x)
-
-    @cached_property
-    def log1p_mx(self) -> np.ndarray:
-        log1p_mx = np.negative(self.x)
-        return np.log1p(log1p_mx, out=log1p_mx)
-
-    @cached_property
-    def log_arccos(self) -> np.ndarray:
-        return np.log(self.arccos)
 
     def shape(self, a: float) -> np.ndarray:
         """The bound template sqrt(1-x)/(a + sqrt(1+x))."""

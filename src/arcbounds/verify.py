@@ -22,9 +22,12 @@ grid's stream of runs; no claim but ``scan-slice`` (``grid.points()``)
 builds a whole grid, so peak memory does not grow with n.  One loop,
 ``_sweep``, runs every check on ``grids._GridTerms``, the blocks outside
 and the checks inside, so each block's terms that depend on x alone are
-evaluated once.  A check reduces each block to a small share (its
-violations, sign runs, crossover cells or first-index minima), and the
-shares merge in grid order.  One helper, ``_minima``, merges the first-index
+evaluated once.  The aux claims are the exception: they call
+``analysis``' public functions on ``terms.x``, so per point
+``aux-sign-regimes`` evaluates arccos 5 times and sqrt 17 times, and
+``aux-slope-limits`` arccos twice.  A check reduces each block to a small
+share (its violations, sign runs, crossover cells or first-index minima),
+and the shares merge in grid order.  One helper, ``_minima``, merges the first-index
 minima of ``endpoint-constants``, the aux claims and the brute-force argmin,
 on blocks that overlap by one point as checks on forward differences do.
 Each claim is a ``_Plan`` of (grid, overlap, check) triples, built before
@@ -504,7 +507,7 @@ def _run_plans(plans: Sequence[_Plan]) -> list[VerificationReport]:
     """The reports of ``plans``, in their order.
 
     One ``_sweep`` per (grid, overlap) runs the checks of every plan on that grid, so each grid and its
-    block terms are evaluated once.
+    block terms are evaluated once; the aux claims evaluate theirs again (see the module docstring).
     """
     groups: dict[tuple[GridSpec, int], list[_Check]] = {}
     for plan in plans:

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,11 +141,10 @@ def _classify_differences(gamma, diffs, power=None):
     """
     log_arccos = np.concatenate(([0.0], np.cumsum(diffs)))
     x = np.linspace(0.1, 0.9, log_arccos.size)
-    terms = SimpleNamespace(x=x, log_arccos=log_arccos, log1p_mx=np.log1p(-x))
     power = np.ones(x.size) if power is None else np.array(power)
     with np.errstate(**_OVERFLOW_CHECKED):
-        la, negative = _log_numerator(1.0, gamma, terms, power)
-        result = _classify(0.0, 1.0, gamma, terms, la, negative, np.empty(x.size), np.empty(x.size - 1))
+        la, negative = _log_numerator(1.0, gamma, log_arccos, power, np.empty(x.size))
+        result = _classify(0.0, 1.0, gamma, x, np.log1p(-x), la, negative, np.empty(x.size), np.empty(x.size - 1))
     return result, x, np.diff(log_arccos)
 
 
@@ -240,13 +238,16 @@ class TestScanGrid:
 
 
 def _per_triple_scan(alphas, betas, gammas, grid):
-    rows = []
+    """classify_family on each triple: the records scan_grid must write, and the class of each error raised (else None)."""
+    rows, classes = [], []
     for alpha, beta, gamma in itertools.product(alphas, betas, gammas):
         try:
             rows.append(classify_family(alpha, beta, gamma, grid))
+            classes.append(None)
         except DomainError as exc:
             rows.append(ScanClassification(alpha, beta, gamma, Verdict.ERROR, math.nan, math.nan, error=str(exc)))
-    return rows
+            classes.append(type(exc))
+    return rows, classes
 
 
 def test_scan_equals_per_triple_classification():
@@ -260,9 +261,17 @@ def test_scan_equals_per_triple_classification():
     seen = set()
     for grid in grids:
         scanned = scan_grid(alphas, betas, gammas, grid)
-        reference = _per_triple_scan(alphas, betas, gammas, grid)
+        reference, classes = _per_triple_scan(alphas, betas, gammas, grid)
         # JSON text compares NaN fields as equal and every float bit for bit
         assert json.dumps([scan_record(r) for r in scanned]) == json.dumps([scan_record(r) for r in reference])
+        # a singular numerator raises SingularFamilyError, and every other error a plain DomainError
+        assert {SingularFamilyError, DomainError} <= set(classes)
+        for row, cls in zip(reference, classes):
+            if row.error:
+                assert cls is (SingularFamilyError if "vanishes" in row.error else DomainError), row
+        # beta = 0 makes gamma = -1 singular on every grid, and a NaN alpha beside it raises the alpha message
+        [row] = [r for r in reference if math.isnan(r.alpha) and (r.beta, r.gamma) == (0.0, -1.0)]
+        assert row.error == "alpha must be finite"
         seen |= {r.verdict for r in scanned}
         seen |= {r.error.split(" ")[0] for r in scanned if r.error}
     assert seen >= set(Verdict) | {"alpha", "beta", "gamma", "family"}
@@ -328,6 +337,9 @@ def test_scan_memory_does_not_grow_with_the_box():
     box = _scan_peak_bytes(alphas, betas, gammas, grid)
     one = _scan_peak_bytes(alphas[:1], betas[:1], gammas[:1], grid)
     assert box - one < 8 * grid.n
+    # eight grid-sized arrays (x, log arccos, log1p(x), log1p(-x), the power, the numerator and two buffers);
+    # a ninth, such as arccos kept beside its log, would pass 9
+    assert one < 8.5 * 8 * grid.n
 
 
 def _mp_direction(alpha, beta, gamma, x0, x1):
