@@ -21,7 +21,10 @@ floor wherever a*s + 2 > 0; a test proves the identities exactly.  A second
 rearrangement gives ``slope_term`` (the cleared-denominator variant) and
 the threshold function ``slope_threshold`` = 4*sqrt(1-x)/arccos(x), which
 increases from 8/pi to 2*sqrt(2) and separates the parameter ranges where
-slope_term is one-signed.
+slope_term is one-signed.  ``slope_quadratic``, ``slope_quadratic_roots``,
+``slope_term``, ``slope_threshold`` and ``threshold_gap`` check their input
+and call their kernel, ``_slope_term`` and so on, on a ``grids._GridTerms``,
+as the aux claims do on each block; ``slope_factor`` is a scalar path.
 
 ``find_minimum`` brackets the unique zero of slope_factor in the
 interior-minimum regime by bisection, which is guaranteed to converge
@@ -45,11 +48,11 @@ from .family import (
     _check_open_unit,
     _floor,
     _scalar_like,
-    arccos_ratio,
     arccos_stable,
     bound_ratio,
     classify_regime,
 )
+from .grids import _GridTerms
 
 __all__ = [
     "MinimumResult",
@@ -127,12 +130,20 @@ def _q(a, s):
     return a * a - a * s - 4
 
 
+def _slope_quadratic(a, terms: _GridTerms):
+    return terms.sqrt_1px * _q(a, terms.sqrt_1px)
+
+
 @np.errstate(all="ignore")
 def slope_quadratic(a: float, x):
     """Quadratic in a controlling the slope factor's monotonicity: s*q(a, s), s = sqrt(1+x)."""
     _check_finite_parameter(a)
-    s = np.sqrt(1.0 + _check_open_unit(x))
-    return _representable("slope quadratic", a, x, s * _q(a, s))
+    return _representable("slope quadratic", a, x, _slope_quadratic(a, _GridTerms(_check_open_unit(x))))
+
+
+def _slope_quadratic_roots(terms: _GridTerms) -> tuple[np.ndarray, np.ndarray]:
+    t = terms.sqrt_1px + np.sqrt(terms.sqrt_1px * terms.sqrt_1px + 16.0)
+    return -8.0 / t, 0.5 * t
 
 
 def slope_quadratic_roots(x):
@@ -141,9 +152,11 @@ def slope_quadratic_roots(x):
     root_lo spans ((1-sqrt(17))/2, -sqrt(2)) and root_hi spans
     ((1+sqrt(17))/2, 2*sqrt(2)) as x runs over (0, 1).
     """
-    s = np.sqrt(1.0 + _check_open_unit(x))
-    t = s + np.sqrt(s * s + 16.0)
-    return _scalar_like(x, -8.0 / t), _scalar_like(x, 0.5 * t)
+    return tuple(_scalar_like(x, root) for root in _slope_quadratic_roots(_GridTerms(_check_open_unit(x))))
+
+
+def _slope_term(a: float, terms: _GridTerms):
+    return (a * terms.sqrt_1px + 2.0) * terms.arccos - 2.0 * terms.sqrt_1mx * (a + terms.sqrt_1px)
 
 
 @np.errstate(all="ignore")
@@ -154,21 +167,25 @@ def slope_term(a: float, x):
     a <= 8/pi (positive) and for a >= 2*sqrt(2) (negative).
     """
     _check_slope_parameter(a)
-    arr = _check_open_unit(x)
-    s = np.sqrt(1.0 + arr)
-    out = (a * s + 2.0) * arccos_stable(arr) - 2.0 * np.sqrt(1.0 - arr) * (a + s)
-    return _representable("slope term", a, x, out)
+    return _representable("slope term", a, x, _slope_term(a, _GridTerms(_check_open_unit(x))))
+
+
+def _slope_threshold(terms: _GridTerms):
+    return 4.0 / terms.ratio
 
 
 def slope_threshold(x):
     """4*sqrt(1-x)/arccos(x); strictly increasing from 8/pi to 2*sqrt(2)."""
-    return _scalar_like(x, 4.0 / arccos_ratio(_check_open_unit(x)))
+    return _scalar_like(x, _slope_threshold(_GridTerms(_check_open_unit(x))))
+
+
+def _threshold_gap(terms: _GridTerms):
+    return 2.0 * terms.sqrt_1mx / terms.sqrt_1px - terms.arccos
 
 
 def threshold_gap(x):
     """2*sqrt(1-x**2)/(1+x) - arccos(x); positive and strictly decreasing to 0."""
-    arr = _check_open_unit(x)
-    return _scalar_like(x, 2.0 * np.sqrt(1.0 - arr) / np.sqrt(1.0 + arr) - arccos_stable(arr))
+    return _scalar_like(x, _threshold_gap(_GridTerms(_check_open_unit(x))))
 
 
 # Cap on bisection steps, far above the ~43 an interval in (0, 1) needs to reach 1e-13.

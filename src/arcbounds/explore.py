@@ -101,8 +101,8 @@ def _check_finite(**params: float) -> None:
 def _checked_numerator(beta: float, gamma: float, power: np.ndarray, out=None) -> np.ndarray:
     """gamma + (1+x)**beta from power = (1+x)**beta, into ``out`` if given; raises where it vanishes on x."""
     num = np.add(gamma, power, out=out)
-    # without a strict sign change, min <= 0 <= max leaves a zero at min or max
-    if num.min() <= 0.0 <= num.max():
+    # without a strict sign change, min <= 0 <= max leaves a zero at min or max; an empty x has neither
+    if num.min(initial=math.inf) <= 0.0 <= num.max(initial=-math.inf):
         raise SingularFamilyError(
             f"family numerator gamma + (1+x)^beta vanishes on the sampled interval for beta={beta!r}, gamma={gamma!r}"
         )
@@ -130,7 +130,7 @@ def generalized_ratio(alpha: float, beta: float, gamma: float, x):
         value = num * arccos_ratio(arr) * (1.0 - arr) ** (0.5 - alpha)
     # the numerator is nonzero, so a NaN, infinite or zero |F| is binary64 overflow or underflow
     size = np.abs(value)
-    if not (0.0 < size.min() and size.max() < math.inf):
+    if not (0.0 < size.min(initial=math.inf) and size.max(initial=0.0) < math.inf):
         raise _unrepresentable(alpha, beta, gamma)
     return _scalar_like(x, value)
 

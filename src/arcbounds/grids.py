@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError
-from .family import _check_open_unit, arccos_ratio, arccos_stable
+from .family import _check_open_unit, arccos_stable
 
 __all__ = ["GridSpec", "DEFAULT_GRID", "SCAN_GRID", "MAX_GRID_POINTS"]
 
@@ -202,14 +202,15 @@ def _ulps(v):
 class _GridTerms:
     """The terms of points ``x`` in (0, 1) that depend on x alone: the block terms of ``verify``, ``sharp`` and ``bounds``.
 
-    ``x`` is one block of a grid, and its caller has checked it against
-    (0, 1).  Each term is evaluated on first use and then shared by every
-    shape parameter of the block's checks or rows.  The object caches
-    nothing beyond its own life, so a block's terms are freed with the
-    block.  Elementwise kernels give the same bits on a slice as on the
-    whole array, and ``shape`` and ``ratio_at`` keep the operation order of
-    ``family._shape`` and ``family.bound_ratio``, so their values are the
-    same bits as a direct evaluation.
+    ``x`` is a grid block, an ``analysis`` argument or a claim's probe
+    points; its caller keeps it in (0, 1).  Each term is evaluated on first
+    use and then shared by every shape parameter of the block's checks or
+    rows; ``ratio`` reads ``arccos``, so a block takes one arccos.  The
+    object caches nothing beyond its own life, so a block's terms are freed
+    with the block.  Elementwise kernels give the same bits on a slice as
+    on the whole array, and ``shape`` and ``ratio_at`` keep the operation
+    order of ``family._shape`` and ``family.bound_ratio``, so their values
+    are the same bits as a direct evaluation.
     """
 
     def __init__(self, x: np.ndarray) -> None:
@@ -234,7 +235,7 @@ class _GridTerms:
 
     @cached_property
     def ratio(self) -> np.ndarray:
-        return arccos_ratio(self.x)
+        return self.arccos / self.sqrt_1mx
 
     def shape(self, a: float) -> np.ndarray:
         """The bound template sqrt(1-x)/(a + sqrt(1+x))."""

@@ -22,12 +22,10 @@ grid's stream of runs; no claim but ``scan-slice`` (``grid.points()``)
 builds a whole grid, so peak memory does not grow with n.  One loop,
 ``_sweep``, runs every check on ``grids._GridTerms``, the blocks outside
 and the checks inside, so each block's terms that depend on x alone are
-evaluated once.  The aux claims are the exception: they call
-``analysis``' public functions on ``terms.x``, so per point
-``aux-sign-regimes`` evaluates arccos 5 times and sqrt 17 times, and
-``aux-slope-limits`` arccos twice.  A check reduces each block to a small
-share (its violations, sign runs, crossover cells or first-index minima),
-and the shares merge in grid order.  One helper, ``_minima``, merges the first-index
+evaluated once; the aux claims read theirs through ``analysis``' kernels.
+A check reduces each block to a small share (its violations, sign runs,
+crossover cells or first-index minima), and the shares merge in grid
+order.  One helper, ``_minima``, merges the first-index
 minima of ``endpoint-constants``, the aux claims and the brute-force argmin,
 on blocks that overlap by one point as checks on forward differences do.
 Each claim is a ``_Plan`` of (grid, overlap, check) triples, built before
@@ -51,13 +49,16 @@ import numpy as np
 from . import explore
 from .analysis import (
     MinimumResult,
+    _slope_quadratic,
+    _slope_quadratic_roots,
+    _slope_term,
+    _slope_threshold,
+    _threshold_gap,
     bisect_sign_change,
     find_minimum,
     slope_factor,
     slope_factor_limit0,
-    slope_quadratic,
     slope_quadratic_roots,
-    slope_term,
     slope_threshold,
     threshold_gap,
 )
@@ -507,7 +508,7 @@ def _run_plans(plans: Sequence[_Plan]) -> list[VerificationReport]:
     """The reports of ``plans``, in their order.
 
     One ``_sweep`` per (grid, overlap) runs the checks of every plan on that grid, so each grid and its
-    block terms are evaluated once; the aux claims evaluate theirs again (see the module docstring).
+    block terms are evaluated once.
     """
     groups: dict[tuple[GridSpec, int], list[_Check]] = {}
     for plan in plans:
@@ -630,11 +631,11 @@ def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> _Plan:
     tol_p, tol_r = _SLOPE_LIMITS_TOL
 
     def slacks(terms: _GridTerms) -> Iterable[tuple]:
-        p = slope_threshold(terms.x)
+        p = _slope_threshold(terms)
         yield np.diff(p) + tol_p, "threshold strictly increasing"
         yield p - 8.0 / PI + tol_p, "threshold range floor"
         yield TWO_SQRT2 - p + tol_p, "threshold range ceiling"
-        r = threshold_gap(terms.x)
+        r = _threshold_gap(terms)
         yield tol_r - np.diff(r), "gap strictly decreasing"
         yield r + tol_r, "gap positive"
 
@@ -642,23 +643,20 @@ def _claim_aux_slope_limits(values: Sequence[float], grid: GridSpec) -> _Plan:
 
 
 def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> _Plan:
-    lo0, hi0 = slope_quadratic_roots(1e-10)
-    lo1, hi1 = slope_quadratic_roots(1.0 - 1e-10)
-    xs = np.linspace(0.005, 0.995, 100)
-    lo, hi = slope_quadratic_roots(xs)
-    res_hi = np.abs([slope_quadratic(float(h), float(xv)) for h, xv in zip(hi, xs)])
-    res_lo = np.abs([slope_quadratic(float(l), float(xv)) for l, xv in zip(lo, xs)])
+    (lo0, lo1), (hi0, hi1) = slope_quadratic_roots(np.array([1e-10, 1.0 - 1e-10]))
+    probes = _GridTerms(np.linspace(0.005, 0.995, 100))
+    lo, hi = _slope_quadratic_roots(probes)
     head = [
         (1e-6 - abs(lo0 - (1.0 - math.sqrt(17.0)) / 2.0), 1e-10, "low root left limit"),
         (1e-6 - abs(hi0 - (1.0 + math.sqrt(17.0)) / 2.0), 1e-10, "high root left limit"),
         (1e-6 - abs(lo1 + SQRT2), 1.0 - 1e-10, "low root right limit"),
         (1e-6 - abs(hi1 - TWO_SQRT2), 1.0 - 1e-10, "high root right limit"),
-        _tightest(1e-10 - res_hi, xs, "high root annihilates the quadratic"),
-        _tightest(1e-10 - res_lo, xs, "low root annihilates the quadratic"),
+        _tightest(1e-10 - np.abs(_slope_quadratic(hi, probes)), probes.x, "high root annihilates the quadratic"),
+        _tightest(1e-10 - np.abs(_slope_quadratic(lo, probes)), probes.x, "low root annihilates the quadratic"),
     ]
 
     def slacks(terms: _GridTerms) -> Iterable[tuple]:
-        lo_g, hi_g = slope_quadratic_roots(terms.x)
+        lo_g, hi_g = _slope_quadratic_roots(terms)
         yield np.diff(lo_g), "low root strictly increasing"
         yield np.diff(hi_g), "high root strictly increasing"
 
@@ -667,16 +665,15 @@ def _claim_aux_roots(values: Sequence[float], grid: GridSpec) -> _Plan:
 
 def _claim_aux_sign_regimes(values: Sequence[float], grid: GridSpec) -> _Plan:
     def slacks(terms: _GridTerms) -> Iterable[tuple]:
-        x, s = terms.x, terms.sqrt_1px
         # sign * value must stay above -tol
         for sign, what, avals in ((1.0, "positive", QUADRATIC_POSITIVE_A_VALUES), (-1.0, "negative", QUADRATIC_NEGATIVE_A_VALUES)):
             for av in avals:
                 tol = float(_ulps(av * av * SQRT2 + 4.0 * SQRT2))
-                yield sign * slope_quadratic(av, x) + tol, f"quadratic {what} at a={av:.6g}"
+                yield sign * _slope_quadratic(av, terms) + tol, f"quadratic {what} at a={av:.6g}"
         for sign, what, avals in ((1.0, "positive", (0.0, 2.0, 8.0 / PI)), (-1.0, "negative", (TWO_SQRT2, 4.0))):
             for av in avals:
-                scale = (abs(av) * s + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + s)
-                yield sign * slope_term(av, x) + _ulps(scale), f"slope term {what} at a={av:.6g}"
+                scale = (abs(av) * terms.sqrt_1px + 2.0) * (PI / 2.0) + 2.0 * (abs(av) + terms.sqrt_1px)
+                yield sign * _slope_term(av, terms) + _ulps(scale), f"slope term {what} at a={av:.6g}"
 
     notes = "one-signedness of the quadratic and the slope term"
     return _slack_plan("aux-sign-regimes", [], slacks, lambda n: 11 * n, notes, grid)

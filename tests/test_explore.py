@@ -49,6 +49,14 @@ class TestGeneralizedRatio:
         with pytest.raises(DomainError):
             generalized_ratio(math.inf, 0.5, 1.0, 0.5)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_array_gives_an_empty_array(self, shape):
+        # as bound_ratio and the other array functions do; the parameters are still checked
+        out = generalized_ratio(0.5, 0.5, 2.7, np.empty(shape))
+        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+        with pytest.raises(DomainError):
+            generalized_ratio(math.nan, 0.5, 2.7, np.empty(shape))
+
     # F overflows to inf, gives inf * 0 = NaN, or underflows to 0; a numpy
     # RuntimeWarning on the way would fail the test, as pytest turns it into an error
     @pytest.mark.parametrize(

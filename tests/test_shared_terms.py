@@ -15,6 +15,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,73 @@ def test_composite_reports_equal_direct_evaluation():
     assert [_bits(r) + (r.notes,) for r in got] == [_bits(r) + (r.notes,) for r in expected]
 
 
+def _aux_direct_reports(grid, roots_grid):
+    """The three aux composite reports from whole arrays of ``analysis``' public functions, at scalar x in the heads."""
+    x = grid.points()
+    tol_p, tol_r = verify._SLOPE_LIMITS_TOL
+    head = [(1e-5 - abs(ab.slope_factor(a, 1e-10) - ab.slope_factor_limit0(a)), 1e-10, f"slope-factor limit at a={a:g}") for a in (0.0, 1.0, 3.0)]
+    head += [
+        (1e-5 - abs(ab.slope_threshold(1e-10) - 8.0 / math.pi), 1e-10, "threshold left endpoint 8/pi"),
+        (1e-5 - abs(ab.slope_threshold(1.0 - 1e-10) - ab.TWO_SQRT2), 1.0 - 1e-10, "threshold right endpoint 2*sqrt(2)"),
+        (1e-5 - abs(ab.threshold_gap(1.0 - 1e-10)), 1.0 - 1e-10, "threshold gap vanishes at 1"),
+    ]
+    p, r = ab.slope_threshold(x), ab.threshold_gap(x)
+    arrays = [
+        (np.diff(p) + tol_p, "threshold strictly increasing"), (p - 8.0 / math.pi + tol_p, "threshold range floor"),
+        (ab.TWO_SQRT2 - p + tol_p, "threshold range ceiling"), (tol_r - np.diff(r), "gap strictly decreasing"),
+        (r + tol_r, "gap positive"),
+    ]
+    limits = verify._composite_report(
+        "aux-slope-limits", head + [verify._tightest(v, x, label) for v, label in arrays], 6 + 2 * x.size,
+        "derivative-apparatus limits and shapes",
+    )
+
+    (lo0, hi0), (lo1, hi1) = ab.slope_quadratic_roots(1e-10), ab.slope_quadratic_roots(1.0 - 1e-10)
+    xs = np.linspace(0.005, 0.995, 100)
+    lo, hi = ab.slope_quadratic_roots(xs)
+    head = [
+        (1e-6 - abs(lo0 - (1.0 - math.sqrt(17.0)) / 2.0), 1e-10, "low root left limit"),
+        (1e-6 - abs(hi0 - (1.0 + math.sqrt(17.0)) / 2.0), 1e-10, "high root left limit"),
+        (1e-6 - abs(lo1 + ab.SQRT2), 1.0 - 1e-10, "low root right limit"),
+        (1e-6 - abs(hi1 - ab.TWO_SQRT2), 1.0 - 1e-10, "high root right limit"),
+    ]
+    for roots, which in ((hi, "high"), (lo, "low")):
+        residuals = np.abs([ab.slope_quadratic(float(root), float(xv)) for root, xv in zip(roots, xs)])
+        head.append(verify._tightest(1e-10 - residuals, xs, f"{which} root annihilates the quadratic"))
+    xr = roots_grid.points()
+    lo_g, hi_g = ab.slope_quadratic_roots(xr)
+    arrays = [(np.diff(lo_g), "low root strictly increasing"), (np.diff(hi_g), "high root strictly increasing")]
+    roots_report = verify._composite_report(
+        "aux-quadratic-roots", head + [verify._tightest(v, xr, label) for v, label in arrays], 204 + 2 * xr.size,
+        "roots of the slope quadratic",
+    )
+
+    s, arrays = np.sqrt(1.0 + x), []
+    for sign, what, values in ((1.0, "positive", verify.QUADRATIC_POSITIVE_A_VALUES), (-1.0, "negative", verify.QUADRATIC_NEGATIVE_A_VALUES)):
+        for a in values:
+            tol = 4.0 * np.spacing(a * a * ab.SQRT2 + 4.0 * ab.SQRT2)
+            arrays.append((sign * ab.slope_quadratic(a, x) + tol, f"quadratic {what} at a={a:.6g}"))
+    for sign, what, values in ((1.0, "positive", (0.0, 2.0, 8.0 / math.pi)), (-1.0, "negative", (ab.TWO_SQRT2, 4.0))):
+        for a in values:
+            scale = (abs(a) * s + 2.0) * (math.pi / 2.0) + 2.0 * (abs(a) + s)
+            arrays.append((sign * ab.slope_term(a, x) + 4.0 * np.spacing(scale), f"slope term {what} at a={a:.6g}"))
+    signs = verify._composite_report(
+        "aux-sign-regimes", [verify._tightest(v, x, label) for v, label in arrays], 11 * x.size,
+        "one-signedness of the quadratic and the slope term",
+    )
+    return [limits, roots_report, signs]
+
+
+@pytest.mark.parametrize("grid", [GRID, GridSpec(1e-9, 1.0 - 1e-9, 20_001, "uniform")], ids=["refined", "uniform"])
+def test_aux_reports_equal_direct_evaluation(grid):
+    # the aux claims read analysis' kernels on each block's shared terms; the reports are the bits of
+    # the public functions on the whole grid (aux-quadratic-roots keeps its uniform registry spacing)
+    got = run_claims(["aux-slope-limits", "aux-quadratic-roots", "aux-sign-regimes"], grid=grid)
+    expected = _aux_direct_reports(grid, GridSpec(grid.lo, grid.hi, grid.n, "uniform"))
+    assert [_bits(r) + (r.notes,) for r in got] == [_bits(r) + (r.notes,) for r in expected]
+    assert all(r.passed for r in got)
+
+
 def test_fresh_terms_equal_the_sweep_reports():
     # each report from fresh terms of the whole grid equals the one from the sweep's shared block terms
     sweep = run_claims(["family-bracket", "midregime-floor", "endpoint-constants", "regime-increasing"], grid=GRID)
@@ -116,13 +184,14 @@ def test_fresh_terms_equal_the_sweep_reports():
 
 def test_minimum_floor_batch_equals_per_parameter_argmins(monkeypatch):
     calls = Counter()
-    ratio = grids.arccos_ratio
+    arccos = grids.arccos_stable
 
-    def counting_ratio(x):
+    def counting_arccos(x):
         calls["ratio"] += 1
-        return ratio(x)
+        return arccos(x)
 
-    monkeypatch.setattr(grids, "arccos_ratio", counting_ratio)
+    # _GridTerms' ratio reads its block's arccos, which is the one arccos_stable call of grids
+    monkeypatch.setattr(grids, "arccos_stable", counting_arccos)
     batched = run_claims(["minimum-floor"])
     # one arccos ratio per block of the brute-force grid for all 20 parameters, not one per parameter
     assert calls["ratio"] == math.ceil((BRUTE_FORCE_N - 1) / grids._BLOCK)
@@ -218,6 +287,28 @@ def test_blocked_sweep_takes_arccos_once_per_point(arccos_points, claim_id, over
     run_claims([claim_id], grid=grid)
     # blocks of a difference check share their boundary points, which are evaluated in both
     assert arccos_points["points"] == size + overlap * (blocks - 1)
+
+
+def test_one_shared_walk_evaluates_each_term_once_per_point(monkeypatch):
+    # the three claims share one walk of the 100k grid, overlap 1: arccos and each of sqrt(1+x) and
+    # sqrt(1-x) once per block point, shared boundary points in both blocks; the scalar probes of the
+    # heads (one element a call) are not counted
+    grid = replace(ab.DEFAULT_GRID, n=100_000)
+    size = grid.points().size
+    block_points = size + math.ceil((size - 1) / grids._BLOCK) - 1
+    assert block_points == 100_006
+    seen = Counter()
+    for name in ("arccos", "sqrt"):
+        fn = getattr(np, name)
+
+        def counting(x, *args, _fn=fn, _name=name, **kwargs):
+            if np.size(x) > 1:
+                seen[_name] += np.size(x)
+            return _fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    run_claims(["regime-increasing", "aux-slope-limits", "aux-sign-regimes"])
+    assert seen == {"arccos": block_points, "sqrt": 2 * block_points}
 
 
 def test_sharp_block_bounds_equal_the_public_functions():

@@ -313,16 +313,16 @@ def test_composite_reports_the_tightest_sample_of_an_array_check(monkeypatch):
     # the failing sub-check; the report must point at that sample, not at the grid's first point
     grid = GridSpec(1e-9, 1.0 - 1e-9, 2001, "uniform")
     k = 1234
-    roots = verify.slope_quadratic_roots
+    roots = verify._slope_quadratic_roots
 
-    def dipped_roots(x):
-        lo, hi = roots(x)
-        if np.ndim(x) and np.size(x) == grid.n:
+    def dipped_roots(terms):
+        lo, hi = roots(terms)
+        if terms.x.size == grid.n:
             lo = lo.copy()
             lo[k + 1 :] -= 1.0
         return lo, hi
 
-    monkeypatch.setattr(verify, "slope_quadratic_roots", dipped_roots)
+    monkeypatch.setattr(verify, "_slope_quadratic_roots", dipped_roots)
     [rep] = run_claims(["aux-quadratic-roots"], grid=grid)
     assert not rep.passed and rep.notes.endswith("tightest: low root strictly increasing")
     assert rep.worst_margin < -0.9
